@@ -304,13 +304,20 @@ def escape_check(spec: AttackSpec, tol: float = DEFAULT_TOL) -> bool:
     orthogonality test on explicitly constructed conditional states. A
     disagreement is surfaced as ConsistencyError, never silently resolved.
     """
-    residuals = detection_residuals(spec)
+    tables = [conditional_states(spec, case) for case in CASES]
+    return _escape_flag(detection_residuals(spec), tables, tol)
+
+
+def _escape_flag(
+    residuals: DetectionResiduals, tables: list[ConditionalStateTable], tol: float
+) -> bool:
+    """The escape flag of the bilinear residuals, asserted against the
+    cross overlaps of the announcement sets of the constructed states."""
     route_a = residuals.max_case_residual <= tol
 
     route_b = True
     worst = 0.0
-    for case in CASES:
-        table = conditional_states(spec, case)
+    for table in tables:
         same, diff = announcement_sets(table)
         if not same or not diff:
             continue
@@ -398,7 +405,13 @@ def pe_closed_form(spec: AttackSpec, tol: float = DEFAULT_TOL) -> float:
         raise InfeasibleError(
             "closed form is only valid for specs satisfying the detection constraints"
         )
-    return 0.5 * (1.0 - 4.0 * abs(spec.a[0, 0]) * abs(spec.a[1, 0]))
+    return _closed_form(abs(spec.a[0, 0]), abs(spec.a[1, 0]))
+
+
+def _closed_form(c: float, s: float) -> float:
+    """(1 - 4 c s)/2 for the magnitudes c = |a00| and s = |a10|, held at 0
+    where rounding leaves about -1e-16 at the perfect attack c = s = 1/2."""
+    return max(0.0, 0.5 * (1.0 - 4.0 * c * s))
 
 
 def mutual_information(pe: float) -> float:
@@ -454,11 +467,14 @@ def branch_vectors(spec: AttackSpec) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class AttackReport:
-    """Full analysis of one attack specification."""
+    """Full analysis of one attack specification.
 
-    case_residuals: dict[Case, tuple[float, float, float, float]]
-    aggregate_products: tuple[float, ...]
-    magnitude_gaps: tuple[float, float]
+    ``info`` is the mean over the four equiprobable basis cases of the
+    information I(pe) read at each case's Helstrom error; on escaping specs
+    the cases share one error, and it is evaluated as I(mean pe).
+    """
+
+    residuals: DetectionResiduals
     escape_ok: bool
     pe_numeric: dict[Case, float]
     pe_announce: dict[Case, float]
@@ -470,23 +486,29 @@ class AttackReport:
 
 
 def analyze(spec: AttackSpec, tol: float = DEFAULT_TOL) -> AttackReport:
-    """Run every check and measure on a spec and cross-validate the routes."""
+    """Run every check and measure on a spec and cross-validate the routes.
+
+    The four conditional state tables are built once; the escape routes,
+    both Helstrom errors of every case and the per-case spread all read them.
+    """
     residuals = detection_residuals(spec)
-    escape = escape_check(spec, tol)
+    tables = [conditional_states(spec, case) for case in CASES]
+    escape = _escape_flag(residuals, tables, tol)
 
     pe_numeric: dict[Case, float] = {}
     pe_announce: dict[Case, float] = {}
-    for case in CASES:
-        table = conditional_states(spec, case)
+    for table in tables:
         p_plus, p_minus = alice_priors(table)
-        pe_numeric[case] = helstrom(
+        pe_numeric[table.case] = helstrom(
             _mixture(table, Sign.PLUS), _mixture(table, Sign.MINUS), p_plus, p_minus
         )
         rho_s, rho_d, p_s, p_d = _set_mixture_and_priors(table)
-        pe_announce[case] = helstrom(rho_s, rho_d, p_s, p_d)
+        pe_announce[table.case] = helstrom(rho_s, rho_d, p_s, p_d)
 
-    announce_perfect = max(pe_announce.values()) <= tol
-    if announce_perfect != escape:
+    # The announcement error scales as the residual squared, so a spec just
+    # off the escape set may still announce with an error below tol; only
+    # escape => perfect announcements holds at one tolerance.
+    if escape and max(pe_announce.values()) > tol:
         raise ConsistencyError(
             f"announcement-set discrimination ({max(pe_announce.values()):.3e}) "
             f"disagrees with the escape residuals "
@@ -501,17 +523,18 @@ def analyze(spec: AttackSpec, tol: float = DEFAULT_TOL) -> AttackReport:
                 f"per-case error probabilities spread {spread:.3e} on a "
                 f"detection-passing spec"
             )
-        pe_cf = pe_closed_form(spec, tol)
+        pe_cf = _closed_form(abs(spec.a[0, 0]), abs(spec.a[1, 0]))
+        info = mutual_information(float(pes.mean()))
     else:
         pe_cf = None
-    info = mutual_information(float(pes.mean()))
+        # The bases are announced, so each of the four equiprobable cases is
+        # read with its own error probability.
+        info = float(np.mean([mutual_information(pe) for pe in pes]))
 
     nas_ok, _ = nas_check(spec, tol)
     realizable, _ = is_realizable(spec, tol)
     return AttackReport(
-        case_residuals=residuals.per_case,
-        aggregate_products=residuals.products,
-        magnitude_gaps=residuals.magnitude_gaps,
+        residuals=residuals,
         escape_ok=escape,
         pe_numeric=pe_numeric,
         pe_announce=pe_announce,
@@ -577,9 +600,9 @@ def report_to_dict(report: AttackReport) -> dict:
         return None if x is None else float(f"{x:.12g}")
 
     return {
-        "case_residuals": {c.key: [num(v) for v in report.case_residuals[c]] for c in CASES},
-        "aggregate_products": [num(v) for v in report.aggregate_products],
-        "magnitude_gaps": [num(v) for v in report.magnitude_gaps],
+        "case_residuals": {c.key: [num(v) for v in report.residuals.per_case[c]] for c in CASES},
+        "aggregate_products": [num(v) for v in report.residuals.products],
+        "magnitude_gaps": [num(v) for v in report.residuals.magnitude_gaps],
         "escape_ok": report.escape_ok,
         "pe_numeric": {c.key: num(report.pe_numeric[c]) for c in CASES},
         "pe_announce": {c.key: num(report.pe_announce[c]) for c in CASES},

@@ -10,13 +10,22 @@ Commands:
   ``key_alice``, ``key_reconstructed``, ``attacker_key_guess`` and
   ``rounds``; each round holds ``round_id``, ``basis_a/b/c``, ``sifted``,
   ``role``, ``outcome_a/b``, ``announced_c`` and ``consistent``.
-* ``analyze``  — full attack analysis of a spec file, exported as JSON.
+* ``analyze``  — full attack analysis of a spec file, exported as JSON. The
+  report's ``info`` is the mean over the four equiprobable basis cases of
+  I(pe) = 1 + pe log2 pe + (1 - pe) log2 (1 - pe) at each case's Helstrom
+  error pe.
 * ``sweep``    — CSV sweep of the detection-passing family over c.
 * ``optimize`` — numeric information maximisation, exported as JSON.
 
 Attack spec JSON schema: ``{"ancilla_dim": d, "a": [[re, im] x4 row-major],
 "eps": [[[re, im] x (2 d)] x4]}``. The bundled specs ``honest``,
 ``hbb_section4`` and ``kki`` may be named in place of a path.
+
+Exit codes: 0 success; 1 a ``verify`` check failed; 2 invalid input (spec,
+option or argument); 3 the attacker broke the session contract; 4 a
+numerical check failed (redundant routes disagreed, or the eigensolver did
+not converge). Codes 2 and 4 print one ``error:`` line on stderr, code 3
+one ``session aborted:`` line.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import attack, exploit, hbb, optimizer, qstate
+from . import attack, exploit, hbb, optimizer, qmath, qstate
 
 BUNDLED_SPECS = ("honest", "hbb_section4", "kki")
 
@@ -60,10 +69,6 @@ class RunConfig:
     def __post_init__(self):
         if (self.attacker == "spec") != (self.spec_path is not None) and self.command == "simulate":
             raise ValueError("--spec is required exactly when --attacker spec is chosen")
-
-
-def _num(x: float | None):
-    return None if x is None else float(f"{x:.12g}")
 
 
 def resolve_spec(name_or_path: str) -> attack.AttackSpec:
@@ -333,19 +338,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
     grid = np.unique(np.append(np.linspace(0.0, optimizer.INV_SQRT2, cfg.grid), 0.5))
     for c in grid:
         point = optimizer.AttackFamilyPoint(float(c))
-        spec = point.to_spec()
-        pe_closed = attack.pe_closed_form(spec)
-        report = attack.analyze(spec)
-        pe_numeric = max(report.pe_numeric.values())
-        residuals = attack.detection_residuals(spec)
+        report = attack.analyze(point.to_spec())
         writer.writerow(
             [
                 f"{point.c:.12g}",
                 f"{point.s:.12g}",
-                f"{pe_closed:.12g}",
-                f"{pe_numeric:.12g}",
+                f"{report.pe_closed_form:.12g}",
+                f"{max(report.pe_numeric.values()):.12g}",
                 f"{report.info:.12g}",
-                f"{max(residuals.all_values):.12g}",
+                f"{max(report.residuals.all_values):.12g}",
             ]
         )
     out = Path(cfg.out_path or "sweep.csv")
@@ -437,6 +438,9 @@ def main(argv=None) -> int:
     except hbb.SessionAbort as exc:
         print(f"session aborted: {exc}", file=sys.stderr)
         return 3
+    except (attack.ConsistencyError, qmath.ConvergenceError) as exc:
+        print(f"error: numerical check failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -14,13 +14,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from .attack import mutual_information
 from .qstate import (
     PROTOCOL_BASES,
     Basis,
@@ -285,13 +285,6 @@ def error_rate(transcript: SessionTranscript) -> float:
     return sum(1 for r in checks if r.consistent is False) / len(checks)
 
 
-def binary_entropy(p: float) -> float:
-    """H2(p) in bits."""
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
-
-
 def info_rate(transcript: SessionTranscript) -> float:
     """1 - H2 of the attacker's empirical key-guess disagreement, in [0, 1]."""
     if not transcript.attacker_key_guess:
@@ -299,7 +292,7 @@ def info_rate(transcript: SessionTranscript) -> float:
     guesses = transcript.attacker_key_guess
     truth = transcript.key_alice
     disagree = sum(1 for g, k in zip(guesses, truth) if g != k) / len(guesses)
-    return min(1.0, max(0.0, 1.0 - binary_entropy(disagree)))
+    return mutual_information(disagree)
 
 
 def _sig12(x: float | None):

@@ -24,10 +24,9 @@ from .attack import (
     AttackSpec,
     ConsistencyError,
     SpecError,
+    _closed_form,
     analyze,
-    escape_check,
     mutual_information,
-    pe_closed_form,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -74,35 +73,29 @@ class AttackFamilyPoint:
         return AttackSpec(d2 // 2, a, eps)
 
 
-def objective(point: AttackFamilyPoint, cross_check: bool = True) -> float:
+def objective(point: AttackFamilyPoint) -> float:
     """Information gain (bits) at a family point.
 
-    Evaluated through the closed-form error probability; with
-    ``cross_check`` the numeric Helstrom route is required to agree within
-    1e-9 on every basis case.
+    Evaluated through the closed-form error probability; the numeric
+    Helstrom route of the same analysis is required to agree within 1e-9 on
+    every basis case.
     """
-    spec = point.to_spec()
-    if not escape_check(spec):
+    report = analyze(point.to_spec())
+    if not report.escape_ok:
         raise SpecError("family point does not satisfy the detection constraints")
-    pe = pe_closed_form(spec)
-    value = mutual_information(pe)
-    if cross_check:
-        report = analyze(spec)
-        worst = max(abs(report.pe_numeric[c] - pe) for c in CASES)
-        if worst > 1e-9:
-            raise ConsistencyError(
-                f"closed-form error probability deviates from Helstrom by {worst:.3e}"
-            )
-    return value
+    pe = report.pe_closed_form
+    worst = max(abs(report.pe_numeric[c] - pe) for c in CASES)
+    if worst > 1e-9:
+        raise ConsistencyError(
+            f"closed-form error probability deviates from Helstrom by {worst:.3e}"
+        )
+    return mutual_information(pe)
 
 
 def scan(n: int = 10001, lo: float = 0.0, hi: float = INV_SQRT2) -> np.ndarray:
     """Dense closed-form scan of the objective; rows are (c, info)."""
     cs = np.linspace(lo, hi, n)
-    infos = [
-        mutual_information(0.5 * (1.0 - 4.0 * c * math.sqrt(max(0.5 - c * c, 0.0))))
-        for c in cs
-    ]
+    infos = [mutual_information(_closed_form(c, math.sqrt(max(0.5 - c * c, 0.0)))) for c in cs]
     return np.column_stack([cs, infos])
 
 
@@ -145,7 +138,7 @@ def maximize(
     def f(c: float, phases) -> float:
         nonlocal evals, best_info, best_point
         point = AttackFamilyPoint(c, tuple(phases))
-        value = objective(point, cross_check=True)
+        value = objective(point)
         evals += 1
         if value > best_info:
             best_info = value
@@ -187,8 +180,8 @@ def maximize(
 
 def _assert_phase_invariant(phases, probes=(0.23, 0.45)) -> None:
     for c in probes:
-        base = objective(AttackFamilyPoint(c), cross_check=False)
-        shifted = objective(AttackFamilyPoint(c, tuple(phases)), cross_check=False)
+        base = objective(AttackFamilyPoint(c))
+        shifted = objective(AttackFamilyPoint(c, tuple(phases)))
         if abs(base - shifted) > 1e-10:
             raise ConsistencyError(
                 f"objective is not phase-invariant at c={c}: {base} vs {shifted}"
@@ -253,11 +246,9 @@ def random_feasible_search(
             a[0, 1] = INV_SQRT2 * np.exp(1j * rng.uniform(0, 2 * math.pi))
             a[1, 0] = INV_SQRT2 * np.exp(1j * rng.uniform(0, 2 * math.pi))
             spec = AttackSpec(2, a, eps)
-        if not escape_check(spec):
-            continue
-        info = analyze(spec).info
-        if info > best:
-            best = info
+        report = analyze(spec)
+        if report.escape_ok and report.info > best:
+            best = report.info
             best_spec = spec
     return best, best_spec
 

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for systems of up to six qubits (dimension <= 64).
+"""Dense complex linear algebra for the few-qubit registers of the workbench.
 
 Plain numpy arrays are the working currency: kets are 1-D complex arrays,
 operators are 2-D complex arrays. The eigensolver is a cyclic Jacobi
@@ -9,24 +9,15 @@ All functions are pure and safe for concurrent use.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-#: Hard cap on any axis produced by a tensor product (six qubits).
-MAX_DIM = 64
 
 #: Structural tolerance for Hermiticity / unitarity / normalisation checks.
 STRUCT_TOL = 1e-10
 
 _JACOBI_OFF_TOL = 1e-14
 _JACOBI_MAX_SWEEPS = 100
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
-
-
-class DimensionLimitError(ValueError):
-    """A tensor product would exceed the supported dimension."""
 
 
 class NonHermitianError(ValueError):
@@ -58,57 +49,6 @@ def as_matrix(m) -> np.ndarray:
 def _check_finite(arr: np.ndarray) -> None:
     if not np.isfinite(arr).all():
         raise ValueError("non-finite entries (NaN or Inf)")
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product, left operand as the most-significant factor.
-
-    Both operands must be of the same kind (two vectors or two matrices).
-    Results with any axis larger than MAX_DIM are rejected.
-    """
-    aa = np.asarray(a, dtype=complex)
-    bb = np.asarray(b, dtype=complex)
-    if aa.ndim != bb.ndim or aa.ndim not in (1, 2):
-        raise ValueError(
-            f"tensor operands must both be vectors or both matrices, "
-            f"got ndim {aa.ndim} and {bb.ndim}"
-        )
-    _check_finite(aa)
-    _check_finite(bb)
-    for da, db in zip(aa.shape, bb.shape):
-        if da * db > MAX_DIM:
-            raise DimensionLimitError(
-                f"tensor result axis {da * db} exceeds the configured maximum {MAX_DIM}"
-            )
-    return np.kron(aa, bb)
-
-
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T
-
-
-def matmul(a, b) -> np.ndarray:
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape[1] != mb.shape[0]:
-        raise ValueError(f"shape mismatch {ma.shape} x {mb.shape}")
-    return ma @ mb
-
-
-def apply(m, v) -> np.ndarray:
-    """Matrix action on a ket."""
-    mm, vv = as_matrix(m), as_vector(v)
-    if mm.shape[1] != vv.shape[0]:
-        raise ValueError(f"shape mismatch {mm.shape} on vector of dim {vv.shape[0]}")
-    return mm @ vv
-
-
-def inner(u, v) -> complex:
-    """<u|v>, conjugate-linear in the first argument."""
-    uu, vv = as_vector(u), as_vector(v)
-    if uu.shape != vv.shape:
-        raise ValueError(f"dimension mismatch {uu.shape[0]} vs {vv.shape[0]}")
-    return complex(np.vdot(uu, vv))
 
 
 def norm(v) -> float:
@@ -188,47 +128,6 @@ def trace_norm(m) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix, Tr sqrt(M^dagger M)."""
     w, _ = hermitian_eigen(m)
     return float(np.abs(w).sum())
-
-
-def partial_trace(rho, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
-    """Reduced density operator over the kept tensor factors.
-
-    ``dims`` lists the factor dimensions (most significant first) and must
-    multiply to the matrix dimension; ``keep`` selects factor indices.
-    """
-    r = as_matrix(rho)
-    dims = tuple(int(d) for d in dims)
-    if any(d <= 0 for d in dims):
-        raise ValueError(f"factor dimensions must be positive, got {dims}")
-    total = int(np.prod(dims))
-    if r.shape != (total, total):
-        raise ValueError(f"dims {dims} inconsistent with matrix shape {r.shape}")
-    deviation = float(np.abs(r - r.conj().T).max())
-    if deviation > STRUCT_TOL:
-        raise NonHermitianError(
-            f"Hermitian deviation {deviation:.3e} exceeds tolerance {STRUCT_TOL:.1e}"
-        )
-    keep_idx = tuple(sorted(set(int(k) for k in keep)))
-    n = len(dims)
-    if any(k < 0 or k >= n for k in keep_idx):
-        raise ValueError(f"keep indices {keep_idx} out of range for {n} factors")
-    if len(keep_idx) == n:
-        return r.copy()
-
-    ket = list(_LETTERS[:n])
-    bra = []
-    j = n
-    for i in range(n):
-        if i in keep_idx:
-            bra.append(_LETTERS[j])
-            j += 1
-        else:
-            bra.append(ket[i])
-    out = "".join(ket[i] for i in keep_idx) + "".join(bra[i] for i in keep_idx)
-    sub = "".join(ket) + "".join(bra) + "->" + out
-    reduced = np.einsum(sub, r.reshape(dims + dims))
-    d_keep = int(np.prod([dims[i] for i in keep_idx])) if keep_idx else 1
-    return reduced.reshape(d_keep, d_keep)
 
 
 def cross_gram_is_zero(set1, set2, tol: float) -> tuple[bool, float]:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from _literals import CASE_CONDITIONALS
 from hbbqss import attack, exploit, hbb, optimizer, qmath
@@ -313,6 +315,7 @@ def test_pe_closed_form_rejected_off_the_constraint_set():
 def test_mutual_information_examples():
     assert mutual_information(0.0) == 1.0
     assert mutual_information(0.5) == 0.0
+    assert mutual_information(1.0) == 1.0
     assert mutual_information(PE_PURE_OVERLAP) == pytest.approx(INFO_AT_PE_PURE, abs=1e-12)
     assert mutual_information(PE_PURE_OVERLAP) == pytest.approx(0.399, abs=1e-3)
     with pytest.raises(ValueError):
@@ -443,3 +446,148 @@ def test_helstrom_bound_attained_in_simulation(rng):
     n = len(t.key_alice)
     sigma = math.sqrt(pe * (1 - pe) / n)
     assert abs(wrong / n - pe) <= 3 * sigma
+
+
+# ---------------------------------------------------------------------------
+# one pass over the four cases, and the route-agreement assertions
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(attack, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(attack, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda: analyze(kki_spec()), lambda: optimizer.objective(optimizer.AttackFamilyPoint(0.3))],
+    ids=["analyze", "objective"],
+)
+def test_one_pass_builds_each_case_once(monkeypatch, run):
+    tables = _counting(monkeypatch, "conditional_states")
+    residuals = _counting(monkeypatch, "detection_residuals")
+    run()
+    assert len(tables) == 4
+    assert len(residuals) == 1
+
+
+def _inflated_residuals(spec):
+    res = detection_residuals(spec)
+    return attack.DetectionResiduals(
+        {c: (1.0, 1.0, 1.0, 1.0) for c in CASES}, res.products, res.magnitude_gaps
+    )
+
+
+def _yy_priors(table):
+    return (0.6, 0.4) if table.case is Case.YY else alice_priors(table)
+
+
+@pytest.mark.parametrize(
+    "owner,name,fake,run",
+    [
+        # state-construction route sees overlaps the bilinear route does not
+        (qmath, "cross_gram_is_zero", lambda s, d, tol: (False, 1.0), escape_check),
+        (qmath, "cross_gram_is_zero", lambda s, d, tol: (False, 1.0), analyze),
+        # bilinear route sees overlaps the constructed states do not
+        (attack, "detection_residuals", _inflated_residuals, analyze),
+        # announcement sets indistinguishable on an escaping spec
+        (attack, "_set_mixture_and_priors",
+         lambda t: (np.eye(4) / 4, np.eye(4) / 4, 0.5, 0.5), analyze),
+        # one case read with other priors than the rest
+        (attack, "alice_priors", _yy_priors, analyze),
+        # closed form off the Helstrom errors it is checked against
+        (attack, "_closed_form", lambda c, s: 0.25,
+         lambda spec: optimizer.objective(optimizer.AttackFamilyPoint(0.3))),
+    ],
+    ids=["escape_check-routes", "analyze-routes", "analyze-residuals",
+         "analyze-announcement", "analyze-spread", "objective-closed-form"],
+)
+def test_injected_route_disagreement_raises(monkeypatch, owner, name, fake, run):
+    monkeypatch.setattr(owner, name, fake)
+    with pytest.raises(attack.ConsistencyError):
+        run(honest_spec(2))
+
+
+def test_info_is_the_mean_over_cases_off_the_escape_set():
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    eps = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    spec = AttackSpec(2, a / np.linalg.norm(a), eps / np.linalg.norm(eps, axis=1, keepdims=True))
+    report = analyze(spec)
+    pes = [report.pe_numeric[c] for c in CASES]
+    assert not report.escape_ok
+    assert report.info == pytest.approx(np.mean([mutual_information(p) for p in pes]), abs=1e-15)
+    # the four errors differ, so reading each case on its own tells more
+    assert report.info > mutual_information(float(np.mean(pes))) + 0.04
+
+
+def test_near_perfect_spec_gets_a_report():
+    # NAS point with eps[0] turned toward eps[1]: residual 1e-6, announcement
+    # error ~1e-12, below the residual's tolerance
+    spec = exploit.example_spec()
+    eps = spec.eps.copy()
+    eps[0] = math.cos(1e-6) * eps[0] + math.sin(1e-6) * eps[1]
+    report = analyze(AttackSpec(2, spec.a, eps))
+    assert not report.escape_ok and not report.nas_ok
+    assert report.pe_closed_form is None
+    assert max(report.pe_announce.values()) <= 1e-9
+    assert 1.0 - 1e-6 < report.info < 1.0
+
+
+# ---------------------------------------------------------------------------
+# report invariants over drawn specs
+
+SPEC_KINDS = ("random", "sparse", "family", "rotated-family", "rotated-nas")
+
+
+def _drawn_spec(kind, dim, seed, log_angle):
+    rng = np.random.default_rng(seed)
+    if kind in ("random", "sparse"):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        if kind == "sparse":
+            # one or two vanishing amplitudes
+            a.flat[rng.choice(4, size=int(rng.integers(1, 3)), replace=False)] = 0.0
+        eps = rng.normal(size=(4, 2 * dim)) + 1j * rng.normal(size=(4, 2 * dim))
+        eps /= np.linalg.norm(eps, axis=1, keepdims=True)
+        return AttackSpec(dim, a / np.linalg.norm(a), eps)
+    c = 0.5 if kind == "rotated-nas" else None
+    # four orthonormal ancilla states need 2 * ancilla_dim >= 4
+    point = optimizer.random_family_point(rng, c=c, ancilla_dim=max(dim, 2))
+    spec = point.to_spec()
+    if kind == "family":
+        return spec
+    eps, angle = spec.eps.copy(), 10.0**log_angle
+    eps[0] = math.cos(angle) * eps[0] + math.sin(angle) * eps[1]
+    return AttackSpec(spec.ancilla_dim, spec.a, eps)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(SPEC_KINDS),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.floats(-10.0, -2.0),
+)
+def test_report_invariants_on_drawn_specs(kind, dim, seed, log_angle):
+    spec = _drawn_spec(kind, dim, seed, log_angle)
+    tol = attack.DEFAULT_TOL
+    residual = detection_residuals(spec).max_case_residual
+    # within 10x of tol the two escape routes may straddle it on round-off
+    assume(not tol / 10 < residual < 10 * tol)
+
+    report = analyze(spec)
+    pes = [report.pe_numeric[c] for c in CASES]
+    assert all(0.0 <= p <= 0.5 for p in pes + list(report.pe_announce.values()))
+    assert 0.0 <= report.info <= 1.0
+    if report.escape_ok:
+        assert max(pes) - min(pes) <= 1e-9
+        assert max(abs(p - report.pe_closed_form) for p in pes) <= 1e-9
+    if report.nas_ok:
+        assert report.escape_ok
+        assert report.info == pytest.approx(1.0, abs=1e-9)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hbbqss import attack, cli, exploit, qstate
+from hbbqss import attack, cli, exploit, optimizer, qmath, qstate
 from hbbqss.attack import Case
 from hbbqss.cli import main
 
@@ -138,6 +138,31 @@ def test_analyze_bundled_honest(tmp_path):
 def test_analyze_unknown_spec_name(capsys):
     assert main(["analyze", "--spec", "no-such-spec"]) == 2
     assert "no bundled spec" in capsys.readouterr().err
+
+
+def test_analyze_near_perfect_spec(tmp_path, capsys):
+    # a NAS point with eps[0] turned toward eps[1] by 1e-6 rad
+    spec = exploit.example_spec()
+    eps = spec.eps.copy()
+    eps[0] = np.cos(1e-6) * eps[0] + np.sin(1e-6) * eps[1]
+    path = tmp_path / "near.json"
+    attack.save_spec(attack.AttackSpec(2, spec.a, eps), path)
+    assert main(["analyze", "--spec", str(path), "--out", str(tmp_path / "r.json")]) == 0
+    assert "escape_ok=False nas_ok=False" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [("cross_gram_is_zero", lambda s, d, tol: (False, 1.0)), ("_JACOBI_MAX_SWEEPS", 1)],
+    ids=["ConsistencyError", "ConvergenceError"],
+)
+def test_numerical_failures_exit_4_with_one_line(tmp_path, monkeypatch, capsys, name, value):
+    spec = tmp_path / "family.json"
+    attack.save_spec(optimizer.random_family_point(np.random.default_rng(3)).to_spec(), spec)
+    monkeypatch.setattr(qmath, name, value)
+    assert main(["analyze", "--spec", str(spec), "--out", str(tmp_path / "r.json")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_analyze_outputs_are_deterministic(tmp_path):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from hbbqss import hbb
 from hbbqss.hbb import (
     Role,
     SessionAbort,
@@ -301,9 +300,3 @@ def test_json_export_roundtrip():
     assert data["check_error_rate"] == 0.0
     d = transcript_to_dict(t)
     assert [r["round_id"] for r in d["rounds"]] == list(range(50))
-
-
-def test_binary_entropy_edges():
-    assert hbb.binary_entropy(0.0) == 0.0
-    assert hbb.binary_entropy(1.0) == 0.0
-    assert hbb.binary_entropy(0.5) == pytest.approx(1.0, abs=1e-12)

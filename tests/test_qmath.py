@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hbbqss import qmath
 
@@ -22,101 +20,6 @@ def random_unitary(rng, n):
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(m)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-# ---------------------------------------------------------------------------
-# tensor
-
-
-def test_tensor_computational_kets():
-    v = qmath.tensor(KET0, KET1)
-    assert v.shape == (4,)
-    assert np.allclose(v, [0, 1, 0, 0])
-
-
-def test_tensor_ghz_with_ancilla():
-    ghz = np.zeros(8, dtype=complex)
-    ghz[0] = ghz[7] = R
-    v = qmath.tensor(ghz, KET0)
-    assert v.shape == (16,)
-    expected = np.zeros(16)
-    expected[0] = expected[14] = R
-    assert np.allclose(v, expected)
-
-
-def test_tensor_identity_matrices():
-    assert np.allclose(qmath.tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_tensor_dimension_cap():
-    big = np.zeros(16, dtype=complex)
-    big[0] = 1.0
-    qmath.tensor(big, np.zeros(4) + [1, 0, 0, 0])  # 64 is allowed
-    with pytest.raises(qmath.DimensionLimitError):
-        qmath.tensor(big, np.zeros(8) + np.eye(8)[0])
-
-
-def test_tensor_rejects_mixed_kinds():
-    with pytest.raises(ValueError):
-        qmath.tensor(KET0, np.eye(2))
-
-
-def test_tensor_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        qmath.tensor(np.array([np.nan, 0.0]), KET0)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(2, 3), st.integers(2, 3), st.integers(2, 3), st.integers(0, 10_000))
-def test_tensor_associativity(da, db, dc, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=da) + 1j * rng.normal(size=da)
-    b = rng.normal(size=db) + 1j * rng.normal(size=db)
-    c = rng.normal(size=dc) + 1j * rng.normal(size=dc)
-    left = qmath.tensor(qmath.tensor(a, b), c)
-    right = qmath.tensor(a, qmath.tensor(b, c))
-    assert np.abs(left - right).max() <= 1e-14
-
-
-# ---------------------------------------------------------------------------
-# adjoint / matmul / apply / inner
-
-
-def test_inner_orthogonality_and_normalisation():
-    assert qmath.inner(KET0, KET1) == 0
-    assert qmath.inner(XPLUS, XPLUS) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_inner_is_conjugate_linear_in_first_argument():
-    u = np.array([1.0j, 0.0])
-    v = np.array([1.0, 0.0])
-    assert qmath.inner(u, v) == pytest.approx(-1.0j)
-
-
-def test_apply_hadamard():
-    h = np.array([[1, 1], [1, -1]], dtype=complex) * R
-    assert np.allclose(qmath.apply(h, KET0), XPLUS)
-
-
-def test_adjoint_and_matmul():
-    m = np.array([[1, 2j], [0, 1]], dtype=complex)
-    assert np.allclose(qmath.adjoint(m), [[1, 0], [-2j, 1]])
-    assert np.allclose(qmath.matmul(m, np.eye(2)), m)
-    with pytest.raises(ValueError):
-        qmath.matmul(m, np.eye(3))
-    with pytest.raises(ValueError):
-        qmath.apply(m, np.ones(3))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 8), st.integers(0, 10_000))
-def test_inner_self_is_squared_norm(dim, seed):
-    rng = np.random.default_rng(seed)
-    u = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    val = qmath.inner(u, u)
-    assert abs(val.imag) <= 1e-12
-    assert val.real >= 0
-    assert abs(val.real - qmath.norm(u) ** 2) <= 1e-12 * max(1.0, val.real)
 
 
 # ---------------------------------------------------------------------------
@@ -201,71 +104,6 @@ def test_trace_norm_unitary_invariance(rng):
         base = qmath.trace_norm(h)
         rotated = qmath.trace_norm(u @ h @ u.conj().T)
         assert abs(base - rotated) <= 1e-8 * max(1.0, base)
-
-
-# ---------------------------------------------------------------------------
-# partial_trace
-
-
-def _ghz_density():
-    ghz = np.zeros(8, dtype=complex)
-    ghz[0] = ghz[7] = R
-    return np.outer(ghz, ghz.conj())
-
-
-def test_partial_trace_ghz_single_qubit():
-    reduced = qmath.partial_trace(_ghz_density(), (2, 2, 2), keep=(0,))
-    assert np.abs(reduced - 0.5 * np.eye(2)).max() <= 1e-12
-
-
-def test_partial_trace_keep_all_is_identity_op():
-    rho = _ghz_density()
-    assert np.abs(qmath.partial_trace(rho, (2, 2, 2), keep=(0, 1, 2)) - rho).max() == 0
-
-
-def test_partial_trace_post_interaction_state():
-    # amplitudes 1/2 on |0000>, |0101>, |1010> and -1/2 on |1111> (A,B,C,E)
-    psi = np.zeros(16, dtype=complex)
-    psi[0b0000] = psi[0b0101] = psi[0b1010] = 0.5
-    psi[0b1111] = -0.5
-    rho = np.outer(psi, psi.conj())
-    keep_ce = qmath.partial_trace(rho, (2, 2, 2, 2), keep=(2, 3))
-    assert abs(np.trace(keep_ce) - 1.0) <= 1e-12
-    # tracing the two measured parties leaves the maximally mixed rank-4 state
-    assert np.abs(keep_ce - 0.25 * np.eye(4)).max() <= 1e-12
-    assert np.linalg.matrix_rank(keep_ce, tol=1e-9) == 4
-    keep_abc = qmath.partial_trace(rho, (2, 2, 2, 2), keep=(0, 1, 2))
-    assert abs(np.trace(keep_abc) - 1.0) <= 1e-12
-    # a pure state traced over one qubit has Schmidt rank at most 2
-    assert np.linalg.matrix_rank(keep_abc, tol=1e-9) == 2
-
-
-def test_partial_trace_product_state_factors(rng):
-    for _ in range(5):
-        va = rng.normal(size=2) + 1j * rng.normal(size=2)
-        vb = rng.normal(size=3) + 1j * rng.normal(size=3)
-        ra = np.outer(va, va.conj())
-        rb = np.outer(vb, vb.conj())
-        combined = np.kron(ra, rb)
-        reduced = qmath.partial_trace(combined, (2, 3), keep=(0,))
-        assert np.abs(reduced - ra * np.trace(rb)).max() <= 1e-12 * max(
-            1.0, float(np.abs(ra).max() * abs(np.trace(rb)))
-        )
-
-
-def test_partial_trace_preserves_trace(rng):
-    v = rng.normal(size=12) + 1j * rng.normal(size=12)
-    v /= np.linalg.norm(v)
-    rho = np.outer(v, v.conj())
-    reduced = qmath.partial_trace(rho, (2, 3, 2), keep=(1,))
-    assert abs(np.trace(reduced) - 1.0) <= 1e-12
-
-
-def test_partial_trace_rejects_bad_dims():
-    with pytest.raises(ValueError):
-        qmath.partial_trace(np.eye(8) / 8, (2, 2), keep=(0,))
-    with pytest.raises(ValueError):
-        qmath.partial_trace(np.eye(4) / 4, (2, 2), keep=(5,))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ Attack spec JSON schema: ``{"ancilla_dim": d, "a": [[re, im] x4 row-major],
 ``hbb_section4`` and ``kki`` may be named in place of a path.
 
 Exit codes: 0 success; 1 a ``verify`` check failed; 2 invalid input (spec,
-option or argument); 3 the attacker broke the session contract; 4 a
+option or argument, or a spec or output path that cannot be read or
+written); 3 the attacker broke the session contract; 4 a
 numerical check failed (redundant routes disagreed, or the eigensolver did
 not converge). Codes 2 and 4 print one ``error:`` line on stderr, code 3
 one ``session aborted:`` line.
@@ -432,7 +433,7 @@ def main(argv=None) -> int:
             "optimize": cmd_optimize,
         }[cfg.command]
         return handler(cfg)
-    except (attack.SpecError, ValueError) as exc:
+    except (attack.SpecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except hbb.SessionAbort as exc:

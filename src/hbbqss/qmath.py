@@ -4,6 +4,7 @@ Plain numpy arrays are the working currency: kets are 1-D complex arrays,
 operators are 2-D complex arrays. The eigensolver is a cyclic Jacobi
 iteration specialised to Hermitian matrices; at these dimensions robustness
 beats asymptotics and it keeps the numerical contract fully in-house.
+Trace norms run the same sweep without accumulating eigenvectors.
 All functions are pure and safe for concurrent use.
 """
 
@@ -64,6 +65,22 @@ def hermitian_eigen(h, hermitian_tol: float = STRUCT_TOL) -> tuple[np.ndarray, n
     more than ``hermitian_tol`` (max absolute entry of h - h^dagger) is
     rejected with the measured deviation.
     """
+    w, v = _jacobi(_hermitian_part(h, hermitian_tol), vectors=True)
+    order = np.argsort(-w, kind="stable")
+    return w[order], v[:, order]
+
+
+def trace_norm(m) -> float:
+    """Sum of absolute eigenvalues of a Hermitian matrix, Tr sqrt(M^dagger M).
+
+    Runs the Jacobi sweep of :func:`hermitian_eigen` without accumulating
+    eigenvectors; the eigenvalues, and so the sum, are bit-identical.
+    """
+    w, _ = _jacobi(_hermitian_part(m, STRUCT_TOL), vectors=False)
+    return float(np.abs(w[np.argsort(-w, kind="stable")]).sum())
+
+
+def _hermitian_part(h, hermitian_tol: float) -> np.ndarray:
     m = as_matrix(h)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got {m.shape}")
@@ -72,9 +89,15 @@ def hermitian_eigen(h, hermitian_tol: float = STRUCT_TOL) -> tuple[np.ndarray, n
         raise NonHermitianError(
             f"Hermitian deviation {deviation:.3e} exceeds tolerance {hermitian_tol:.1e}"
         )
-    n = m.shape[0]
-    a = 0.5 * (m + m.conj().T)
-    v = np.eye(n, dtype=complex)
+    return 0.5 * (m + m.conj().T)
+
+
+def _jacobi(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Diagonalise the Hermitian matrix ``a`` in place by cyclic Jacobi
+    rotations; returns (unsorted eigenvalues, the accumulated rotations as
+    column eigenvectors, or None when ``vectors`` is false)."""
+    n = a.shape[0]
+    v = np.eye(n, dtype=complex) if vectors else None
     if n == 1:
         return np.array([a[0, 0].real]), v
 
@@ -110,24 +133,16 @@ def hermitian_eigen(h, hermitian_tol: float = STRUCT_TOL) -> tuple[np.ndarray, n
                 a[q, p] = 0.0
                 a[p, p] = a[p, p].real
                 a[q, q] = a[q, q].real
-                vc_p, vc_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vc_p - s * np.conj(phase) * vc_q
-                v[:, q] = s * phase * vc_p + c * vc_q
+                if v is not None:
+                    vc_p, vc_q = v[:, p].copy(), v[:, q].copy()
+                    v[:, p] = c * vc_p - s * np.conj(phase) * vc_q
+                    v[:, q] = s * phase * vc_p + c * vc_q
     else:
         raise ConvergenceError(
             f"Jacobi iteration did not converge in {_JACOBI_MAX_SWEEPS} sweeps "
             f"(off-diagonal mass {off:.3e})"
         )
-
-    w = np.real(np.diag(a)).copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
-
-
-def trace_norm(m) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix, Tr sqrt(M^dagger M)."""
-    w, _ = hermitian_eigen(m)
-    return float(np.abs(w).sum())
+    return np.real(np.diag(a)).copy(), v
 
 
 def cross_gram_is_zero(set1, set2, tol: float) -> tuple[bool, float]:
@@ -166,17 +181,35 @@ def orthonormal_completion(vectors: Sequence[np.ndarray], dim: int) -> np.ndarra
         for w in basis[:i]:
             if abs(np.vdot(w, u)) > STRUCT_TOL:
                 raise ValueError("seed vectors must be mutually orthogonal")
-    for k in range(dim):
+    _gram_schmidt(basis, np.eye(dim, dtype=complex), dim, drop_below=1e-6)
+    if len(basis) != dim:
+        raise RuntimeError("failed to complete orthonormal basis")
+    return np.column_stack(basis)
+
+
+def orthonormal_span(vectors) -> np.ndarray:
+    """Orthonormal columns spanning the given vectors (the rows of a 2-D
+    array), by the two-pass Gram-Schmidt of :func:`orthonormal_completion`.
+
+    A vector is dropped only when its residual against the columns before
+    it is at round-off, at most 1e-12 of its length.
+    """
+    rows = as_matrix(vectors)
+    return np.column_stack(_gram_schmidt([], rows, rows.shape[1], drop_below=1e-12))
+
+
+def _gram_schmidt(basis: list, candidates, dim: int, drop_below: float) -> list:
+    """Append to the orthonormal ``basis`` the normalised residual of each
+    candidate longer than ``drop_below`` times the candidate, up to ``dim``
+    vectors."""
+    for cand in candidates:
         if len(basis) == dim:
             break
-        cand = np.zeros(dim, dtype=complex)
-        cand[k] = 1.0
+        length0 = norm(cand)
         for _ in range(2):  # two passes for numerical stability
             for w in basis:
                 cand = cand - np.vdot(w, cand) * w
         length = norm(cand)
-        if length > 1e-6:
+        if length > drop_below * length0:
             basis.append(cand / length)
-    if len(basis) != dim:
-        raise RuntimeError("failed to complete orthonormal basis")
-    return np.column_stack(basis)
+    return basis

@@ -165,6 +165,20 @@ def test_numerical_failures_exit_4_with_one_line(tmp_path, monkeypatch, capsys, 
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: ["analyze", "--spec", "kki", "--out", str(tmp / "missing" / "r.json")],
+        lambda tmp: ["analyze", "--spec", str(tmp), "--out", str(tmp / "r.json")],
+    ],
+    ids=["missing-out-dir", "spec-is-a-directory"],
+)
+def test_unusable_paths_exit_2_with_one_line(tmp_path, capsys, argv):
+    assert main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_analyze_outputs_are_deterministic(tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for p in paths:

@@ -106,6 +106,19 @@ def test_trace_norm_unitary_invariance(rng):
         assert abs(base - rotated) <= 1e-8 * max(1.0, base)
 
 
+def test_trace_norm_is_the_sorted_eigenvalue_sum_bit_for_bit(rng):
+    # the eigenvector-free sweep makes the same rotations as hermitian_eigen
+    for n in range(1, 9):
+        for _ in range(3):
+            h = random_hermitian(rng, n)
+            assert qmath.trace_norm(h) == float(np.abs(qmath.hermitian_eigen(h)[0]).sum())
+
+
+def test_trace_norm_rejects_nonhermitian():
+    with pytest.raises(qmath.NonHermitianError, match="deviation"):
+        qmath.trace_norm(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
 # ---------------------------------------------------------------------------
 # cross_gram_is_zero
 
@@ -141,3 +154,24 @@ def test_orthonormal_completion(rng):
     basis = qmath.orthonormal_completion([v], 6)
     assert np.abs(basis @ basis.conj().T - np.eye(6)).max() <= 1e-10
     assert np.allclose(basis[:, 0], v)
+
+
+# ---------------------------------------------------------------------------
+# orthonormal_span
+
+
+def _unit_rows(rng, k, n):
+    rows = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("delta,rank", [(0.0, 3), (1e-10, 4), (1e-7, 4), (1.0, 4)])
+def test_orthonormal_span_keeps_all_but_round_off(rng, delta, rank):
+    rows = _unit_rows(rng, 4, 8)
+    rows[1] = rows[0] + delta * (rng.normal(size=8) + 1j * rng.normal(size=8))
+    rows[1] /= np.linalg.norm(rows[1])
+    q = qmath.orthonormal_span(rows)
+    assert q.shape == (8, rank)
+    assert np.abs(q.conj().T @ q - np.eye(rank)).max() <= 1e-12
+    # every row is rebuilt from its coordinates in the span
+    assert np.abs(q @ (q.conj().T @ rows.T) - rows.T).max() <= 1e-12

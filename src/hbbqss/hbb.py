@@ -25,9 +25,11 @@ from .qstate import (
     PROTOCOL_BASES,
     Basis,
     Outcome,
+    StateMemo,
     StateVector,
     ghz_state,
-    measure_qubit,
+    measure_qubit,  # noqa: F401 - kept in this namespace for code that looks it up here
+    read_only,
     tensor_with_ancilla,
 )
 
@@ -115,7 +117,9 @@ class AttackStrategy(Protocol):
 
     ``intercept`` receives the full state with registers A, B, C and the
     strategy's private register E appended and must return it after a
-    norm-preserving interaction on B, C, E. ``announce_basis`` commits the
+    norm-preserving interaction on B, C, E. The states handed to the hooks
+    are shared across rounds and read-only: a hook returns a new state
+    rather than writing into one. ``announce_basis`` commits the
     forged basis before any other announcement is revealed. ``respond`` is
     called only on sifted rounds, after all bases are public: on check
     rounds it must return an Outcome in the forged basis, on key rounds the
@@ -177,6 +181,11 @@ def run_session(
     parties commit their bases; the round sifts iff the x-count is odd;
     sifted rounds become checks with probability ``check_fraction`` and key
     rounds otherwise. Identical seeds produce identical transcripts.
+
+    The prepared state is built once, and each distinct measurement's
+    branches are computed once per session; every round still makes its
+    own generator draws in the same order, calls every strategy hook and
+    validates the intercepted state.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
@@ -190,14 +199,18 @@ def run_session(
     key_reconstructed: list[int] = []
     guesses: list[int] = []
     checks = failures = 0
+    memo = StateMemo()
+    prepared = ghz_state()
+    if strategy is not None:
+        prepared = tensor_with_ancilla(prepared, "E", strategy.ancilla_dim, strategy.ancilla_state())
+    prepared = read_only(prepared)
 
     for r in range(n_rounds):
         alice_b = _random_basis(rng)
         bob_b = _random_basis(rng)
 
-        state = ghz_state()
+        state = prepared
         if strategy is not None:
-            state = tensor_with_ancilla(state, "E", strategy.ancilla_dim, strategy.ancilla_state())
             state = strategy.intercept(state, rng)
             _validate_intercepted(state, strategy)
             # Commitment point: the forged basis is fixed before the
@@ -208,11 +221,11 @@ def run_session(
         else:
             charlie_b = _random_basis(rng)
 
-        out_a, state = measure_qubit(state, "A", alice_b, rng)
-        out_b, state = measure_qubit(state, "B", bob_b, rng)
+        out_a, state = memo.measure(state, "A", alice_b, rng)
+        out_b, state = memo.measure(state, "B", bob_b, rng)
         out_c = None
         if strategy is None:
-            out_c, state = measure_qubit(state, "C", charlie_b, rng)
+            out_c, state = memo.measure(state, "C", charlie_b, rng)
 
         bases = (alice_b, bob_b, charlie_b)
         sifted = sift(bases)

@@ -124,6 +124,10 @@ def maximize(
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     lo, hi = bounds
     if not 0.0 <= lo < hi <= INV_SQRT2 + 1e-12:
         raise ValueError(f"bounds must satisfy 0 <= lo < hi <= 1/sqrt(2), got {bounds}")

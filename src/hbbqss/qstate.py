@@ -262,6 +262,30 @@ def project_qubit(state: StateVector, label: str, onto) -> tuple[float, StateVec
     return prob, StateVector(rest_labels, rest_dims, amp.reshape(-1) / np.sqrt(prob))
 
 
+def _branches(
+    state: StateVector, label: str, basis: Basis
+) -> tuple[float, StateVector | None, StateVector | None]:
+    """Both Born-rule branches of measuring one register: (p_plus, cond_plus, cond_minus)."""
+    if abs(state.norm - 1.0) > STATE_NORM_TOL:
+        raise ValueError(f"state norm {state.norm} deviates from 1 beyond {STATE_NORM_TOL}")
+    plus, minus = basis_kets(basis)
+    p_plus, cond_plus = project_qubit(state, label, plus)
+    _, cond_minus = project_qubit(state, label, minus)
+    return p_plus, cond_plus, cond_minus
+
+
+def _draw(branches: tuple, basis: Basis, rng: np.random.Generator) -> tuple[Outcome, StateVector | None]:
+    """The branch taken and its state; one draw unless a branch is impossible."""
+    p_plus, cond_plus, cond_minus = branches
+    if p_plus <= ZERO_BRANCH_TOL:
+        sign = Sign.MINUS
+    elif 1.0 - p_plus <= ZERO_BRANCH_TOL:
+        sign = Sign.PLUS
+    else:
+        sign = Sign.PLUS if rng.random() < p_plus else Sign.MINUS
+    return Outcome(sign, basis), cond_plus if sign is Sign.PLUS else cond_minus
+
+
 def measure_qubit(
     state: StateVector, label: str, basis: Basis, rng: np.random.Generator
 ) -> tuple[Outcome, StateVector | None]:
@@ -270,21 +294,70 @@ def measure_qubit(
     Deterministic for a fixed generator state; a branch of probability
     <= ZERO_BRANCH_TOL is never selected.
     """
-    if abs(state.norm - 1.0) > STATE_NORM_TOL:
-        raise ValueError(f"state norm {state.norm} deviates from 1 beyond {STATE_NORM_TOL}")
-    plus, minus = basis_kets(basis)
-    p_plus, cond_plus = project_qubit(state, label, plus)
-    if p_plus <= ZERO_BRANCH_TOL:
-        sign = Sign.MINUS
-    elif 1.0 - p_plus <= ZERO_BRANCH_TOL:
-        sign = Sign.PLUS
-    else:
-        sign = Sign.PLUS if rng.random() < p_plus else Sign.MINUS
-    if sign is Sign.PLUS:
-        collapsed = cond_plus
-    else:
-        _, collapsed = project_qubit(state, label, minus)
-    return Outcome(sign, basis), collapsed
+    return _draw(_branches(state, label, basis), basis, rng)
+
+
+#: Entries a :class:`StateMemo` table keeps; later misses are computed
+#: without being stored, so an attacker reaching a new state every round
+#: cannot grow a session's memory without bound.
+MEMO_CAPACITY = 4096
+
+
+def _key(state: StateVector) -> tuple:
+    return state.labels, state.dims, state.vec.dtype.str, state.vec.tobytes()
+
+
+def read_only(state: StateVector | None) -> StateVector | None:
+    """A copy of a state whose amplitudes cannot be written, or None."""
+    if state is None:
+        return None
+    vec = state.vec.copy()
+    vec.flags.writeable = False
+    return StateVector(state.labels, state.dims, vec)
+
+
+class StateMemo:
+    """Results of pure state maps, each computed once per distinct input.
+
+    Keys hold the input's bytes, so a hit returns exactly what a fresh
+    computation would, and :meth:`measure` makes the same generator draws
+    as :func:`measure_qubit`. The states it returns are read-only. Each
+    table keeps at most ``MEMO_CAPACITY`` entries. A memo belongs to
+    one session or one strategy instance; none is shared process-wide,
+    since gate matrices are read live. A state failing the norm check is
+    never cached, so it raises on every call.
+    """
+
+    def __init__(self):
+        self._branches: dict[tuple, tuple] = {}
+        self._maps: dict[tuple, object] = {}
+
+    def measure(
+        self, state: StateVector, label: str, basis: Basis, rng: np.random.Generator
+    ) -> tuple[Outcome, StateVector | None]:
+        """:func:`measure_qubit`, with the branches looked up."""
+        key = (_key(state), label, basis)
+        hit = self._branches.get(key)
+        if hit is None:
+            p_plus, cond_plus, cond_minus = _branches(state, label, basis)
+            hit = (p_plus, read_only(cond_plus), read_only(cond_minus))
+            _store(self._branches, key, hit)
+        return _draw(hit, basis, rng)
+
+    def apply(self, fn, state: StateVector, *args):
+        """``fn(state, *args)`` for a deterministic ``fn`` with hashable ``args``."""
+        key = (fn, _key(state), args)
+        hit = self._maps.get(key)
+        if hit is None:
+            hit = fn(state, *args)
+            hit = read_only(hit) if isinstance(hit, StateVector) else hit
+            _store(self._maps, key, hit)
+        return hit
+
+
+def _store(table: dict, key: tuple, value) -> None:
+    if len(table) < MEMO_CAPACITY:
+        table[key] = value
 
 
 def insert_register(state: StateVector, label: str, ket, position: int) -> StateVector:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hbbqss import attack, cli, exploit, optimizer, qmath, qstate
 from hbbqss.attack import Case
 from hbbqss.cli import main
+from _literals import SIMULATE_DIGESTS
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +70,18 @@ def test_simulate_outputs_are_byte_identical_for_equal_seeds(tmp_path):
         main(["simulate", "--attacker", "intercept-resend", "--rounds", "500",
               "--seed", "4", "--out", str(p)])
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("attacker,fmt", sorted(SIMULATE_DIGESTS))
+def test_simulate_matches_the_frozen_digests(tmp_path, attacker, fmt):
+    if attacker in cli.BUNDLED_SPECS:
+        who = ["--attacker", "spec", "--spec", attacker]
+    else:
+        who = ["--attacker", attacker]
+    out = tmp_path / f"t.{fmt}"
+    argv = ["simulate", "--seed", "42", "--rounds", "2000", "--format", fmt, "--out", str(out)]
+    assert main(argv + who) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_DIGESTS[attacker, fmt]
 
 
 def test_simulate_with_bundled_spec(tmp_path, capsys):
@@ -177,6 +191,19 @@ def test_unusable_paths_exit_2_with_one_line(tmp_path, capsys, argv):
     assert main(argv(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "option,value",
+    [("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"), ("--tol", "0"), ("--iters", "-5")],
+)
+def test_optimize_rejects_bad_tolerance_and_iterations(tmp_path, capsys, option, value):
+    out = tmp_path / "o.json"
+    assert main(["optimize", "--restarts", "1", option, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert option.lstrip("-") in err
+    assert not out.exists()
 
 
 def test_analyze_outputs_are_deterministic(tmp_path):

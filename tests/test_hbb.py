@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from hbbqss import attack, exploit, optimizer, qstate
 from hbbqss.hbb import (
     Role,
     SessionAbort,
@@ -18,7 +20,7 @@ from hbbqss.hbb import (
     transcript_to_dict,
     transcript_to_json,
 )
-from hbbqss.qstate import Basis, Outcome, Sign
+from hbbqss.qstate import Basis, Outcome, Sign, StateVector
 
 X, Y = Basis.X, Basis.Y
 
@@ -219,6 +221,107 @@ def test_respond_only_called_on_sifted_rounds():
     responded = {e[1] for e in probe.events if e[0] == "respond"}
     sifted = {r.round_id for r in t.rounds if r.sifted}
     assert responded <= sifted
+
+
+def test_probe_events_follow_the_round_order():
+    probe = ProbeStrategy()
+    t = run_session(300, check_fraction=0.5, strategy=probe, seed=11)
+    expected = []
+    for r in t.rounds:
+        expected += [("intercept", None), ("announce", r.round_id)]
+        if r.sifted:
+            expected.append(("respond", r.round_id, r.bases[0]))
+    assert probe.events == expected
+
+
+class NormBreaker(ProbeStrategy):
+    """Scales the state it is handed from a given round on."""
+
+    name = "norm-breaker"
+
+    def __init__(self, from_round):
+        super().__init__()
+        self.from_round = from_round
+        self.intercepts = 0
+
+    def intercept(self, state, rng):
+        super().intercept(state, rng)
+        self.intercepts += 1
+        if self.intercepts <= self.from_round:
+            return state
+        return StateVector(state.labels, state.dims, 1.5 * state.vec)
+
+
+@pytest.mark.parametrize("k", [0, 7, 150])
+def test_intercept_breaking_the_norm_aborts_at_that_round(k):
+    breaker = NormBreaker(k)
+    with pytest.raises(SessionAbort, match="normalisation"):
+        run_session(300, check_fraction=0.5, strategy=breaker, seed=4)
+    assert breaker.intercepts == k + 1
+    assert [e[1] for e in breaker.events if e[0] == "announce"] == list(range(k))
+
+
+class InterceptScribbler(ProbeStrategy):
+    name = "intercept-scribbler"
+
+    def intercept(self, state, rng):
+        state.vec[0] = 0.0
+        return state
+
+
+class RespondScribbler(exploit.CircuitAttack):
+    """The circuit attacker, writing into the post-measurement state while ``scribble``."""
+
+    scribble = True
+
+    def respond(self, ctx, rng):
+        if self.scribble:
+            ctx.state.vec[:] = 0.0
+        return super().respond(ctx, rng)
+
+
+def test_writing_into_a_shared_state_raises_and_changes_nothing():
+    reference = transcript_to_json(run_session(300, 0.5, strategy=exploit.CircuitAttack(), seed=31))
+    with pytest.raises(ValueError, match="read-only"):
+        run_session(300, 0.5, strategy=InterceptScribbler(), seed=31)
+    scribbler = RespondScribbler()
+    with pytest.raises(ValueError, match="read-only"):
+        run_session(300, 0.5, strategy=scribbler, seed=31)
+    scribbler.scribble = False
+    assert transcript_to_json(run_session(300, 0.5, strategy=scribbler, seed=31)) == reference
+    assert transcript_to_json(run_session(300, 0.5, strategy=exploit.CircuitAttack(), seed=31)) == reference
+
+
+BUILT_IN_ATTACKERS = {
+    "none": lambda: None,
+    "hbb-circuit": exploit.CircuitAttack,
+    "intercept-resend": exploit.InterceptResend,
+    "spec-kki": lambda: exploit.HelstromAttack(attack.kki_spec()),
+    "spec-family": lambda: exploit.HelstromAttack(
+        optimizer.random_family_point(np.random.default_rng(5), c=0.3).to_spec()
+    ),
+}
+
+
+@pytest.mark.parametrize("attacker", sorted(BUILT_IN_ATTACKERS))
+def test_state_work_per_session_does_not_grow_with_rounds(monkeypatch, attacker):
+    counts = Counter()
+    for module, name in ((qstate, "project_qubit"), (qstate, "apply_operator"), (exploit, "apply_operator")):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    per_session = []
+    for n_rounds in (300, 3000):
+        counts.clear()
+        run_session(n_rounds, 0.5, strategy=BUILT_IN_ATTACKERS[attacker](), seed=17)
+        per_session.append(dict(counts))
+    assert per_session[0] == per_session[1]
+    assert 0 < per_session[0]["project_qubit"] <= 200
+    assert per_session[0].get("apply_operator", 0) <= 2
 
 
 class MalformedCheckStrategy(ProbeStrategy):

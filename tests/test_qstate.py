@@ -8,6 +8,7 @@ from hbbqss.qstate import (
     Basis,
     Outcome,
     Sign,
+    StateMemo,
     apply_gate,
     basis_ket,
     basis_kets,
@@ -265,6 +266,77 @@ def test_measurement_deterministic_under_seed():
             outs.append(out.label)
         runs.append(outs)
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# StateMemo
+
+
+def test_memo_measure_makes_the_same_draws_as_measure_qubit():
+    v = np.random.default_rng(3).normal(size=8) + 1j * np.random.default_rng(4).normal(size=8)
+    chains = [
+        (ghz_state(), (("A", Basis.Z), ("B", Basis.Z), ("C", Basis.X))),  # B, C forced after A
+        (state_vector(("A", "B", "C"), (2, 2, 2), v / np.linalg.norm(v)),
+         (("B", Basis.Y), ("A", Basis.X), ("C", Basis.Y))),
+    ]
+    fresh, cached = np.random.default_rng(9), np.random.default_rng(9)
+    memo = StateMemo()
+    for _ in range(50):
+        for start, steps in chains:
+            s1 = s2 = start
+            for label, basis in steps:
+                out1, s1 = measure_qubit(s1, label, basis, fresh)
+                out2, s2 = memo.measure(s2, label, basis, cached)
+                assert out1 == out2
+                assert (s1 is None) == (s2 is None)
+                if s1 is not None:
+                    assert s1.vec.tobytes() == s2.vec.tobytes()
+    assert fresh.random() == cached.random()
+
+
+def test_memo_computes_each_branch_once(monkeypatch, rng):
+    calls = []
+    original = qstate.project_qubit
+    monkeypatch.setattr(qstate, "project_qubit", lambda *a: calls.append(a[1]) or original(*a))
+    memo = StateMemo()
+    for _ in range(100):
+        memo.measure(ghz_state(), "A", Basis.X, rng)
+    assert calls == ["A", "A"]
+
+
+def test_memo_stops_storing_at_capacity_and_stays_exact(monkeypatch):
+    monkeypatch.setattr(qstate, "MEMO_CAPACITY", 3)
+    fresh, cached = np.random.default_rng(2), np.random.default_rng(2)
+    memo = StateMemo()
+    for theta in np.linspace(0.1, 1.4, 20):
+        s = state_vector(("Q", "P"), (2, 2), [np.cos(theta), 0, 0, np.sin(theta)])
+        for _ in range(2):
+            out1, c1 = measure_qubit(s, "Q", Basis.X, fresh)
+            out2, c2 = memo.measure(s, "Q", Basis.X, cached)
+            assert out1 == out2 and c1.vec.tobytes() == c2.vec.tobytes()
+            assert not c2.vec.flags.writeable
+        assert memo.apply(insert_register, s, "R", (1.0, 0.0), 0).labels == ("R", "Q", "P")
+    assert len(memo._branches) == len(memo._maps) == 3
+
+
+def test_memo_never_caches_an_unnormalised_state(rng):
+    s = state_vector(("Q",), (2,), [2, 0])
+    memo = StateMemo()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="norm"):
+            memo.measure(s, "Q", Basis.Z, rng)
+
+
+def test_memo_results_are_read_only_and_keyed_on_the_arguments(rng):
+    memo = StateMemo()
+    _, cond = memo.measure(ghz_state(), "A", Basis.X, rng)
+    with pytest.raises(ValueError, match="read-only"):
+        cond.vec[0] = 0
+    out = memo.apply(apply_gate, ghz_state(), "H", "A")
+    with pytest.raises(ValueError, match="read-only"):
+        out.vec[0] = 0
+    assert memo.apply(apply_gate, ghz_state(), "H", "A") is out
+    assert memo.apply(apply_gate, ghz_state(), "H", "B") is not out
 
 
 # ---------------------------------------------------------------------------

@@ -186,24 +186,34 @@ class ConditionalStateTable:
 
 def conditional_states(spec: AttackSpec, case: Case) -> ConditionalStateTable:
     """Project the global state onto each (Alice, Bob) outcome pair."""
-    psi = global_state(spec)
-    kets_a = basis_kets(case.alice_basis)
-    kets_b = basis_kets(case.bob_basis)
-    entries: dict[tuple[Sign, Sign], tuple[float, np.ndarray | None]] = {}
-    total = 0.0
-    for m, ket_a in zip(_SIGNS, kets_a):
-        p_a, after_a = project_qubit(psi, "A", ket_a)
-        for n, ket_b in zip(_SIGNS, kets_b):
-            if after_a is None:
-                entries[(m, n)] = (0.0, None)
-                continue
-            p_b, after_b = project_qubit(after_a, "B", ket_b)
-            weight = p_a * p_b
-            entries[(m, n)] = (weight, after_b.vec if after_b is not None else None)
-            total += weight
-    if abs(total - 1.0) > qmath.STRUCT_TOL:
-        raise ConsistencyError(f"conditional weights sum to {total}, expected 1")
-    return ConditionalStateTable(case, entries)
+    return _case_tables(global_state(spec), (case,))[0]
+
+
+def _case_tables(psi: StateVector, cases=CASES) -> list[ConditionalStateTable]:
+    """The conditional state table of each case from one global state;
+    cases with the same Alice basis share her two projections."""
+    after_alice: dict[tuple[Basis, Sign], tuple[float, StateVector | None]] = {}
+    tables = []
+    for case in cases:
+        kets_b = basis_kets(case.bob_basis)
+        entries: dict[tuple[Sign, Sign], tuple[float, np.ndarray | None]] = {}
+        total = 0.0
+        for m, ket_a in zip(_SIGNS, basis_kets(case.alice_basis)):
+            if (case.alice_basis, m) not in after_alice:
+                after_alice[case.alice_basis, m] = project_qubit(psi, "A", ket_a)
+            p_a, after_a = after_alice[case.alice_basis, m]
+            for n, ket_b in zip(_SIGNS, kets_b):
+                if after_a is None:
+                    entries[(m, n)] = (0.0, None)
+                    continue
+                p_b, after_b = project_qubit(after_a, "B", ket_b)
+                weight = p_a * p_b
+                entries[(m, n)] = (weight, after_b.vec if after_b is not None else None)
+                total += weight
+        if abs(total - 1.0) > qmath.STRUCT_TOL:
+            raise ConsistencyError(f"conditional weights sum to {total}, expected 1")
+        tables.append(ConditionalStateTable(case, entries))
+    return tables
 
 
 def _branch_coefficients(spec: AttackSpec, case: Case) -> dict[tuple[Sign, Sign], np.ndarray]:
@@ -213,20 +223,17 @@ def _branch_coefficients(spec: AttackSpec, case: Case) -> dict[tuple[Sign, Sign]
     up to the overall projector normalisation; the returned 4-vectors hold
     those coefficients in EPS_ORDER.
     """
-    kets_a = basis_kets(case.alice_basis)
-    kets_b = basis_kets(case.bob_basis)
-    out = {}
-    for m, ket_a in zip(_SIGNS, kets_a):
-        for n, ket_b in zip(_SIGNS, kets_b):
-            coeff = np.array(
-                [
-                    np.conj(ket_a[i]) * np.conj(ket_b[j]) * spec.a[i, j]
-                    for (i, j) in EPS_ORDER
-                ],
-                dtype=complex,
-            )
-            out[(m, n)] = coeff
-    return out
+    rows_i, rows_j = _EPS_INDEX
+    bra_a = np.conj(np.array(basis_kets(case.alice_basis)))[:, None, rows_i]
+    bra_b = np.conj(np.array(basis_kets(case.bob_basis)))[None, :, rows_j]
+    # Each bra entry is real or imaginary, so these array products round as
+    # the products of the single scalars do, bit for bit.
+    coeff = bra_a * bra_b * spec.a[rows_i, rows_j]
+    return {(m, n): coeff[k, l] for k, m in enumerate(_SIGNS) for l, n in enumerate(_SIGNS)}
+
+
+#: The (i, j) index of each row of EPS_ORDER, as two index arrays.
+_EPS_INDEX = tuple(np.array(index) for index in zip(*EPS_ORDER))
 
 
 @dataclass
@@ -347,22 +354,66 @@ def rho_pair(spec: AttackSpec, case: Case) -> tuple[np.ndarray, np.ndarray]:
     outcome, weighted by the true conditional probabilities (which are
     equal whenever the detection constraints hold).
     """
-    table = conditional_states(spec, case)
-    return (_mixture(table, Sign.PLUS), _mixture(table, Sign.MINUS))
+    rho, _ = _mixtures([conditional_states(spec, case)])
+    return rho[0, 0], rho[0, 1]
 
 
-def _mixture(table: ConditionalStateTable, alice: Sign) -> np.ndarray:
-    pairs = [(alice, n) for n in _SIGNS]
-    total = sum(table.weight(*p) for p in pairs)
-    if total <= 1e-12:
-        raise InfeasibleError(f"Alice outcome {alice.value} never occurs in case {table.case.key}")
-    dim = next(v.shape[0] for _, v in table.entries.values() if v is not None)
-    rho = np.zeros((dim, dim), dtype=complex)
-    for p in pairs:
-        w, phi = table.entries[p]
-        if phi is not None:
-            rho += (w / total) * np.outer(phi, phi.conj())
-    return rho
+#: The outcome pairs of a table in branch order, and the indices of the two
+#: branches of each mixture of :func:`_mixtures`: Alice +, Alice -, the
+#: same-sign set and the different-sign set.
+_BRANCHES = tuple((m, n) for m in _SIGNS for n in _SIGNS)
+_MIXTURE_BRANCHES = np.array([
+    [_BRANCHES.index(branch) for branch in pair]
+    for pair in (*(tuple((m, n) for n in _SIGNS) for m in _SIGNS), SAME_BRANCHES, DIFF_BRANCHES)
+])
+
+
+def _mixtures(tables: list[ConditionalStateTable]) -> tuple[np.ndarray, np.ndarray]:
+    """The four mixtures of each table, stacked (tables, 4, d, d), with
+    their total weights (tables, 4).
+
+    Each mixture weights its two conditional states by their conditional
+    probabilities. An announcement set that never occurs gets the zero
+    mixture and weight; an Alice outcome that never occurs raises.
+    """
+    dim = next(phi.shape[0] for t in tables for _, phi in t.entries.values() if phi is not None)
+    phis = np.zeros((len(tables), 4, dim), dtype=complex)
+    weights = np.empty((len(tables), 4))
+    for i, table in enumerate(tables):
+        for j, key in enumerate(_BRANCHES):
+            weights[i, j], phi = table.entries[key]
+            if phi is not None:
+                phis[i, j] = phi
+    w1, w2 = weights[:, _MIXTURE_BRANCHES[:, 0]], weights[:, _MIXTURE_BRANCHES[:, 1]]
+    totals = w1 + w2
+    occurs = totals > 1e-12
+    for table, ok in zip(tables, occurs):
+        for alice, alice_ok in zip(_SIGNS, ok[:2]):
+            if not alice_ok:
+                raise InfeasibleError(
+                    f"Alice outcome {alice.value} never occurs in case {table.case.key}"
+                )
+    totals[~occurs] = 0.0
+    c1 = np.divide(w1, totals, out=np.zeros_like(totals), where=occurs)[..., None, None]
+    c2 = np.divide(w2, totals, out=np.zeros_like(totals), where=occurs)[..., None, None]
+    outer = phis[..., :, None] * phis.conj()[..., None, :]
+    # 0.0 + ... makes every zero entry +0, as accumulating into np.zeros does
+    rho = (0.0 + c1 * outer[:, _MIXTURE_BRANCHES[:, 0]]) + c2 * outer[:, _MIXTURE_BRANCHES[:, 1]]
+    return rho, totals
+
+
+def _helstrom_operators(tables: list[ConditionalStateTable]) -> tuple[np.ndarray, np.ndarray]:
+    """The two Helstrom operators p2 rho2 - p1 rho1 of each table, stacked
+    (2 * len(tables), d, d), with their priors (p1, p2): per table, first
+    Alice's - against + outcome, then the different-sign against the
+    same-sign set."""
+    rho, totals = _mixtures(tables)
+    p_plus = totals[:, 0]
+    set_total = totals[:, 2] + totals[:, 3]  # a binary partition; renormalise away float drift
+    p1 = np.stack([p_plus, totals[:, 2] / set_total], axis=1)
+    p2 = np.stack([1.0 - p_plus, totals[:, 3] / set_total], axis=1)
+    deltas = p2[..., None, None] * rho[:, 1::2] - p1[..., None, None] * rho[:, 0::2]
+    return deltas.reshape(-1, *rho.shape[2:]), np.stack([p1, p2], axis=-1).reshape(-1, 2)
 
 
 def _in_basis(table: ConditionalStateTable, basis: np.ndarray) -> ConditionalStateTable:
@@ -382,45 +433,29 @@ def _in_basis(table: ConditionalStateTable, basis: np.ndarray) -> ConditionalSta
     return ConditionalStateTable(table.case, entries)
 
 
-def alice_priors(table: ConditionalStateTable) -> tuple[float, float]:
-    p_plus = sum(table.weight(Sign.PLUS, n) for n in _SIGNS)
-    return p_plus, 1.0 - p_plus
-
-
-def _set_mixture_and_priors(table: ConditionalStateTable):
-    """Announcement-set mixtures (same-sign vs different-sign) with priors."""
-    dim = next(v.shape[0] for _, v in table.entries.values() if v is not None)
-
-    def mix(branches):
-        total = sum(table.weight(*p) for p in branches)
-        rho = np.zeros((dim, dim), dtype=complex)
-        if total <= 1e-12:
-            return rho, 0.0
-        for p in branches:
-            w, phi = table.entries[p]
-            if phi is not None:
-                rho += (w / total) * np.outer(phi, phi.conj())
-        return rho, total
-
-    rho_s, p_s = mix(SAME_BRANCHES)
-    rho_d, p_d = mix(DIFF_BRANCHES)
-    total = p_s + p_d  # a binary partition; renormalise away float drift
-    return rho_s, rho_d, p_s / total, p_d / total
-
-
 def helstrom(rho1, rho2, p1: float, p2: float) -> float:
     """Minimum-error probability for discriminating two mixed states,
     1/2 - 1/2 * ||p2 rho2 - p1 rho1|| with the trace norm."""
-    if p1 < 0.0 or p2 < 0.0 or abs(p1 + p2 - 1.0) > 1e-12:
-        raise ValueError(f"priors must be nonnegative and sum to 1, got {p1}, {p2}")
     r1, r2 = qmath.as_matrix(rho1), qmath.as_matrix(rho2)
     if r1.shape != r2.shape:
         raise ValueError(f"operator shapes differ: {r1.shape} vs {r2.shape}")
-    pe = 0.5 - 0.5 * qmath.trace_norm(p2 * r2 - p1 * r1)
-    cap = min(p1, p2)
-    if pe < -1e-9 or pe > cap + 1e-9:
-        raise ConsistencyError(f"Helstrom probability {pe} outside [0, {cap}]")
-    return float(min(max(pe, 0.0), cap))
+    return _helstrom_errors((p2 * r2 - p1 * r1)[None], [(p1, p2)])[0]
+
+
+def _helstrom_errors(deltas: np.ndarray, priors) -> list[float]:
+    """:func:`helstrom` of a stack of operators p2 rho2 - p1 rho1 with their
+    priors (p1, p2), from one batched trace-norm sweep."""
+    for p1, p2 in priors:
+        if p1 < 0.0 or p2 < 0.0 or abs(p1 + p2 - 1.0) > 1e-12:
+            raise ValueError(f"priors must be nonnegative and sum to 1, got {p1}, {p2}")
+    errors = []
+    for norm, (p1, p2) in zip(qmath.trace_norm_stack(deltas), priors):
+        pe = 0.5 - 0.5 * norm
+        cap = min(p1, p2)
+        if pe < -1e-9 or pe > cap + 1e-9:
+            raise ConsistencyError(f"Helstrom probability {pe} outside [0, {cap}]")
+        errors.append(float(min(max(pe, 0.0), cap)))
+    return errors
 
 
 def pe_closed_form(spec: AttackSpec, tol: float = DEFAULT_TOL) -> float:
@@ -513,28 +548,25 @@ class AttackReport:
 def analyze(spec: AttackSpec, tol: float = DEFAULT_TOL) -> AttackReport:
     """Run every check and measure on a spec and cross-validate the routes.
 
-    The four conditional state tables are built once; the escape routes,
-    both Helstrom errors of every case and the per-case spread all read them.
-    Every conditional state lies in span(eps), of dimension at most 4, so
-    when the C+E register is larger the Helstrom problems are solved on an
-    orthonormal basis of that span; the escape routes keep the full states.
+    The global state is projected once into the four conditional state
+    tables; the escape routes, both Helstrom errors of every case and the
+    per-case spread all read them. Every conditional state lies in
+    span(eps), of dimension at most 4, so when the C+E register is larger
+    the Helstrom problems are solved on an orthonormal basis of that span;
+    the escape routes keep the full states. The eight Helstrom problems
+    (per case, Alice's outcomes and the two announcement sets) are stacked
+    and solved in one trace-norm sweep.
     """
     residuals = detection_residuals(spec)
-    tables = [conditional_states(spec, case) for case in CASES]
+    tables = _case_tables(global_state(spec))
     escape = _escape_flag(residuals, tables, tol)
     if spec.joint_dim > 4:
         span = qmath.orthonormal_span(spec.eps)
         tables = [_in_basis(table, span) for table in tables]
 
-    pe_numeric: dict[Case, float] = {}
-    pe_announce: dict[Case, float] = {}
-    for table in tables:
-        p_plus, p_minus = alice_priors(table)
-        pe_numeric[table.case] = helstrom(
-            _mixture(table, Sign.PLUS), _mixture(table, Sign.MINUS), p_plus, p_minus
-        )
-        rho_s, rho_d, p_s, p_d = _set_mixture_and_priors(table)
-        pe_announce[table.case] = helstrom(rho_s, rho_d, p_s, p_d)
+    errors = _helstrom_errors(*_helstrom_operators(tables))
+    pe_numeric = {case: errors[2 * i] for i, case in enumerate(CASES)}
+    pe_announce = {case: errors[2 * i + 1] for i, case in enumerate(CASES)}
 
     # The announcement error scales as the residual squared, so a spec just
     # off the escape set may still announce with an error below tol; only

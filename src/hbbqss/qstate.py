@@ -249,16 +249,18 @@ def project_qubit(state: StateVector, label: str, onto) -> tuple[float, StateVec
         raise ValueError(
             f"ket of dim {ket.shape[0]} cannot project register {label} of dim {state.dims[ax]}"
         )
-    if abs(qmath.norm(ket) - 1.0) > STATE_NORM_TOL:
+    if abs(float(np.sqrt((np.abs(ket) ** 2).sum())) - 1.0) > STATE_NORM_TOL:
         raise ValueError("projection ket must be normalised")
-    amp = np.tensordot(np.conj(ket), state.vec.reshape(state.dims), axes=([0], [ax]))
+    # <ket| contracted with the register's axis, as np.tensordot computes it
+    tensor = state.vec.reshape(state.dims)
+    if ax:
+        tensor = np.moveaxis(tensor, ax, 0)
+    amp = np.dot(np.conj(ket).reshape(1, -1), tensor.reshape(ket.shape[0], -1))
     prob = float((np.abs(amp) ** 2).sum())
-    if prob <= ZERO_BRANCH_TOL:
+    if prob <= ZERO_BRANCH_TOL or len(state.labels) == 1:
         return prob, None
-    rest_labels = tuple(l for i, l in enumerate(state.labels) if i != ax)
-    rest_dims = tuple(d for i, d in enumerate(state.dims) if i != ax)
-    if not rest_labels:
-        return prob, None
+    rest_labels = state.labels[:ax] + state.labels[ax + 1:]
+    rest_dims = state.dims[:ax] + state.dims[ax + 1:]
     return prob, StateVector(rest_labels, rest_dims, amp.reshape(-1) / np.sqrt(prob))
 
 
@@ -389,7 +391,3 @@ def phase_aligned_distance(u, v) -> float:
     ov = np.vdot(uu, vv)
     phase = ov / abs(ov) if abs(ov) > 1e-300 else 1.0
     return float(np.abs(uu * phase - vv).max())
-
-
-def equal_up_to_phase(u, v, tol: float = 1e-9) -> bool:
-    return phase_aligned_distance(u, v) <= tol

@@ -83,3 +83,40 @@ SIMULATE_DIGESTS = {
     ("hbb_section4", "json"): "1072a8978de4d0a5c56d4bd22084c2ccf1d8347ee143157d562a2d5c813c22f4",
     ("hbb_section4", "csv"): "5ce968dc83c948d9757208a62dfedea31f870e48835266548775111c8edd5879",
 }
+
+# Generated specs frozen below by name: (kind, ancilla_dim, seed). A
+# ``family`` spec is a random detection-passing point with orthonormal
+# ancilla states, ``nas`` the same at c = 1/2, and ``random`` a spec with
+# random amplitudes and ancilla states, which does not escape detection.
+GENERATED_SPECS = {
+    "family-d2": ("family", 2, 601),
+    "family-d3": ("family", 3, 602),
+    "family-d4": ("family", 4, 603),
+    "nas-d2": ("nas", 2, 604),
+    "nas-d4": ("nas", 4, 605),
+    "random-d1": ("random", 1, 606),
+    "random-d2": ("random", 2, 607),
+    "random-d3": ("random", 3, 608),
+    "random-d4": ("random", 4, 609),
+}
+
+# SHA-256 of the report ``hbbqss analyze`` writes for each bundled and
+# generated spec, of the files written by ``sweep --grid 41`` and
+# ``optimize --restarts 4 --seed 42``, and of ``verify``'s stdout.
+OUTPUT_DIGESTS = {
+    "analyze honest": "0c197b7e970d257ee9a53da46f3ac772eb92f4d3ab463b5afcf7bb923d35a646",
+    "analyze hbb_section4": "48bb9a00c690f4c644000a546440ce74e8993abcefa1c315789833d7f6d32fb0",
+    "analyze kki": "48bb9a00c690f4c644000a546440ce74e8993abcefa1c315789833d7f6d32fb0",
+    "analyze family-d2": "14887e402115a0ff1a1bfb786b112afc86ebe22d912d2bbe156512a0812a8377",
+    "analyze family-d3": "14a7b63b0e0a3156ff347c451e8e6b8fd6759c1163af940391bfce5a15816d30",
+    "analyze family-d4": "1b0c23b71d64589cf86123bb949b79dde216defb8b6281a6d9df1c7d06fda0ea",
+    "analyze nas-d2": "c53dd166b0a98262a3bc6febcf293d59e004c50eab926857b3d803ecf3c4ff06",
+    "analyze nas-d4": "f3b132cf94ad399580c495791a314052d3b7f2fe4a0ecfdb94314b08d7a7e5fa",
+    "analyze random-d1": "41f7841d2c553379ff9926eeef3aea5441522e90429860b09c78871f7375c61f",
+    "analyze random-d2": "045e43ae2cbda86d97418cb80970b15e55da189f7a0e9a935677a3cad33d4d2b",
+    "analyze random-d3": "6cfe1628235b464bd420a86f6d56c871052afba3e4355d4be5ac27cd187d1234",
+    "analyze random-d4": "2a5e72217af5842ccda909b8d88d70463dd1fb58e88a6c37d30f8f5c5dca5d06",
+    "sweep --grid 41": "592427f03e1f57fa70bc1cbbb2875e0b7afce12ee3cb83e1fd50926ccaa61225",
+    "optimize --restarts 4 --seed 42": "19b7f97de0e88631cbf089f53b258e3ddd325efb18269b4defa365233527137c",
+    "verify": "d7a31622dc0e844afb28164383fcaa7768ba89f5fa17c5b990dffc64fcdb5f4d",
+}

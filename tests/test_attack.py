@@ -13,7 +13,6 @@ from hbbqss.attack import (
     Case,
     InfeasibleError,
     SpecError,
-    alice_priors,
     analyze,
     conditional_states,
     detection_residuals,
@@ -418,6 +417,12 @@ def test_nas_necessity_sampled(rng):
             assert (not report.escape_ok) or report.info <= 1.0 - 1e-4
 
 
+def alice_priors(table):
+    """Probabilities of Alice's + and - outcomes in one case."""
+    p_plus = sum(table.weight(Sign.PLUS, n) for n in (Sign.PLUS, Sign.MINUS))
+    return p_plus, 1.0 - p_plus
+
+
 def test_priors_are_equal_on_the_constraint_set(rng):
     spec = optimizer.random_family_point(rng).to_spec()
     for case in CASES:
@@ -470,10 +475,15 @@ def _counting(monkeypatch, name):
     ids=["analyze", "objective"],
 )
 def test_one_pass_builds_each_case_once(monkeypatch, run):
-    tables = _counting(monkeypatch, "conditional_states")
+    tables = _counting(monkeypatch, "_case_tables")
+    states = _counting(monkeypatch, "global_state")
+    projections = _counting(monkeypatch, "project_qubit")
     residuals = _counting(monkeypatch, "detection_residuals")
     run()
-    assert len(tables) == 4
+    # one global state, projected for all four cases: Alice's two bases
+    # twice each, then Bob's two outcomes in each of the eight branches
+    assert len(tables) == 1 and len(states) == 1
+    assert len(projections) == 4 + 16
     assert len(residuals) == 1
 
 
@@ -484,8 +494,20 @@ def _inflated_residuals(spec):
     )
 
 
-def _yy_priors(table):
-    return (0.6, 0.4) if table.case is Case.YY else alice_priors(table)
+_MIXTURES = attack._mixtures
+_HELSTROM_OPERATORS = attack._helstrom_operators
+
+
+def _yy_priors(tables):
+    rho, totals = _MIXTURES(tables)
+    totals[[t.case is Case.YY for t in tables], 0] = 0.6
+    return rho, totals
+
+
+def _blind_announcements(tables):
+    deltas, priors = _HELSTROM_OPERATORS(tables)
+    deltas[1::2] = 0.0  # the announcement sets look alike
+    return deltas, priors
 
 
 @pytest.mark.parametrize(
@@ -497,10 +519,9 @@ def _yy_priors(table):
         # bilinear route sees overlaps the constructed states do not
         (attack, "detection_residuals", _inflated_residuals, analyze),
         # announcement sets indistinguishable on an escaping spec
-        (attack, "_set_mixture_and_priors",
-         lambda t: (np.eye(4) / 4, np.eye(4) / 4, 0.5, 0.5), analyze),
+        (attack, "_helstrom_operators", _blind_announcements, analyze),
         # one case read with other priors than the rest
-        (attack, "alice_priors", _yy_priors, analyze),
+        (attack, "_mixtures", _yy_priors, analyze),
         # closed form off the Helstrom errors it is checked against
         (attack, "_closed_form", lambda c, s: 0.25,
          lambda spec: optimizer.objective(optimizer.AttackFamilyPoint(0.3))),
@@ -561,6 +582,19 @@ def _full_route_pe(spec, case):
     return helstrom(*rho_pair(spec, case), *alice_priors(conditional_states(spec, case)))
 
 
+def _full_route_announce(spec, case):
+    """Announcement-set error of one case from the full-dimension states."""
+    table = conditional_states(spec, case)
+
+    def mix(branches):
+        weights = [table.weight(*b) for b in branches]
+        rho = sum(w * np.outer(table.phi(*b), table.phi(*b).conj()) for w, b in zip(weights, branches))
+        return rho / sum(weights), sum(weights)
+
+    (rho_s, p_s), (rho_d, p_d) = mix(attack.SAME_BRANCHES), mix(attack.DIFF_BRANCHES)
+    return helstrom(rho_s, rho_d, p_s / (p_s + p_d), p_d / (p_s + p_d))
+
+
 @pytest.mark.parametrize("delta", [1e-7, 1e-10, 0.0])
 @pytest.mark.parametrize("dim", [3, 4])
 def test_reduced_route_agrees_with_full_on_near_dependent_eps(dim, delta):
@@ -574,8 +608,7 @@ def test_reduced_route_agrees_with_full_on_near_dependent_eps(dim, delta):
     report = analyze(spec)
     for case in CASES:
         assert abs(report.pe_numeric[case] - _full_route_pe(spec, case)) <= 1e-12
-        announce = helstrom(*attack._set_mixture_and_priors(conditional_states(spec, case)))
-        assert abs(report.pe_announce[case] - announce) <= 1e-12
+        assert abs(report.pe_announce[case] - _full_route_announce(spec, case)) <= 1e-12
 
 
 def test_jacobi_sees_at_most_4x4_and_builds_no_eigenvectors(monkeypatch):
@@ -583,12 +616,12 @@ def test_jacobi_sees_at_most_4x4_and_builds_no_eigenvectors(monkeypatch):
     original = qmath._jacobi
 
     def recorded(a, vectors):
-        calls.append((a.shape[0], vectors))
+        calls.append((a.shape[1], vectors))
         return original(a, vectors)
 
     monkeypatch.setattr(qmath, "_jacobi", recorded)
     analyze(_drawn_spec("random", 4, 0, 0.0))
-    assert calls and max(n for n, _ in calls) == 4
+    assert len(calls) == 1 and calls[0][0] == 4  # all eight problems in one sweep
     calls.clear()
     analyze(kki_spec())
     assert calls and not any(vectors for _, vectors in calls)

@@ -7,7 +7,7 @@ import pytest
 from hbbqss import attack, cli, exploit, optimizer, qmath, qstate
 from hbbqss.attack import Case
 from hbbqss.cli import main
-from _literals import SIMULATE_DIGESTS
+from _literals import GENERATED_SPECS, OUTPUT_DIGESTS, SIMULATE_DIGESTS
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +82,39 @@ def test_simulate_matches_the_frozen_digests(tmp_path, attacker, fmt):
     argv = ["simulate", "--seed", "42", "--rounds", "2000", "--format", fmt, "--out", str(out)]
     assert main(argv + who) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_DIGESTS[attacker, fmt]
+
+
+def _generated_spec(kind: str, ancilla_dim: int, seed: int) -> attack.AttackSpec:
+    rng = np.random.default_rng(seed)
+    if kind == "family":
+        return optimizer.random_family_point(rng, ancilla_dim=ancilla_dim).to_spec()
+    if kind == "nas":
+        return optimizer.random_family_point(rng, c=0.5, ancilla_dim=ancilla_dim).to_spec()
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    eps = rng.normal(size=(4, 2 * ancilla_dim)) + 1j * rng.normal(size=(4, 2 * ancilla_dim))
+    return attack.AttackSpec(
+        ancilla_dim, a / np.linalg.norm(a), eps / np.linalg.norm(eps, axis=1, keepdims=True)
+    )
+
+
+def _output_bytes(name: str, tmp_path, capsys) -> bytes:
+    command, _, arg = name.partition(" ")
+    out = tmp_path / "out"
+    if command == "analyze" and arg in GENERATED_SPECS:
+        attack.save_spec(_generated_spec(*GENERATED_SPECS[arg]), tmp_path / "spec.json")
+        arg = str(tmp_path / "spec.json")
+    argv = [command] + (["--spec", arg] if command == "analyze" else arg.split())
+    if command != "verify":
+        argv += ["--out", str(out)]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    return stdout.encode() if command == "verify" else out.read_bytes()
+
+
+@pytest.mark.parametrize("name", list(OUTPUT_DIGESTS))
+def test_outputs_match_the_frozen_digests(tmp_path, capsys, name):
+    digest = hashlib.sha256(_output_bytes(name, tmp_path, capsys)).hexdigest()
+    assert digest == OUTPUT_DIGESTS[name]
 
 
 def test_simulate_with_bundled_spec(tmp_path, capsys):

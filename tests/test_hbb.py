@@ -239,9 +239,10 @@ class NormBreaker(ProbeStrategy):
 
     name = "norm-breaker"
 
-    def __init__(self, from_round):
+    def __init__(self, from_round, factor=1.5):
         super().__init__()
         self.from_round = from_round
+        self.factor = factor
         self.intercepts = 0
 
     def intercept(self, state, rng):
@@ -249,7 +250,7 @@ class NormBreaker(ProbeStrategy):
         self.intercepts += 1
         if self.intercepts <= self.from_round:
             return state
-        return StateVector(state.labels, state.dims, 1.5 * state.vec)
+        return StateVector(state.labels, state.dims, self.factor * state.vec)
 
 
 @pytest.mark.parametrize("k", [0, 7, 150])
@@ -259,6 +260,15 @@ def test_intercept_breaking_the_norm_aborts_at_that_round(k):
         run_session(300, check_fraction=0.5, strategy=breaker, seed=4)
     assert breaker.intercepts == k + 1
     assert [e[1] for e in breaker.events if e[0] == "announce"] == list(range(k))
+
+
+def test_intercept_norm_is_checked_at_the_measurement_tolerance():
+    # 5e-10 off is not measurable (STATE_NORM_TOL = 1e-10): the contract
+    # check must abort the session rather than let measurement raise
+    with pytest.raises(SessionAbort, match="normalisation"):
+        run_session(50, check_fraction=0.5, strategy=NormBreaker(3, 1.0 + 5e-10), seed=4)
+    # 5e-11 off is measurable, and the session runs
+    run_session(50, check_fraction=0.5, strategy=NormBreaker(3, 1.0 + 5e-11), seed=4)
 
 
 class InterceptScribbler(ProbeStrategy):

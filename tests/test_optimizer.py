@@ -64,6 +64,25 @@ def test_objective_cross_check_runs(rng):
     assert objective(p) == pytest.approx(closed_form_info(0.42), abs=1e-9)
 
 
+@pytest.mark.parametrize("shifted", ["alice", "both"])
+def test_objective_catches_a_helstrom_route_off_by_1e8(monkeypatch, shifted):
+    # The eight batched Helstrom errors come in (Alice outcome, announcement
+    # set) pairs per case; the closed-form check reads the first of each.
+    original = attack._helstrom_errors
+    calls = []
+
+    def off(deltas, priors):
+        calls.append(len(deltas))
+        step = 1 if shifted == "both" else 2
+        return [pe + 1e-8 if i % step == 0 else pe for i, pe in enumerate(original(deltas, priors))]
+
+    monkeypatch.setattr(attack, "_helstrom_errors", off)
+    match = "deviates from Helstrom" if shifted == "alice" else "announcement-set"
+    with pytest.raises(attack.ConsistencyError, match=match):
+        objective(AttackFamilyPoint(0.3, (0.1, 0.2, 0.3, 0.4)))
+    assert calls == [8]  # one batched call, on the first evaluation
+
+
 def test_objective_phase_invariance(rng):
     base = objective(AttackFamilyPoint(0.37))
     worst = 0.0

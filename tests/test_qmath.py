@@ -120,6 +120,101 @@ def test_trace_norm_rejects_nonhermitian():
 
 
 # ---------------------------------------------------------------------------
+# stacked sweep
+
+
+def _stack(rng, n, k):
+    """k Hermitian n x n matrices; from k = 3 on a diagonal member sits next
+    to dense ones, and k = 8 adds a zero matrix, a degenerate spectrum and
+    a member whose only off-diagonal pair is (0, 1), whose other pivots are
+    skipped while the rest of the stack rotates."""
+    members = [random_hermitian(rng, n) for _ in range(k)]
+    if k >= 3:
+        members[1] = np.diag(rng.normal(size=n)).astype(complex)
+    if k >= 8:
+        members[3] = np.zeros((n, n), dtype=complex)
+        u = random_unitary(rng, n)
+        members[4] = u @ np.diag(np.repeat(rng.normal(size=(n + 1) // 2), 2)[:n]) @ u.conj().T
+        members[6] = np.diag(rng.normal(size=n)).astype(complex)
+        if n >= 2:
+            members[6][0, 1], members[6][1, 0] = 0.3 + 0.4j, 0.3 - 0.4j
+    return np.array(members)
+
+
+def _loop_eigen(h):
+    """Reference: the cyclic Jacobi sweep on one matrix, written as loops
+    over its rotations with scalar pivots."""
+    a = 0.5 * (h + h.conj().T)
+    n = a.shape[0]
+    v = np.eye(n, dtype=complex)
+    scale = max(1.0, float(np.sqrt((np.abs(a) ** 2).sum())))
+    off_mask = ~np.eye(n, dtype=bool)
+    while n > 1 and float(np.sqrt((np.abs(a[off_mask]) ** 2).sum())) > 1e-14 * scale:
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                r = abs(apq)
+                if r <= 1e-18 * scale:
+                    continue
+                phase = apq / r
+                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                col_p, col_q = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * col_p - s * np.conj(phase) * col_q
+                a[:, q] = s * phase * col_p + c * col_q
+                row_p, row_q = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * row_p - s * phase * row_q
+                a[q, :] = s * np.conj(phase) * row_p + c * row_q
+                a[p, q] = a[q, p] = 0.0
+                a[p, p], a[q, q] = a[p, p].real, a[q, q].real
+                vc_p, vc_q = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * vc_p - s * np.conj(phase) * vc_q
+                v[:, q] = s * phase * vc_p + c * vc_q
+    w = np.real(np.diag(a)).copy()
+    order = np.argsort(-w, kind="stable")
+    return w[order], v[:, order]
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stacked_sweep_gives_each_member_its_single_result_bit_for_bit(rng, n, k):
+    stack = _stack(rng, n, k)
+    w, v = qmath.hermitian_eigen_stack(stack)
+    norms = qmath.trace_norm_stack(stack)
+    assert w.shape == (k, n) and v.shape == (k, n, n) and norms.shape == (k,)
+    for i, h in enumerate(stack):
+        w1, v1 = qmath.hermitian_eigen(h)
+        w_loop, v_loop = _loop_eigen(h)
+        assert w[i].tobytes() == w1.tobytes() == w_loop.tobytes()
+        assert v[i].tobytes() == v1.tobytes() == v_loop.tobytes()
+        assert float(norms[i]).hex() == qmath.trace_norm(h).hex()
+        assert float(norms[i]) == float(np.abs(w_loop).sum())
+        assert np.abs(v1 @ np.diag(w1) @ v1.conj().T - h).max() <= 1e-9
+
+
+@pytest.mark.parametrize("solve", [qmath.hermitian_eigen_stack, qmath.trace_norm_stack])
+def test_stacked_sweep_rejects_a_nonhermitian_member(rng, solve):
+    stack = _stack(rng, 4, 3)
+    stack[2, 0, 1] += 1e-6
+    with pytest.raises(qmath.NonHermitianError, match="member 2 of 3"):
+        solve(stack)
+
+
+def test_stacked_sweep_raises_at_the_sweep_cap(rng, monkeypatch):
+    monkeypatch.setattr(qmath, "_JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(qmath.ConvergenceError, match="1 sweeps"):
+        qmath.trace_norm_stack(_stack(rng, 4, 3))
+    # members already diagonal converge before the first rotation
+    diagonal = np.array([np.diag(rng.normal(size=4)).astype(complex) for _ in range(3)])
+    assert qmath.trace_norm_stack(diagonal).shape == (3,)
+
+
+# ---------------------------------------------------------------------------
 # cross_gram_is_zero
 
 

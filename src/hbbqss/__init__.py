@@ -17,6 +17,7 @@ from .attack import (
     mutual_information,
     nas_check,
     pe_closed_form,
+    rho_pair,
     save_spec,
 )
 from .exploit import (
@@ -33,7 +34,6 @@ from .exploit import (
 )
 from .hbb import (
     SessionTranscript,
-    error_rate,
     infer_alice,
     info_rate,
     run_session,

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import qmath
-from .qstate import Basis, Sign, StateVector, basis_kets, project_qubit
+from .qstate import ZERO_BRANCH_TOL, Basis, Sign, StateVector, basis_kets, project_qubit
 
 #: Default tolerance for the escape / NAS boolean checks.
 DEFAULT_TOL = 1e-9
@@ -130,9 +130,6 @@ class AttackSpec:
         """Dimension of the C+E register the ancilla states live on."""
         return 2 * self.ancilla_dim
 
-    def amplitude(self, i: int, j: int) -> complex:
-        return complex(self.a[i, j])
-
 
 def honest_spec(ancilla_dim: int = 1) -> AttackSpec:
     """No interaction at all: the global state stays GHZ x |0...0>."""
@@ -176,9 +173,6 @@ class ConditionalStateTable:
 
     case: Case
     entries: dict[tuple[Sign, Sign], tuple[float, np.ndarray | None]]
-
-    def weight(self, alice: Sign, bob: Sign) -> float:
-        return self.entries[(alice, bob)][0]
 
     def phi(self, alice: Sign, bob: Sign) -> np.ndarray | None:
         return self.entries[(alice, bob)][1]
@@ -256,10 +250,6 @@ class DetectionResiduals:
         return max(v for vals in self.per_case.values() for v in vals)
 
     @property
-    def max_aggregate(self) -> float:
-        return max(self.products + self.magnitude_gaps)
-
-    @property
     def all_values(self) -> tuple[float, ...]:
         flat = tuple(v for c in CASES for v in self.per_case[c])
         return flat + self.products + self.magnitude_gaps
@@ -300,14 +290,6 @@ def detection_residuals(spec: AttackSpec) -> DetectionResiduals:
     return DetectionResiduals(per_case, prods, gaps)
 
 
-def announcement_sets(table: ConditionalStateTable):
-    """The two sets of conditional states the attacker must tell apart
-    on check rounds: same-sign branches versus different-sign branches."""
-    same = [table.phi(m, n) for (m, n) in SAME_BRANCHES if table.phi(m, n) is not None]
-    diff = [table.phi(m, n) for (m, n) in DIFF_BRANCHES if table.phi(m, n) is not None]
-    return same, diff
-
-
 def escape_check(spec: AttackSpec, tol: float = DEFAULT_TOL) -> bool:
     """Whether the attacker escapes the eavesdropping check.
 
@@ -323,7 +305,8 @@ def _escape_flag(
     residuals: DetectionResiduals, tables: list[ConditionalStateTable], tol: float
 ) -> bool:
     """The escape flag of the bilinear residuals, asserted against the
-    cross overlaps of the announcement sets of the constructed states.
+    cross overlaps of the constructed states the attacker must tell apart on
+    check rounds: the same-sign branches against the different-sign ones.
 
     Flags that differ only because the two magnitudes straddle ``tol`` by
     round-off (within _ROUTE_TIE of each other) are not a disagreement.
@@ -333,7 +316,8 @@ def _escape_flag(
     route_b = True
     worst = 0.0
     for table in tables:
-        same, diff = announcement_sets(table)
+        same = [table.phi(*b) for b in SAME_BRANCHES if table.phi(*b) is not None]
+        diff = [table.phi(*b) for b in DIFF_BRANCHES if table.phi(*b) is not None]
         if not same or not diff:
             continue
         ok, mag = qmath.cross_gram_is_zero(same, diff, tol)
@@ -386,7 +370,7 @@ def _mixtures(tables: list[ConditionalStateTable]) -> tuple[np.ndarray, np.ndarr
                 phis[i, j] = phi
     w1, w2 = weights[:, _MIXTURE_BRANCHES[:, 0]], weights[:, _MIXTURE_BRANCHES[:, 1]]
     totals = w1 + w2
-    occurs = totals > 1e-12
+    occurs = totals > ZERO_BRANCH_TOL
     for table, ok in zip(tables, occurs):
         for alice, alice_ok in zip(_SIGNS, ok[:2]):
             if not alice_ok:
@@ -504,25 +488,18 @@ def is_realizable(spec: AttackSpec, tol: float = DEFAULT_TOL) -> tuple[bool, dic
     Necessary and sufficient: the two Alice-branch vectors
     v_i = sum_j a_ij |j>_B eps_ij have squared norm 1/2 and are orthogonal.
     """
-    v0, v1 = branch_vectors(spec)
+    return _realizable(global_state(spec), tol)
+
+
+def _realizable(psi: StateVector, tol: float) -> tuple[bool, dict]:
+    """:func:`is_realizable` of the global state ``psi``, whose two rows
+    over Alice's register are the branch vectors v_0, v_1."""
+    v0, v1 = psi.vec.reshape(2, -1)
     n0 = float((np.abs(v0) ** 2).sum())
     n1 = float((np.abs(v1) ** 2).sum())
     overlap = float(abs(np.vdot(v0, v1)))
     ok = abs(n0 - 0.5) <= tol and abs(n1 - 0.5) <= tol and overlap <= tol
     return ok, {"branch_norms": [n0, n1], "branch_overlap": overlap}
-
-
-def branch_vectors(spec: AttackSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The B+C+E vectors multiplying Alice's |0> and |1> components."""
-    d2 = spec.joint_dim
-    out = []
-    for i in (0, 1):
-        v = np.zeros(2 * d2, dtype=complex)
-        for j in (0, 1):
-            row = EPS_ORDER.index((i, j))
-            v[j * d2:(j + 1) * d2] += spec.a[i, j] * spec.eps[row]
-        out.append(v)
-    return out[0], out[1]
 
 
 @dataclass
@@ -558,7 +535,8 @@ def analyze(spec: AttackSpec, tol: float = DEFAULT_TOL) -> AttackReport:
     and solved in one trace-norm sweep.
     """
     residuals = detection_residuals(spec)
-    tables = _case_tables(global_state(spec))
+    psi = global_state(spec)
+    tables = _case_tables(psi)
     escape = _escape_flag(residuals, tables, tol)
     if spec.joint_dim > 4:
         span = qmath.orthonormal_span(spec.eps)
@@ -595,7 +573,7 @@ def analyze(spec: AttackSpec, tol: float = DEFAULT_TOL) -> AttackReport:
         info = float(np.mean([mutual_information(pe) for pe in pes]))
 
     nas_ok, _ = nas_check(spec, tol)
-    realizable, _ = is_realizable(spec, tol)
+    realizable, _ = _realizable(psi, tol)
     return AttackReport(
         residuals=residuals,
         escape_ok=escape,
@@ -613,8 +591,13 @@ def analyze(spec: AttackSpec, tol: float = DEFAULT_TOL) -> AttackReport:
 # JSON interchange
 
 
+def _sig12(x: float | None) -> float | None:
+    """``x`` rounded to the 12 significant digits every JSON export writes."""
+    return None if x is None else float(f"{x:.12g}")
+
+
 def _complex_pairs(arr: np.ndarray) -> list:
-    return [[float(f"{z.real:.12g}"), float(f"{z.imag:.12g}")] for z in arr]
+    return [[_sig12(z.real), _sig12(z.imag)] for z in arr]
 
 
 def spec_to_dict(spec: AttackSpec) -> dict:
@@ -631,10 +614,12 @@ def spec_from_dict(data: dict) -> AttackSpec:
     missing = {"ancilla_dim", "a", "eps"} - set(data)
     if missing:
         raise SpecError(f"spec document missing keys: {sorted(missing)}")
+    d = data["ancilla_dim"]
+    if isinstance(d, bool) or not isinstance(d, int):
+        raise SpecError(f"ancilla_dim must be an integer, got {d!r}")
     try:
-        d = int(data["ancilla_dim"])
-        a_pairs = [[float(re), float(im)] for re, im in data["a"]]
-        eps_pairs = [[[float(re), float(im)] for re, im in row] for row in data["eps"]]
+        a_pairs = [[_number(re), _number(im)] for re, im in data["a"]]
+        eps_pairs = [[[_number(re), _number(im)] for re, im in row] for row in data["eps"]]
     except (TypeError, ValueError) as exc:
         raise SpecError(f"malformed spec document: {exc}") from exc
     if len(a_pairs) != 4:
@@ -644,6 +629,13 @@ def spec_from_dict(data: dict) -> AttackSpec:
     a = np.array([complex(re, im) for re, im in a_pairs]).reshape(2, 2)
     eps = np.array([[complex(re, im) for re, im in row] for row in eps_pairs])
     return AttackSpec(d, a, eps)
+
+
+def _number(x) -> float:
+    """A JSON number (int or float, not a bool or a string) as a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"amplitude entries must be numbers, got {x!r}")
+    return float(x)
 
 
 def save_spec(spec: AttackSpec, path) -> None:
@@ -659,21 +651,18 @@ def load_spec(path) -> AttackSpec:
 
 
 def report_to_dict(report: AttackReport) -> dict:
-    def num(x):
-        return None if x is None else float(f"{x:.12g}")
-
     return {
-        "case_residuals": {c.key: [num(v) for v in report.residuals.per_case[c]] for c in CASES},
-        "aggregate_products": [num(v) for v in report.residuals.products],
-        "magnitude_gaps": [num(v) for v in report.residuals.magnitude_gaps],
+        "case_residuals": {c.key: [_sig12(v) for v in report.residuals.per_case[c]] for c in CASES},
+        "aggregate_products": [_sig12(v) for v in report.residuals.products],
+        "magnitude_gaps": [_sig12(v) for v in report.residuals.magnitude_gaps],
         "escape_ok": report.escape_ok,
-        "pe_numeric": {c.key: num(report.pe_numeric[c]) for c in CASES},
-        "pe_announce": {c.key: num(report.pe_announce[c]) for c in CASES},
-        "pe_closed_form": num(report.pe_closed_form),
-        "info": num(report.info),
+        "pe_numeric": {c.key: _sig12(report.pe_numeric[c]) for c in CASES},
+        "pe_announce": {c.key: _sig12(report.pe_announce[c]) for c in CASES},
+        "pe_closed_form": _sig12(report.pe_closed_form),
+        "info": _sig12(report.info),
         "nas_ok": report.nas_ok,
         "realizable": report.realizable,
-        "tol": num(report.tol),
+        "tol": _sig12(report.tol),
     }
 
 

@@ -37,7 +37,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -47,29 +46,7 @@ from . import attack, exploit, hbb, optimizer, qmath, qstate
 
 BUNDLED_SPECS = ("honest", "hbb_section4", "kki")
 
-_DEFAULT_ROUNDS = 10000
-_DEFAULT_CHECK_FRACTION = 0.5
 _DEFAULT_SEED = 42
-
-
-@dataclass
-class RunConfig:
-    command: str
-    rounds: int = _DEFAULT_ROUNDS
-    check_fraction: float = _DEFAULT_CHECK_FRACTION
-    seed: int = _DEFAULT_SEED
-    attacker: str = "none"
-    spec_path: str | None = None
-    out_format: str = "json"
-    out_path: str | None = None
-    grid: int = 41
-    restarts: int = 4
-    iters: int = optimizer.MAX_ITERS
-    tol: float = 1e-6
-
-    def __post_init__(self):
-        if (self.attacker == "spec") != (self.spec_path is not None) and self.command == "simulate":
-            raise ValueError("--spec is required exactly when --attacker spec is chosen")
 
 
 def resolve_spec(name_or_path: str) -> attack.AttackSpec:
@@ -256,7 +233,7 @@ VERIFY_CHECKS = (
 )
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     failures = 0
     for name, check in VERIFY_CHECKS:
         try:
@@ -277,15 +254,17 @@ def cmd_verify(cfg: RunConfig) -> int:
 # simulate / analyze / sweep / optimize
 
 
-def _build_strategy(cfg: RunConfig):
-    if cfg.attacker == "none":
+def _build_strategy(args: argparse.Namespace):
+    if (args.attacker == "spec") != (args.spec_path is not None):
+        raise ValueError("--spec is required exactly when --attacker spec is chosen")
+    if args.attacker == "none":
         return None
-    if cfg.attacker == "hbb-circuit":
+    if args.attacker == "hbb-circuit":
         return exploit.full_attack_strategy()
-    if cfg.attacker == "intercept-resend":
+    if args.attacker == "intercept-resend":
         return exploit.intercept_resend_strategy()
-    if cfg.attacker == "spec":
-        spec = resolve_spec(cfg.spec_path)
+    if args.attacker == "spec":
+        spec = resolve_spec(args.spec_path)
         ok, diag = attack.is_realizable(spec)
         if not ok:
             raise attack.SpecError(
@@ -293,16 +272,16 @@ def _build_strategy(cfg: RunConfig):
                 f"branch norms {diag['branch_norms']}, overlap {diag['branch_overlap']:.3e}"
             )
         return exploit.spec_attack_strategy(spec)
-    raise ValueError(f"unknown attacker {cfg.attacker!r}")
+    raise ValueError(f"unknown attacker {args.attacker!r}")
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    strategy = _build_strategy(cfg)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    strategy = _build_strategy(args)
     transcript = hbb.run_session(
-        cfg.rounds, cfg.check_fraction, strategy=strategy, seed=cfg.seed
+        args.rounds, args.check_fraction, strategy=strategy, seed=args.seed
     )
-    out = Path(cfg.out_path or f"transcript.{cfg.out_format}")
-    if cfg.out_format == "json":
+    out = Path(args.out_path or f"transcript.{args.out_format}")
+    if args.out_format == "json":
         out.write_text(hbb.transcript_to_json(transcript))
     else:
         out.write_text(hbb.transcript_to_csv(transcript))
@@ -312,14 +291,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
         info_s = f"{hbb.info_rate(transcript):.4f}"
     else:
         info_s = "n/a"
-    print(f"error={err_s} info={info_s} rounds={cfg.rounds} out={out}")
+    print(f"error={err_s} info={info_s} rounds={args.rounds} out={out}")
     return 0
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    spec = resolve_spec(cfg.spec_path)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    spec = resolve_spec(args.spec_path)
     report = attack.analyze(spec)
-    out = Path(cfg.out_path or "report.json")
+    out = Path(args.out_path or "report.json")
     out.write_text(attack.report_to_json(report))
     print(
         f"escape_ok={report.escape_ok} nas_ok={report.nas_ok} "
@@ -328,15 +307,15 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.grid < 2:
+def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.grid < 2:
         raise ValueError("--grid must be at least 2")
     buf = io.StringIO()
     writer = csv.writer(buf, delimiter=",", lineterminator="\n")
     writer.writerow(["c", "s", "pe_closed", "pe_numeric", "info", "max_residual"])
     # a uniform grid can never contain the irrational-fraction optimum, so
     # the perfect-attack point is added explicitly
-    grid = np.unique(np.append(np.linspace(0.0, optimizer.INV_SQRT2, cfg.grid), 0.5))
+    grid = np.unique(np.append(np.linspace(0.0, optimizer.INV_SQRT2, args.grid), 0.5))
     for c in grid:
         point = optimizer.AttackFamilyPoint(float(c))
         report = attack.analyze(point.to_spec())
@@ -350,20 +329,20 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 f"{max(report.residuals.all_values):.12g}",
             ]
         )
-    out = Path(cfg.out_path or "sweep.csv")
+    out = Path(args.out_path or "sweep.csv")
     out.write_text(buf.getvalue())
     print(f"rows={len(grid)} out={out}")
     return 0
 
 
-def cmd_optimize(cfg: RunConfig) -> int:
+def cmd_optimize(args: argparse.Namespace) -> int:
     result = optimizer.maximize(
-        restarts=cfg.restarts,
-        iters=cfg.iters,
-        tol=cfg.tol,
-        rng=np.random.default_rng(cfg.seed),
+        restarts=args.restarts,
+        iters=args.iters,
+        tol=args.tol,
+        rng=np.random.default_rng(args.seed),
     )
-    out = Path(cfg.out_path or "optimize.json")
+    out = Path(args.out_path or "optimize.json")
     optimizer.save_result(result, out)
     print(
         f"best_info={result.best_info:.9f} c={result.best_point.c:.6f} "
@@ -386,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("verify", help="run the built-in correctness checks")
 
     sim = sub.add_parser("simulate", help="run a protocol session")
-    sim.add_argument("--rounds", type=int, default=_DEFAULT_ROUNDS)
-    sim.add_argument("--check-fraction", type=float, default=_DEFAULT_CHECK_FRACTION)
+    sim.add_argument("--rounds", type=int, default=10000)
+    sim.add_argument("--check-fraction", type=float, default=0.5)
     sim.add_argument("--seed", type=int, default=_DEFAULT_SEED)
     sim.add_argument(
         "--attacker",
@@ -416,23 +395,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {k: v for k, v in vars(args).items() if v is not None}
-    return RunConfig(**fields)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
         handler = {
             "verify": cmd_verify,
             "simulate": cmd_simulate,
             "analyze": cmd_analyze,
             "sweep": cmd_sweep,
             "optimize": cmd_optimize,
-        }[cfg.command]
-        return handler(cfg)
+        }[args.command]
+        return handler(args)
     except (attack.SpecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,10 +20,10 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .attack import mutual_information
+from . import qmath
+from .attack import _sig12, mutual_information
 from .qstate import (
     PROTOCOL_BASES,
-    STATE_NORM_TOL,
     Basis,
     Outcome,
     StateMemo,
@@ -118,19 +118,18 @@ class AttackStrategy(Protocol):
 
     ``intercept`` receives the full state with registers A, B, C and the
     strategy's private register E appended and must return it after a
-    norm-preserving interaction on B, C, E. The states handed to the hooks
-    are shared across rounds and read-only: a hook returns a new state
-    rather than writing into one. ``announce_basis`` commits the
-    forged basis before any other announcement is revealed. ``respond`` is
-    called only on sifted rounds, after all bases are public: on check
-    rounds it must return an Outcome in the forged basis, on key rounds the
-    guessed secret bit.
+    norm-preserving interaction on B, C, E. E has dimension ``ancilla_dim``
+    and starts in |0...0>; any other fixed initial state folds into the
+    interaction. The states handed to the hooks are shared across rounds
+    and read-only: a hook returns a new state rather than writing into one.
+    ``announce_basis`` commits the forged basis before any other
+    announcement is revealed. ``respond`` is called only on sifted rounds,
+    after all bases are public: on check rounds it must return an Outcome
+    in the forged basis, on key rounds the guessed secret bit.
     """
 
     name: str
     ancilla_dim: int
-
-    def ancilla_state(self) -> np.ndarray: ...
 
     def intercept(self, state: StateVector, rng: np.random.Generator) -> StateVector: ...
 
@@ -203,7 +202,7 @@ def run_session(
     memo = StateMemo()
     prepared = ghz_state()
     if strategy is not None:
-        prepared = tensor_with_ancilla(prepared, "E", strategy.ancilla_dim, strategy.ancilla_state())
+        prepared = tensor_with_ancilla(prepared, "E", strategy.ancilla_dim)
     prepared = read_only(prepared)
 
     for r in range(n_rounds):
@@ -288,16 +287,8 @@ def _validate_intercepted(state: StateVector, strategy: AttackStrategy) -> None:
     if state.dims != (2, 2, 2, strategy.ancilla_dim):
         raise SessionAbort(f"intercept returned register dims {state.dims}")
     # the tolerance measurement requires, so a state passing here is measurable
-    if abs(state.norm - 1.0) > STATE_NORM_TOL:
+    if abs(state.norm - 1.0) > qmath.STRUCT_TOL:
         raise SessionAbort(f"intercept broke normalisation (norm {state.norm})")
-
-
-def error_rate(transcript: SessionTranscript) -> float:
-    """Fraction of check rounds failing the correlation table."""
-    checks = [r for r in transcript.rounds if r.role is Role.CHECK]
-    if not checks:
-        raise ValueError("error rate undefined: transcript has no check rounds")
-    return sum(1 for r in checks if r.consistent is False) / len(checks)
 
 
 def info_rate(transcript: SessionTranscript) -> float:
@@ -308,10 +299,6 @@ def info_rate(transcript: SessionTranscript) -> float:
     truth = transcript.key_alice
     disagree = sum(1 for g, k in zip(guesses, truth) if g != k) / len(guesses)
     return mutual_information(disagree)
-
-
-def _sig12(x: float | None):
-    return None if x is None else float(f"{x:.12g}")
 
 
 def _round_row(r: RoundRecord) -> dict:

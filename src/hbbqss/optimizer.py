@@ -5,9 +5,9 @@ orthogonal ancilla states, the amplitude magnitudes reduce to a single
 parameter c = |a00| = |a11| (with |a01| = |a10| = sqrt(1/2 - c^2)), and the
 information is a smooth unimodal function of c. A golden-section search
 over c combined with random restarts over the amplitude phases verifies
-that the maximum is one full bit, attained at c = 1/2. A projected random
-search over unconstrained feasible specs probes for anything better off
-that manifold.
+that the maximum is one full bit, attained at c = 1/2. Random family points
+with random orthonormal ancilla states feed the built-in checks, and a dense
+closed-form scan serves as an oracle.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .attack import (
     ConsistencyError,
     SpecError,
     _closed_form,
+    _sig12,
     analyze,
     mutual_information,
 )
@@ -218,57 +219,15 @@ def random_family_point(
     return AttackFamilyPoint(c, phases, eps)
 
 
-def random_feasible_search(
-    samples: int, rng: np.random.Generator | None = None
-) -> tuple[float, AttackSpec | None]:
-    """Probe feasible specs beyond the orthogonal-ancilla manifold.
-
-    Draws random detection-passing specs, including degenerate amplitude
-    patterns where some amplitudes vanish (which satisfy the constraints
-    without full ancilla orthogonality), and reports the best information
-    found through the full numeric analysis.
-    """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    best = -1.0
-    best_spec = None
-    for k in range(samples):
-        kind = k % 4
-        if kind in (0, 1):
-            spec = random_family_point(rng).to_spec()
-        elif kind == 2:
-            # Diagonal amplitudes only; the single remaining constraint is
-            # orthogonality of the two active ancilla states.
-            eps = random_orthonormal(rng, 4, 4)
-            a = np.zeros((2, 2), dtype=complex)
-            a[0, 0] = INV_SQRT2 * np.exp(1j * rng.uniform(0, 2 * math.pi))
-            a[1, 1] = INV_SQRT2 * np.exp(1j * rng.uniform(0, 2 * math.pi))
-            spec = AttackSpec(2, a, eps)
-        else:
-            # Anti-diagonal amplitudes only.
-            eps = random_orthonormal(rng, 4, 4)
-            a = np.zeros((2, 2), dtype=complex)
-            a[0, 1] = INV_SQRT2 * np.exp(1j * rng.uniform(0, 2 * math.pi))
-            a[1, 0] = INV_SQRT2 * np.exp(1j * rng.uniform(0, 2 * math.pi))
-            spec = AttackSpec(2, a, eps)
-        report = analyze(spec)
-        if report.escape_ok and report.info > best:
-            best = report.info
-            best_spec = spec
-    return best, best_spec
-
-
 def result_to_dict(result: OptimizationResult) -> dict:
-    def num(x):
-        return float(f"{x:.12g}")
-
     return {
-        "best_info": num(result.best_info),
+        "best_info": _sig12(result.best_info),
         "best_point": {
-            "c": num(result.best_point.c),
-            "s": num(result.best_point.s),
-            "phases": [num(p) for p in result.best_point.phases],
+            "c": _sig12(result.best_point.c),
+            "s": _sig12(result.best_point.s),
+            "phases": [_sig12(p) for p in result.best_point.phases],
         },
-        "trace": [[i, num(v)] for i, v in result.trace],
+        "trace": [[i, _sig12(v)] for i, v in result.trace],
         "converged": result.converged,
     }
 

@@ -4,11 +4,11 @@ Plain numpy arrays are the working currency: kets are 1-D complex arrays,
 operators are 2-D complex arrays. The eigensolver is a cyclic Jacobi
 iteration specialised to Hermitian matrices; at these dimensions robustness
 beats asymptotics and it keeps the numerical contract fully in-house.
-There is one sweep, and it runs over a stack of matrices at once: each
-member is rotated with the operations it would get alone and leaves the
-sweep when it converges, so a member's result is bit for bit its result as
-a stack of one. Single-matrix calls are stacks of one. Trace norms run the
-same sweep without accumulating eigenvectors.
+There is one sweep, and it runs over a (k, n, n) stack of matrices at
+once: each member is rotated with the operations it would get alone and
+leaves the sweep when it converges, so a member's result is bit for bit its
+result as a stack of one (a single matrix ``m`` is passed as ``m[None]``).
+Trace norms run the same sweep without accumulating eigenvectors.
 All functions are pure and safe for concurrent use.
 """
 
@@ -18,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-#: Structural tolerance for Hermiticity / unitarity / normalisation checks.
+#: Structural tolerance for Hermiticity / unitarity / normalisation checks,
+#: including the norm required of states handed to measurement.
 STRUCT_TOL = 1e-10
 
 _JACOBI_OFF_TOL = 1e-14
@@ -61,37 +62,27 @@ def norm(v) -> float:
     return float(np.sqrt((np.abs(vv) ** 2).sum()))
 
 
-def hermitian_eigen(h, hermitian_tol: float = STRUCT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues sorted descending, unitary matrix of column
-    eigenvectors in matching order). Input deviating from Hermiticity by
-    more than ``hermitian_tol`` (max absolute entry of h - h^dagger) is
-    rejected with the measured deviation.
-    """
-    w, v = hermitian_eigen_stack(as_matrix(h)[None], hermitian_tol)
-    return w[0], v[0]
-
-
 def hermitian_eigen_stack(hs, hermitian_tol: float = STRUCT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`hermitian_eigen` of every member of a (k, n, n) stack in one
-    sweep: (k, n) eigenvalues and (k, n, n) eigenvectors."""
+    """Eigendecomposition of every member of a (k, n, n) stack of Hermitian
+    matrices by cyclic Jacobi rotations, in one sweep.
+
+    Returns ((k, n) eigenvalues sorted descending, (k, n, n) unitary
+    matrices of column eigenvectors in matching order). A member deviating
+    from Hermiticity by more than ``hermitian_tol`` (max absolute entry of
+    h - h^dagger) is rejected with the measured deviation.
+    """
     w, v = _jacobi(_hermitian_stack(hs, hermitian_tol), vectors=True)
     order = np.argsort(-w, axis=1, kind="stable")
     return np.take_along_axis(w, order, axis=1), np.take_along_axis(v, order[:, None, :], axis=2)
 
 
-def trace_norm(m) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix, Tr sqrt(M^dagger M).
-
-    Runs the Jacobi sweep of :func:`hermitian_eigen` without accumulating
-    eigenvectors; the eigenvalues, and so the sum, are bit-identical.
-    """
-    return float(trace_norm_stack(as_matrix(m)[None])[0])
-
-
 def trace_norm_stack(ms) -> np.ndarray:
-    """:func:`trace_norm` of every member of a (k, n, n) stack in one sweep."""
+    """Trace norm Tr sqrt(M^dagger M), the sum of absolute eigenvalues, of
+    every member of a (k, n, n) stack of Hermitian matrices.
+
+    Runs the sweep of :func:`hermitian_eigen_stack` without accumulating
+    eigenvectors; the eigenvalues, and so the sums, are bit-identical.
+    """
     w, _ = _jacobi(_hermitian_stack(ms, STRUCT_TOL), vectors=False)
     return np.abs(np.take_along_axis(w, np.argsort(-w, axis=1, kind="stable"), axis=1)).sum(axis=1)
 

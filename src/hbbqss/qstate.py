@@ -1,4 +1,4 @@
-"""States, measurement bases, gates, and Born-rule measurement.
+"""States, measurement bases, gate matrices, and Born-rule measurement.
 
 A :class:`StateVector` carries named registers (e.g. A, B, C, E) with
 per-register dimensions; the first register is the most significant index
@@ -24,9 +24,6 @@ import numpy as np
 from . import qmath
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
-
-#: Norm tolerance required of states handed to measurement operations.
-STATE_NORM_TOL = 1e-10
 
 #: Probability below which a projection branch is considered impossible.
 ZERO_BRANCH_TOL = 1e-12
@@ -98,9 +95,6 @@ CNOT_MATRIX = np.array(
 )
 IDENTITY2 = np.eye(2, dtype=complex)
 
-GATE_NAMES = ("H", "S", "SH", "CNOT", "Identity")
-
-
 def gate_matrix(name: str) -> np.ndarray:
     """Current matrix for a named gate (module globals are read live)."""
     if name == "H":
@@ -114,21 +108,6 @@ def gate_matrix(name: str) -> np.ndarray:
     if name == "Identity":
         return IDENTITY2
     raise ValueError(f"unknown gate {name!r}")
-
-
-@dataclass(frozen=True)
-class Gate:
-    name: str
-    matrix: np.ndarray
-
-
-def gate(name: str) -> Gate:
-    """Named gate with its matrix, validated unitary."""
-    m = gate_matrix(name)
-    dev = float(np.abs(m @ m.conj().T - np.eye(m.shape[0])).max())
-    if dev > qmath.STRUCT_TOL:
-        raise ValueError(f"gate {name} is not unitary (deviation {dev:.3e})")
-    return Gate(name, m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,19 +130,6 @@ class StateVector:
     @property
     def norm(self) -> float:
         return float(np.sqrt((np.abs(self.vec) ** 2).sum()))
-
-
-def state_vector(labels: Sequence[str], dims: Sequence[int], vec) -> StateVector:
-    labels = tuple(labels)
-    dims = tuple(int(d) for d in dims)
-    if len(labels) != len(dims) or len(set(labels)) != len(labels):
-        raise ValueError(f"bad register spec {labels} / {dims}")
-    if any(d <= 0 for d in dims):
-        raise ValueError(f"register dimensions must be positive: {dims}")
-    arr = qmath.as_vector(vec)
-    if arr.size != int(np.prod(dims)):
-        raise ValueError(f"vector size {arr.size} does not match dims {dims}")
-    return StateVector(labels, dims, arr)
 
 
 def ghz_state() -> StateVector:
@@ -217,10 +183,8 @@ def apply_operator(state: StateVector, matrix, labels: Sequence[str]) -> StateVe
     return StateVector(state.labels, state.dims, out.reshape(-1))
 
 
-def apply_gate(state: StateVector, g: Gate | str, targets) -> StateVector:
+def apply_gate(state: StateVector, name: str, targets) -> StateVector:
     """Apply a named gate; CNOT takes (control, target) labels."""
-    name = g.name if isinstance(g, Gate) else g
-    m = g.matrix if isinstance(g, Gate) else gate_matrix(name)
     if isinstance(targets, str):
         targets = (targets,)
     targets = tuple(targets)
@@ -231,7 +195,7 @@ def apply_gate(state: StateVector, g: Gate | str, targets) -> StateVector:
         if state.dim_of(t) != 2:
             raise ValueError(f"gate {name} requires a qubit register, {t} has dim {state.dim_of(t)}")
     before = state.norm
-    out = apply_operator(state, m, targets)
+    out = apply_operator(state, gate_matrix(name), targets)
     if abs(out.norm - before) > 1e-12:
         raise ValueError(f"gate {name} did not preserve the norm")
     return out
@@ -249,7 +213,7 @@ def project_qubit(state: StateVector, label: str, onto) -> tuple[float, StateVec
         raise ValueError(
             f"ket of dim {ket.shape[0]} cannot project register {label} of dim {state.dims[ax]}"
         )
-    if abs(float(np.sqrt((np.abs(ket) ** 2).sum())) - 1.0) > STATE_NORM_TOL:
+    if abs(float(np.sqrt((np.abs(ket) ** 2).sum())) - 1.0) > qmath.STRUCT_TOL:
         raise ValueError("projection ket must be normalised")
     # <ket| contracted with the register's axis, as np.tensordot computes it
     tensor = state.vec.reshape(state.dims)
@@ -268,24 +232,30 @@ def _branches(
     state: StateVector, label: str, basis: Basis
 ) -> tuple[float, StateVector | None, StateVector | None]:
     """Both Born-rule branches of measuring one register: (p_plus, cond_plus, cond_minus)."""
-    if abs(state.norm - 1.0) > STATE_NORM_TOL:
-        raise ValueError(f"state norm {state.norm} deviates from 1 beyond {STATE_NORM_TOL}")
+    if abs(state.norm - 1.0) > qmath.STRUCT_TOL:
+        raise ValueError(f"state norm {state.norm} deviates from 1 beyond {qmath.STRUCT_TOL}")
     plus, minus = basis_kets(basis)
     p_plus, cond_plus = project_qubit(state, label, plus)
     _, cond_minus = project_qubit(state, label, minus)
     return p_plus, cond_plus, cond_minus
 
 
-def _draw(branches: tuple, basis: Basis, rng: np.random.Generator) -> tuple[Outcome, StateVector | None]:
-    """The branch taken and its state; one draw unless a branch is impossible."""
-    p_plus, cond_plus, cond_minus = branches
+def _draw_plus(p_plus: float, rng: np.random.Generator) -> bool:
+    """Whether a two-outcome draw with probability ``p_plus`` of + lands on
+    +; one generator draw unless a branch is impossible."""
     if p_plus <= ZERO_BRANCH_TOL:
-        sign = Sign.MINUS
-    elif 1.0 - p_plus <= ZERO_BRANCH_TOL:
-        sign = Sign.PLUS
-    else:
-        sign = Sign.PLUS if rng.random() < p_plus else Sign.MINUS
-    return Outcome(sign, basis), cond_plus if sign is Sign.PLUS else cond_minus
+        return False
+    if 1.0 - p_plus <= ZERO_BRANCH_TOL:
+        return True
+    return rng.random() < p_plus
+
+
+def _draw(branches: tuple, basis: Basis, rng: np.random.Generator) -> tuple[Outcome, StateVector | None]:
+    """The branch taken and its state."""
+    p_plus, cond_plus, cond_minus = branches
+    if _draw_plus(p_plus, rng):
+        return Outcome(Sign.PLUS, basis), cond_plus
+    return Outcome(Sign.MINUS, basis), cond_minus
 
 
 def measure_qubit(

@@ -151,7 +151,7 @@ def test_global_state_kki_normalised_and_perfect():
 def test_conditional_states_circuit_spec_xx_case():
     table = conditional_states(circuit_spec(), Case.XX)
     for (m, n) in ((a, b) for a in "+-" for b in "+-"):
-        weight = table.weight(Sign(m), Sign(n))
+        weight = table.entries[Sign(m), Sign(n)][0]
         assert weight == pytest.approx(0.25, abs=1e-12)
         phi = table.phi(Sign(m), Sign(n))
         expected = CASE_CONDITIONALS[(Case.XX, m, n)]
@@ -171,7 +171,7 @@ def test_conditional_states_honest_follow_the_table():
     kets = basis_kets(Basis.X)
     for m in (Sign.PLUS, Sign.MINUS):
         for n in (Sign.PLUS, Sign.MINUS):
-            assert table.weight(m, n) == pytest.approx(0.25, abs=1e-12)
+            assert table.entries[m, n][0] == pytest.approx(0.25, abs=1e-12)
             # Charlie's qubit holds exactly the table outcome for (m, n):
             # same signs give x+, different signs x- (E is trivial here)
             expected = kets[0] if m == n else kets[1]
@@ -251,7 +251,7 @@ def test_rho_pair_handles_vanishing_branches():
         2, np.array([[R, 0.0], [0.0, R]], dtype=complex), eps
     )
     table = conditional_states(spec, Case.XX)
-    assert table.weight(Sign.PLUS, Sign.MINUS) <= 1e-12
+    assert table.entries[Sign.PLUS, Sign.MINUS][0] <= 1e-12
     assert table.phi(Sign.PLUS, Sign.MINUS) is None
     rho_plus, rho_minus = rho_pair(spec, Case.XX)
     assert abs(np.trace(rho_plus) - 1.0) <= 1e-10
@@ -263,7 +263,7 @@ def test_rho_pair_circuit_spec_orthogonal_supports():
     rho_plus, rho_minus = rho_pair(circuit_spec(), Case.XX)
     for rho in (rho_plus, rho_minus):
         assert abs(np.trace(rho) - 1.0) <= 1e-10
-        w, _ = qmath.hermitian_eigen(rho)
+        w, _ = qmath.hermitian_eigen_stack(rho[None])
         assert w.min() >= -1e-10
         assert np.linalg.matrix_rank(rho, tol=1e-9) == 2
     assert np.abs(rho_plus @ rho_minus).max() <= 1e-12
@@ -419,7 +419,7 @@ def test_nas_necessity_sampled(rng):
 
 def alice_priors(table):
     """Probabilities of Alice's + and - outcomes in one case."""
-    p_plus = sum(table.weight(Sign.PLUS, n) for n in (Sign.PLUS, Sign.MINUS))
+    p_plus = sum(table.entries[Sign.PLUS, n][0] for n in (Sign.PLUS, Sign.MINUS))
     return p_plus, 1.0 - p_plus
 
 
@@ -587,7 +587,7 @@ def _full_route_announce(spec, case):
     table = conditional_states(spec, case)
 
     def mix(branches):
-        weights = [table.weight(*b) for b in branches]
+        weights = [table.entries[b][0] for b in branches]
         rho = sum(w * np.outer(table.phi(*b), table.phi(*b).conj()) for w, b in zip(weights, branches))
         return rho / sum(weights), sum(weights)
 

@@ -162,6 +162,38 @@ def test_simulate_reports_schema_problems(tmp_path, capsys):
 # analyze
 
 
+def _honest_doc_with(path, value):
+    """The honest spec's document with the entry at ``path`` replaced."""
+    doc = attack.spec_to_dict(attack.honest_spec())
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        (("ancilla_dim",), 1.9),
+        (("ancilla_dim",), "1"),
+        (("ancilla_dim",), True),
+        (("a", 0, 0), "0.7071067811865476"),
+        (("a", 3, 1), False),
+    ],
+    ids=["dim-float", "dim-string", "dim-bool", "re-string", "im-bool"],
+)
+def test_analyze_rejects_spec_fields_that_are_not_json_numbers(tmp_path, capsys, path, value):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_honest_doc_with(path, value)))
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--spec", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_analyze_bundled_kki(tmp_path, capsys):
     out = tmp_path / "r.json"
     rc = main(["analyze", "--spec", "kki", "--out", str(out)])
@@ -307,11 +339,17 @@ def test_bundled_specs_resolve():
         assert isinstance(spec, attack.AttackSpec)
 
 
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        cli.RunConfig(command="simulate", attacker="spec", spec_path=None)
-    cfg = cli.RunConfig(command="simulate")
-    assert cfg.rounds == 10000 and cfg.check_fraction == 0.5 and cfg.seed == 42
+def test_run_config_validation(capsys):
+    args = cli.build_parser().parse_args(["simulate"])
+    assert args.rounds == 10000 and args.check_fraction == 0.5 and args.seed == 42
+    assert args.attacker == "none" and args.spec_path is None and args.out_format == "json"
+    args = cli.build_parser().parse_args(["optimize"])
+    assert (args.restarts, args.iters, args.tol, args.seed) == (4, optimizer.MAX_ITERS, 1e-6, 42)
+    assert cli.build_parser().parse_args(["sweep"]).grid == 41
+    assert main(["simulate", "--attacker", "spec", "--rounds", "10"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --spec is required exactly when --attacker spec is chosen\n"
+    )
 
 
 def test_console_entry_point(tmp_path):

@@ -10,7 +10,6 @@ from hbbqss.hbb import (
     SessionAbort,
     CORRELATION_TABLE,
     completion_basis,
-    error_rate,
     infer_alice,
     info_rate,
     run_session,
@@ -107,7 +106,6 @@ def test_infer_alice_rejects_wrong_basis_announcement():
 def test_honest_session_has_no_errors():
     t = run_session(4000, check_fraction=0.5, seed=101)
     assert t.check_error_rate == 0.0
-    assert error_rate(t) == 0.0
     assert t.attacker_key_guess is None
     assert t.key_alice == t.key_reconstructed
     assert len(t.rounds) == 4000
@@ -148,8 +146,6 @@ def test_check_fraction_extremes():
     t_none = run_session(500, check_fraction=0.0, seed=1)
     assert all(r.role is not Role.CHECK for r in t_none.rounds)
     assert t_none.check_error_rate is None
-    with pytest.raises(ValueError):
-        error_rate(t_none)
 
 
 def test_run_session_validates_arguments():
@@ -183,9 +179,6 @@ class ProbeStrategy:
 
     def __init__(self):
         self.events = []
-
-    def ancilla_state(self):
-        return np.array([1.0 + 0j])
 
     def intercept(self, state, rng):
         self.events.append(("intercept", None))
@@ -234,6 +227,29 @@ def test_probe_events_follow_the_round_order():
     assert probe.events == expected
 
 
+class AncillaReader(ProbeStrategy):
+    """A strategy with a three-level ancilla and no ``ancilla_state`` hook."""
+
+    name = "ancilla-reader"
+    ancilla_dim = 3
+
+    def intercept(self, state, rng):
+        self.events.append(("intercept", state))
+        return state
+
+
+def test_strategy_ancilla_starts_in_its_first_basis_state():
+    reader = AncillaReader()
+    assert not hasattr(reader, "ancilla_state")
+    run_session(40, check_fraction=0.5, strategy=reader, seed=8)
+    expected = np.kron(qstate.ghz_state().vec, [1.0, 0.0, 0.0])
+    states = [e[1] for e in reader.events if e[0] == "intercept"]
+    assert len(states) == 40
+    for state in states:
+        assert state.labels == ("A", "B", "C", "E") and state.dims == (2, 2, 2, 3)
+        assert np.array_equal(state.vec, expected)
+
+
 class NormBreaker(ProbeStrategy):
     """Scales the state it is handed from a given round on."""
 
@@ -263,7 +279,7 @@ def test_intercept_breaking_the_norm_aborts_at_that_round(k):
 
 
 def test_intercept_norm_is_checked_at_the_measurement_tolerance():
-    # 5e-10 off is not measurable (STATE_NORM_TOL = 1e-10): the contract
+    # 5e-10 off is not measurable (qmath.STRUCT_TOL = 1e-10): the contract
     # check must abort the session rather than let measurement raise
     with pytest.raises(SessionAbort, match="normalisation"):
         run_session(50, check_fraction=0.5, strategy=NormBreaker(3, 1.0 + 5e-10), seed=4)

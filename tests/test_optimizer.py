@@ -10,7 +10,7 @@ from hbbqss.optimizer import (
     maximize,
     objective,
     random_family_point,
-    random_feasible_search,
+    random_orthonormal,
     result_to_dict,
     scan,
 )
@@ -159,6 +159,37 @@ def test_dense_scan_has_unique_maximum_at_half():
 
 # ---------------------------------------------------------------------------
 # off-manifold probing
+
+
+def random_feasible_search(samples, rng):
+    """Probe feasible specs beyond the orthogonal-ancilla manifold.
+
+    Draws random detection-passing specs, including degenerate amplitude
+    patterns where some amplitudes vanish (which satisfy the constraints
+    without full ancilla orthogonality), and reports the best information
+    found through the full numeric analysis.
+    """
+    best = -1.0
+    best_spec = None
+    for k in range(samples):
+        kind = k % 4
+        if kind in (0, 1):
+            spec = random_family_point(rng).to_spec()
+        else:
+            # Diagonal (kind 2) or anti-diagonal (kind 3) amplitudes only; the
+            # single remaining constraint is orthogonality of the two active
+            # ancilla states.
+            eps = random_orthonormal(rng, 4, 4)
+            a = np.zeros((2, 2), dtype=complex)
+            cells = ((0, 0), (1, 1)) if kind == 2 else ((0, 1), (1, 0))
+            for cell in cells:
+                a[cell] = INV_SQRT2 * np.exp(1j * rng.uniform(0, 2 * math.pi))
+            spec = attack.AttackSpec(2, a, eps)
+        report = attack.analyze(spec)
+        if report.escape_ok and report.info > best:
+            best = report.info
+            best_spec = spec
+    return best, best_spec
 
 
 def test_random_feasible_search_never_beats_the_manifold(rng):

@@ -22,18 +22,29 @@ def random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def eigen(h):
+    """Eigenvalues and eigenvectors of one matrix, as a stack of one."""
+    w, v = qmath.hermitian_eigen_stack(np.asarray(h)[None])
+    return w[0], v[0]
+
+
+def trace_norm(m) -> float:
+    """Trace norm of one matrix, as a stack of one."""
+    return float(qmath.trace_norm_stack(np.asarray(m)[None])[0])
+
+
 # ---------------------------------------------------------------------------
-# hermitian_eigen
+# hermitian_eigen_stack on single matrices
 
 
 def test_eigen_pauli_z():
-    w, _ = qmath.hermitian_eigen(np.diag([1.0, -1.0]))
+    w, _ = eigen(np.diag([1.0, -1.0]))
     assert np.allclose(w, [1.0, -1.0])
 
 
 def test_eigen_pauli_x():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
-    w, v = qmath.hermitian_eigen(x)
+    w, v = eigen(x)
     assert np.allclose(w, [1.0, -1.0])
     # eigenvectors match |x+->, |x--> up to phase
     assert abs(abs(np.vdot(v[:, 0], [R, R])) - 1.0) <= 1e-9
@@ -43,7 +54,7 @@ def test_eigen_pauli_x():
 def test_eigen_reconstruction_random(rng):
     for n in (2, 3, 4, 8, 16):
         h = random_hermitian(rng, n)
-        w, v = qmath.hermitian_eigen(h)
+        w, v = eigen(h)
         assert np.all(np.diff(w) <= 1e-12)  # sorted descending
         recon = v @ np.diag(w) @ v.conj().T
         assert np.abs(recon - h).max() <= 1e-9
@@ -56,7 +67,7 @@ def test_eigen_eigenvalue_sum_equals_trace(rng):
     for _ in range(20):
         n = int(rng.integers(2, 17))
         h = random_hermitian(rng, n)
-        w, _ = qmath.hermitian_eigen(h)
+        w, _ = eigen(h)
         assert abs(w.sum() - np.trace(h).real) <= 1e-9
 
 
@@ -64,59 +75,59 @@ def test_eigen_degenerate_spectrum():
     # four-fold structure with doubled eigenvalues
     d = np.diag([0.3, 0.3, -0.3, -0.3]).astype(complex)
     u = random_unitary(np.random.default_rng(3), 4)
-    w, v = qmath.hermitian_eigen(u @ d @ u.conj().T)
+    w, v = eigen(u @ d @ u.conj().T)
     assert np.allclose(w, [0.3, 0.3, -0.3, -0.3], atol=1e-10)
     assert np.abs(v @ v.conj().T - np.eye(4)).max() <= 1e-9
 
 
 def test_eigen_rejects_nonhermitian():
     with pytest.raises(qmath.NonHermitianError, match="deviation"):
-        qmath.hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
+        eigen(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_eigen_rejects_nonsquare():
     with pytest.raises(ValueError):
-        qmath.hermitian_eigen(np.ones((2, 3)))
+        eigen(np.ones((2, 3)))
 
 
 # ---------------------------------------------------------------------------
-# trace_norm
+# trace_norm_stack on single matrices
 
 
 def test_trace_norm_diagonal():
-    assert qmath.trace_norm(np.diag([3.0, -4.0])) == pytest.approx(7.0, abs=1e-12)
+    assert trace_norm(np.diag([3.0, -4.0])) == pytest.approx(7.0, abs=1e-12)
 
 
 def test_trace_norm_zero():
-    assert qmath.trace_norm(np.zeros((3, 3))) == 0.0
+    assert trace_norm(np.zeros((3, 3))) == 0.0
 
 
 def test_trace_norm_projector_difference():
     # half the difference of |x+><x+| and |0><0| has eigenvalues +-1/(2 sqrt 2)
     m = 0.5 * (np.outer(XPLUS, XPLUS) - np.outer(KET0, KET0))
-    assert qmath.trace_norm(m) == pytest.approx(0.7071067811865475, abs=1e-12)
+    assert trace_norm(m) == pytest.approx(0.7071067811865475, abs=1e-12)
 
 
 def test_trace_norm_unitary_invariance(rng):
     for n in (2, 4, 8):
         h = random_hermitian(rng, n)
         u = random_unitary(rng, n)
-        base = qmath.trace_norm(h)
-        rotated = qmath.trace_norm(u @ h @ u.conj().T)
+        base = trace_norm(h)
+        rotated = trace_norm(u @ h @ u.conj().T)
         assert abs(base - rotated) <= 1e-8 * max(1.0, base)
 
 
 def test_trace_norm_is_the_sorted_eigenvalue_sum_bit_for_bit(rng):
-    # the eigenvector-free sweep makes the same rotations as hermitian_eigen
+    # the eigenvector-free sweep makes the same rotations as hermitian_eigen_stack
     for n in range(1, 9):
         for _ in range(3):
             h = random_hermitian(rng, n)
-            assert qmath.trace_norm(h) == float(np.abs(qmath.hermitian_eigen(h)[0]).sum())
+            assert trace_norm(h) == float(np.abs(eigen(h)[0]).sum())
 
 
 def test_trace_norm_rejects_nonhermitian():
     with pytest.raises(qmath.NonHermitianError, match="deviation"):
-        qmath.trace_norm(np.array([[0, 1], [0, 0]], dtype=complex))
+        trace_norm(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +199,11 @@ def test_stacked_sweep_gives_each_member_its_single_result_bit_for_bit(rng, n, k
     norms = qmath.trace_norm_stack(stack)
     assert w.shape == (k, n) and v.shape == (k, n, n) and norms.shape == (k,)
     for i, h in enumerate(stack):
-        w1, v1 = qmath.hermitian_eigen(h)
+        w1, v1 = eigen(h)
         w_loop, v_loop = _loop_eigen(h)
         assert w[i].tobytes() == w1.tobytes() == w_loop.tobytes()
         assert v[i].tobytes() == v1.tobytes() == v_loop.tobytes()
-        assert float(norms[i]).hex() == qmath.trace_norm(h).hex()
+        assert float(norms[i]).hex() == trace_norm(h).hex()
         assert float(norms[i]) == float(np.abs(w_loop).sum())
         assert np.abs(v1 @ np.diag(w1) @ v1.conj().T - h).max() <= 1e-9
 

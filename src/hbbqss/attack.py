@@ -297,8 +297,7 @@ def escape_check(spec: AttackSpec, tol: float = DEFAULT_TOL) -> bool:
     orthogonality test on explicitly constructed conditional states. A
     disagreement is surfaced as ConsistencyError, never silently resolved.
     """
-    tables = [conditional_states(spec, case) for case in CASES]
-    return _escape_flag(detection_residuals(spec), tables, tol)
+    return _escape_flag(detection_residuals(spec), _case_tables(global_state(spec)), tol)
 
 
 def _escape_flag(

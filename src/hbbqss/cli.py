@@ -124,8 +124,8 @@ def _check_decoder_transforms() -> tuple[float, str]:
         zip(_DETECTION_TARGETS_XX.values(), _INFO_TARGETS_XX.values()),
     ):
         phi = table.phi(qstate.Sign(m), qstate.Sign(n))
-        det = exploit._detection_transform(attack.Case.XX) @ phi
-        inf = exploit._info_transform(attack.Case.XX) @ phi
+        det = exploit._decoder(hbb.Role.CHECK, attack.Case.XX)[0] @ phi
+        inf = exploit._decoder(hbb.Role.KEY, attack.Case.XX)[0] @ phi
         worst = max(worst, qstate.phase_aligned_distance(det, det_target))
         worst = max(worst, qstate.phase_aligned_distance(inf, info_target))
     if worst > 1e-12:
@@ -150,9 +150,9 @@ def _check_decoder_soundness() -> tuple[float, str]:
                 if exploit.info_decode(phi, case) != alice.bit:
                     bad += 1
                 # The announcement must also be deterministic, not a lucky argmax.
-                out = exploit._detection_transform(case) @ phi
-                probs = np.abs(out) ** 2
-                mass = sum(probs[int(l, 2)] for l in exploit.ANNOUNCEMENT_MAP[case][required])
+                transform, bits = exploit._decoder(hbb.Role.CHECK, case)
+                probs = np.abs(transform @ phi) ** 2
+                mass = sum(p for p, bit in zip(probs, bits) if bit == required)
                 worst_mass = max(worst_mass, abs(1.0 - mass))
     if bad or worst_mass > 1e-12:
         raise AssertionError(
@@ -264,14 +264,7 @@ def _build_strategy(args: argparse.Namespace):
     if args.attacker == "intercept-resend":
         return exploit.intercept_resend_strategy()
     if args.attacker == "spec":
-        spec = resolve_spec(args.spec_path)
-        ok, diag = attack.is_realizable(spec)
-        if not ok:
-            raise attack.SpecError(
-                f"spec is not realizable by any unitary interaction: "
-                f"branch norms {diag['branch_norms']}, overlap {diag['branch_overlap']:.3e}"
-            )
-        return exploit.spec_attack_strategy(spec)
+        return exploit.spec_attack_strategy(resolve_spec(args.spec_path))
     raise ValueError(f"unknown attacker {args.attacker!r}")
 
 

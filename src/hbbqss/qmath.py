@@ -62,16 +62,16 @@ def norm(v) -> float:
     return float(np.sqrt((np.abs(vv) ** 2).sum()))
 
 
-def hermitian_eigen_stack(hs, hermitian_tol: float = STRUCT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigen_stack(hs) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of every member of a (k, n, n) stack of Hermitian
     matrices by cyclic Jacobi rotations, in one sweep.
 
     Returns ((k, n) eigenvalues sorted descending, (k, n, n) unitary
     matrices of column eigenvectors in matching order). A member deviating
-    from Hermiticity by more than ``hermitian_tol`` (max absolute entry of
+    from Hermiticity by more than ``STRUCT_TOL`` (max absolute entry of
     h - h^dagger) is rejected with the measured deviation.
     """
-    w, v = _jacobi(_hermitian_stack(hs, hermitian_tol), vectors=True)
+    w, v = _jacobi(_hermitian_stack(hs), vectors=True)
     order = np.argsort(-w, axis=1, kind="stable")
     return np.take_along_axis(w, order, axis=1), np.take_along_axis(v, order[:, None, :], axis=2)
 
@@ -83,13 +83,13 @@ def trace_norm_stack(ms) -> np.ndarray:
     Runs the sweep of :func:`hermitian_eigen_stack` without accumulating
     eigenvectors; the eigenvalues, and so the sums, are bit-identical.
     """
-    w, _ = _jacobi(_hermitian_stack(ms, STRUCT_TOL), vectors=False)
+    w, _ = _jacobi(_hermitian_stack(ms), vectors=False)
     return np.abs(np.take_along_axis(w, np.argsort(-w, axis=1, kind="stable"), axis=1)).sum(axis=1)
 
 
-def _hermitian_stack(hs, hermitian_tol: float) -> np.ndarray:
+def _hermitian_stack(hs) -> np.ndarray:
     """The Hermitian parts of a finite (k, n, n) stack whose members all lie
-    within ``hermitian_tol`` of Hermitian."""
+    within ``STRUCT_TOL`` of Hermitian."""
     m = np.asarray(hs, dtype=complex)
     if m.ndim != 3 or m.size == 0:
         raise ValueError(f"expected a nonempty stack of matrices, got shape {m.shape}")
@@ -99,11 +99,11 @@ def _hermitian_stack(hs, hermitian_tol: float) -> np.ndarray:
     mh = m.conj().transpose(0, 2, 1)
     deviation = np.abs(m - mh).max(axis=(1, 2))
     worst = int(np.argmax(deviation))
-    if deviation[worst] > hermitian_tol:
+    if deviation[worst] > STRUCT_TOL:
         where = f" (member {worst} of {len(m)})" if len(m) > 1 else ""
         raise NonHermitianError(
             f"Hermitian deviation {deviation[worst]:.3e} exceeds tolerance "
-            f"{hermitian_tol:.1e}{where}"
+            f"{STRUCT_TOL:.1e}{where}"
         )
     return 0.5 * (m + mh)
 

@@ -93,7 +93,7 @@ CNOT_MATRIX = np.array(
     ],
     dtype=complex,
 )
-IDENTITY2 = np.eye(2, dtype=complex)
+
 
 def gate_matrix(name: str) -> np.ndarray:
     """Current matrix for a named gate (module globals are read live)."""
@@ -105,8 +105,6 @@ def gate_matrix(name: str) -> np.ndarray:
         return S_MATRIX @ H_MATRIX
     if name == "CNOT":
         return CNOT_MATRIX
-    if name == "Identity":
-        return IDENTITY2
     raise ValueError(f"unknown gate {name!r}")
 
 
@@ -344,11 +342,10 @@ def insert_register(state: StateVector, label: str, ket, position: int) -> State
     return StateVector(labels, dims, t.reshape(-1))
 
 
-def tensor_with_ancilla(state: StateVector, label: str, dim: int, ket=None) -> StateVector:
-    """Append a trailing register, default-initialised to its first basis state."""
-    if ket is None:
-        ket = np.zeros(dim, dtype=complex)
-        ket[0] = 1.0
+def tensor_with_ancilla(state: StateVector, label: str, dim: int) -> StateVector:
+    """Append a trailing register in its first basis state."""
+    ket = np.zeros(dim, dtype=complex)
+    ket[0] = 1.0
     return insert_register(state, label, ket, len(state.labels))
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from _literals import CASE_CONDITIONALS, DETECTION_TARGETS_XX, INFO_TARGETS_XX
+from test_optimizer import scan
 from hbbqss import attack, exploit, hbb, optimizer
 from hbbqss.attack import CASES, Case, analyze, global_state
 from hbbqss.cli import perturbed_spec
@@ -97,7 +98,7 @@ def test_criterion_5_optimizer_maximum():
     assert result.converged
     assert abs(result.best_info - 1.0) <= 1e-6
     assert abs(result.best_point.c - 0.5) <= 1e-3
-    grid = optimizer.scan(10_001)
+    grid = scan(10_001)
     idx = int(np.argmax(grid[:, 1]))
     assert abs(grid[idx, 0] - 0.5) <= grid[1, 0] - grid[0, 0]
     report(
@@ -114,10 +115,10 @@ def test_criterion_6_circuit_equivalences():
         phase_aligned_distance(entangle_circuit(psi0).vec, global_state(example_spec()).vec),
     )
     for (m, n), target in DETECTION_TARGETS_XX.items():
-        out = exploit._detection_transform(Case.XX) @ CASE_CONDITIONALS[(Case.XX, m, n)]
+        out = exploit._decoder(Role.CHECK, Case.XX)[0] @ CASE_CONDITIONALS[(Case.XX, m, n)]
         worst = max(worst, phase_aligned_distance(out, target))
     for (m, n), target in INFO_TARGETS_XX.items():
-        out = exploit._info_transform(Case.XX) @ CASE_CONDITIONALS[(Case.XX, m, n)]
+        out = exploit._decoder(Role.KEY, Case.XX)[0] @ CASE_CONDITIONALS[(Case.XX, m, n)]
         worst = max(worst, phase_aligned_distance(out, target))
     assert worst <= 1e-12
     report("6 circuit equivalences", f"max phase-aligned deviation {worst:.2e}")
@@ -135,8 +136,8 @@ def test_criterion_7_decoder_tables():
             ).bit
             assert detection_decode(phi, case) == required
             assert info_decode(phi, case) == alice_bit
-            det_mass = _class_mass(exploit._detection_transform(case), phi, exploit.ANNOUNCEMENT_MAP[case][required])
-            info_mass = _class_mass(exploit._info_transform(case), phi, exploit.SECRET_MAP[case][alice_bit])
+            det_mass = _class_mass(exploit._decoder(Role.CHECK, case)[0], phi, exploit.ANNOUNCEMENT_MAP[case][required])
+            info_mass = _class_mass(exploit._decoder(Role.KEY, case)[0], phi, exploit.SECRET_MAP[case][alice_bit])
             assert det_mass == pytest.approx(1.0, abs=1e-12)
             assert info_mass == pytest.approx(1.0, abs=1e-12)
             checked += 1

@@ -471,8 +471,12 @@ def _counting(monkeypatch, name):
 
 @pytest.mark.parametrize(
     "run",
-    [lambda: analyze(kki_spec()), lambda: optimizer.objective(optimizer.AttackFamilyPoint(0.3))],
-    ids=["analyze", "objective"],
+    [
+        lambda: analyze(kki_spec()),
+        lambda: optimizer.objective(optimizer.AttackFamilyPoint(0.3)),
+        lambda: escape_check(kki_spec()),
+    ],
+    ids=["analyze", "objective", "escape_check"],
 )
 def test_one_pass_builds_each_case_once(monkeypatch, run):
     tables = _counting(monkeypatch, "_case_tables")

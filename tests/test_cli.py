@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -131,6 +132,26 @@ def test_simulate_requires_spec_only_with_spec_attacker(capsys):
     assert main(["simulate", "--attacker", "spec", "--rounds", "10"]) == 2
     assert "required exactly when" in capsys.readouterr().err
     assert main(["simulate", "--attacker", "none", "--spec", "kki", "--rounds", "10"]) == 2
+
+
+def test_spec_strategy_checks_realizability_once(monkeypatch):
+    calls = Counter()
+    for name in ("_realizable", "global_state"):
+        original = getattr(attack, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (attack, exploit):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    args = cli.build_parser().parse_args(["simulate", "--attacker", "spec", "--spec", "kki"])
+    assert isinstance(cli._build_strategy(args), exploit.HelstromAttack)
+    # the unitary's check and targets share one global state; the
+    # attacker's measurements read a second
+    assert calls["_realizable"] == 1
+    assert calls["global_state"] <= 2
 
 
 def test_simulate_refuses_unrealizable_spec(tmp_path, capsys):

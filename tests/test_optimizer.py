@@ -12,7 +12,6 @@ from hbbqss.optimizer import (
     random_family_point,
     random_orthonormal,
     result_to_dict,
-    scan,
 )
 
 PE_AT_C06 = 0.051001113587127
@@ -143,6 +142,13 @@ def test_maximize_validates_arguments():
 
 # ---------------------------------------------------------------------------
 # scan oracle
+
+
+def scan(n: int = 10001, lo: float = 0.0, hi: float = INV_SQRT2) -> np.ndarray:
+    """Dense closed-form scan of the objective; rows are (c, info)."""
+    cs = np.linspace(lo, hi, n)
+    closed = [attack._closed_form(c, math.sqrt(max(0.5 - c * c, 0.0))) for c in cs]
+    return np.column_stack([cs, [attack.mutual_information(pe) for pe in closed]])
 
 
 def test_dense_scan_has_unique_maximum_at_half():

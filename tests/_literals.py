@@ -120,3 +120,9 @@ OUTPUT_DIGESTS = {
     "optimize --restarts 4 --seed 42": "19b7f97de0e88631cbf089f53b258e3ddd325efb18269b4defa365233527137c",
     "verify": "d7a31622dc0e844afb28164383fcaa7768ba89f5fa17c5b990dffc64fcdb5f4d",
 }
+
+# SHA-256 of the float.hex of every AttackReport float and flag, of every
+# case's conditional weights and states, and of HelstromAttack's eight
+# projectors, over about 200 seeded specs (``test_attack._bit_specs``).
+# The JSON digests above round to 12 digits; this one sees a one-ulp change.
+ANALYSIS_BITS_DIGEST = "d7cf48ba53c1062c9e7259e8595da5c6fca381038aca86402bce10d8f18c8816"

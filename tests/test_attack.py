@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _literals import CASE_CONDITIONALS
-from hbbqss import attack, exploit, hbb, optimizer, qmath
+from _literals import ANALYSIS_BITS_DIGEST, CASE_CONDITIONALS
+from hbbqss import attack, cli, exploit, hbb, optimizer, qmath
 from hbbqss.attack import (
     CASES,
     AttackSpec,
@@ -688,3 +689,69 @@ def test_report_invariants_on_drawn_specs(kind, dim, seed, log_angle):
     if report.nas_ok:
         assert report.escape_ok
         assert report.info == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Bit-level digest of the analysis outputs
+
+
+def _bit_specs():
+    """About 200 specs: the bundled ones, honest ones of ancilla_dim 1-4, the
+    circuit spec, one whose conditional branches vanish, and seeded drawn
+    specs of every kind (random, sparse amplitudes, family, NAS and family
+    points with eps[0] turned by 1e-10 to 1e-2 rad), ancilla_dim 1-4."""
+    specs = [cli.resolve_spec(name) for name in cli.BUNDLED_SPECS]
+    specs += [honest_spec(dim) for dim in (1, 2, 3, 4)] + [exploit.example_spec()]
+    eps = np.zeros((4, 4), dtype=complex)
+    eps[:, 0] = 1.0
+    specs.append(AttackSpec(2, np.array([[R, 0.0], [0.0, R]], dtype=complex), eps))
+    for seed in range(190):
+        kind = SPEC_KINDS[seed % len(SPEC_KINDS)]
+        specs.append(_drawn_spec(kind, 1 + seed % 4, 7000 + seed, -10.0 + 8.0 * (seed % 19) / 18))
+    return specs
+
+
+def _hex_lines(values):
+    for x in values:
+        if isinstance(x, (bool, np.bool_)) or x is None:
+            yield str(bool(x) if x is not None else None)
+        elif isinstance(x, complex) or np.iscomplexobj(x):
+            z = complex(x)
+            yield f"{z.real.hex()} {z.imag.hex()}"
+        else:
+            yield float(x).hex()
+
+
+def _analysis_bits(spec) -> list[str]:
+    """float.hex of every AttackReport float and flag, of every case's
+    conditional weights and states, and of HelstromAttack's eight
+    projectors; a failing step is recorded by its error class."""
+    lines = []
+    try:
+        r = analyze(spec)
+        lines += _hex_lines(
+            [v for c in CASES for v in r.residuals.per_case[c]]
+            + list(r.residuals.products) + list(r.residuals.magnitude_gaps)
+            + [r.escape_ok] + [r.pe_numeric[c] for c in CASES]
+            + [r.pe_announce[c] for c in CASES]
+            + [r.pe_closed_form, r.info, r.nas_ok, r.realizable, r.tol]
+        )
+    except (attack.ConsistencyError, InfeasibleError) as exc:
+        lines.append(type(exc).__name__)
+    for case in CASES:
+        for (weight, phi) in conditional_states(spec, case).entries.values():
+            lines += _hex_lines([weight])
+            lines += ["None"] if phi is None else _hex_lines(phi)
+    try:
+        povm = exploit.HelstromAttack(spec)._povm
+        lines += _hex_lines(np.concatenate([p.ravel() for c in CASES for p in povm[c]]))
+    except (SpecError, ValueError) as exc:
+        lines.append(type(exc).__name__)
+    return lines
+
+
+def test_analysis_bits_match_the_frozen_digest():
+    text = "\n".join(
+        f"spec {i}\n" + "\n".join(_analysis_bits(spec)) for i, spec in enumerate(_bit_specs())
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == ANALYSIS_BITS_DIGEST

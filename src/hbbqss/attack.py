@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import qmath
-from .qstate import ZERO_BRANCH_TOL, Basis, Sign, StateVector, basis_kets, project_qubit
+from .qstate import ZERO_BRANCH_TOL, Basis, Sign, StateVector, basis_kets, project_stack
 
 #: Default tolerance for the escape / NAS boolean checks.
 DEFAULT_TOL = 1e-9
@@ -167,15 +167,43 @@ def global_state(spec: AttackSpec) -> StateVector:
     return StateVector(("A", "B", "CE"), (2, 2, d2), vec)
 
 
+#: The outcome pairs (Alice, Bob) of a case in branch order: row k of a
+#: table's arrays and of a case's coefficient stack is branch _BRANCHES[k].
+_BRANCHES = tuple((m, n) for m in _SIGNS for n in _SIGNS)
+_SAME = np.array([_BRANCHES.index(b) for b in SAME_BRANCHES])
+_DIFF = np.array([_BRANCHES.index(b) for b in DIFF_BRANCHES])
+#: The branch indices of the same-sign and different-sign member of each
+#: of CONSTRAINT_PAIRS.
+_PAIR_SAME, _PAIR_DIFF = np.array(
+    [[_BRANCHES.index(branch) for branch in pair] for pair in CONSTRAINT_PAIRS]
+).T
+
+#: The (+, -) kets of each protocol basis, stacked (2, 2).
+_KETS = {basis: np.array(basis_kets(basis)) for basis in (Basis.X, Basis.Y)}
+
+
 @dataclass
 class ConditionalStateTable:
-    """Normalised attacker states conditioned on Alice's and Bob's outcomes."""
+    """Normalised attacker states conditioned on Alice's and Bob's outcomes.
+
+    Row k of ``weights`` (4,), ``states`` (4, d) and ``occurs`` (4,) belongs
+    to the outcome pair _BRANCHES[k]; a branch of probability at most
+    ZERO_BRANCH_TOL does not occur and holds the zero state.
+    """
 
     case: Case
-    entries: dict[tuple[Sign, Sign], tuple[float, np.ndarray | None]]
+    weights: np.ndarray
+    states: np.ndarray
+    occurs: np.ndarray
 
     def phi(self, alice: Sign, bob: Sign) -> np.ndarray | None:
-        return self.entries[(alice, bob)][1]
+        k = _BRANCHES.index((alice, bob))
+        return self.states[k] if self.occurs[k] else None
+
+    @property
+    def entries(self) -> dict[tuple[Sign, Sign], tuple[float, np.ndarray | None]]:
+        """(weight, state or None) of each outcome pair."""
+        return {b: (float(self.weights[k]), self.phi(*b)) for k, b in enumerate(_BRANCHES)}
 
 
 def conditional_states(spec: AttackSpec, case: Case) -> ConditionalStateTable:
@@ -184,50 +212,49 @@ def conditional_states(spec: AttackSpec, case: Case) -> ConditionalStateTable:
 
 
 def _case_tables(psi: StateVector, cases=CASES) -> list[ConditionalStateTable]:
-    """The conditional state table of each case from one global state;
-    cases with the same Alice basis share her two projections."""
-    after_alice: dict[tuple[Basis, Sign], tuple[float, StateVector | None]] = {}
-    tables = []
-    for case in cases:
-        kets_b = basis_kets(case.bob_basis)
-        entries: dict[tuple[Sign, Sign], tuple[float, np.ndarray | None]] = {}
-        total = 0.0
-        for m, ket_a in zip(_SIGNS, basis_kets(case.alice_basis)):
-            if (case.alice_basis, m) not in after_alice:
-                after_alice[case.alice_basis, m] = project_qubit(psi, "A", ket_a)
-            p_a, after_a = after_alice[case.alice_basis, m]
-            for n, ket_b in zip(_SIGNS, kets_b):
-                if after_a is None:
-                    entries[(m, n)] = (0.0, None)
-                    continue
-                p_b, after_b = project_qubit(after_a, "B", ket_b)
-                weight = p_a * p_b
-                entries[(m, n)] = (weight, after_b.vec if after_b is not None else None)
-                total += weight
+    """The conditional state table of each case from one global state, in two
+    stacked projections: Alice's in each basis her cases use, then Bob's in
+    every branch. Cases with the same Alice basis share her two branches."""
+    alice = list(dict.fromkeys(case.alice_basis for case in cases))
+    p_a, after_a = project_stack(psi.vec.reshape(2, -1), [_KETS[basis] for basis in alice])
+    row = [alice.index(case.alice_basis) for case in cases]
+    # Alice's branches as (basis, m, B, CE), each projected by Bob's kets (case, n, B)
+    p_b, states = project_stack(
+        after_a.reshape(len(alice), 2, 2, -1)[row][:, :, None],
+        np.array([_KETS[case.bob_basis] for case in cases])[:, None],
+    )
+    # An Alice branch that does not occur left the zero state, so each of its
+    # Bob branches has probability 0 and weight 0 exactly.
+    weights = (p_a[row][:, :, None] * p_b).reshape(len(cases), 4)
+    for total in weights.sum(axis=1):
         if abs(total - 1.0) > qmath.STRUCT_TOL:
             raise ConsistencyError(f"conditional weights sum to {total}, expected 1")
-        tables.append(ConditionalStateTable(case, entries))
-    return tables
-
-
-def _branch_coefficients(spec: AttackSpec, case: Case) -> dict[tuple[Sign, Sign], np.ndarray]:
-    """Coefficient of each eps row in the (unnormalised) conditional branches.
-
-    Branch (m, n) of the global state is sum_ij <a_m|i><b_n|j> a_ij eps_ij
-    up to the overall projector normalisation; the returned 4-vectors hold
-    those coefficients in EPS_ORDER.
-    """
-    rows_i, rows_j = _EPS_INDEX
-    bra_a = np.conj(np.array(basis_kets(case.alice_basis)))[:, None, rows_i]
-    bra_b = np.conj(np.array(basis_kets(case.bob_basis)))[None, :, rows_j]
-    # Each bra entry is real or imaginary, so these array products round as
-    # the products of the single scalars do, bit for bit.
-    coeff = bra_a * bra_b * spec.a[rows_i, rows_j]
-    return {(m, n): coeff[k, l] for k, m in enumerate(_SIGNS) for l, n in enumerate(_SIGNS)}
+    occurs = (p_b > ZERO_BRANCH_TOL).reshape(len(cases), 4)
+    states = states.reshape(len(cases), 4, -1)
+    return [
+        ConditionalStateTable(case, weights[i], states[i], occurs[i])
+        for i, case in enumerate(cases)
+    ]
 
 
 #: The (i, j) index of each row of EPS_ORDER, as two index arrays.
 _EPS_INDEX = tuple(np.array(index) for index in zip(*EPS_ORDER))
+
+#: <a_m|i><b_n|j> of each case's branches, stacked (case, branch, eps row):
+#: branch (m, n) of the global state is sum_ij <a_m|i><b_n|j> a_ij eps_ij up
+#: to the overall projector normalisation.
+_BRA_PRODUCTS = np.array([
+    (
+        np.conj(_KETS[case.alice_basis])[:, None, _EPS_INDEX[0]]
+        * np.conj(_KETS[case.bob_basis])[None, :, _EPS_INDEX[1]]
+    ).reshape(4, 4)
+    for case in CASES
+])
+
+#: Product of a same-sign and a different-sign branch weight (two
+#: probabilities) at or below which the pair imposes no constraint: their
+#: geometric mean is at most ZERO_BRANCH_TOL, so one branch never occurs.
+_PAIR_WEIGHT_TOL = ZERO_BRANCH_TOL**2  # 1e-24 as a double
 
 
 @dataclass
@@ -260,23 +287,25 @@ def detection_residuals(spec: AttackSpec) -> DetectionResiduals:
 
     The case overlaps are computed from the amplitude array and the ancilla
     Gram matrix alone (no explicit state construction), so they provide an
-    independent route against :func:`conditional_states`.
+    independent route against :func:`conditional_states`. The branch
+    coefficients C of the four cases (case, branch, eps row) give every
+    form in one stacked product (conj(C) @ gram) @ C^T: the branch weights
+    on its diagonals, the same/different cross terms off them.
     """
     gram = spec.eps.conj() @ spec.eps.T
-    per_case: dict[Case, tuple[float, float, float, float]] = {}
-    for case in CASES:
-        coeffs = _branch_coefficients(spec, case)
-        weights = {k: float((np.conj(c) @ gram @ c).real) for k, c in coeffs.items()}
-        vals = []
-        for same, diff in CONSTRAINT_PAIRS:
-            cross = complex(np.conj(coeffs[same]) @ gram @ coeffs[diff])
-            w = weights[same] * weights[diff]
-            if w > 1e-24:
-                vals.append(abs(cross) / math.sqrt(w))
-            else:
-                # A branch that never occurs imposes no constraint.
-                vals.append(0.0)
-        per_case[case] = tuple(vals)
+    # Each bra entry is real or imaginary, so these array products round as
+    # the products of the single scalars do, bit for bit.
+    coeffs = _BRA_PRODUCTS * spec.a[_EPS_INDEX]
+    forms = (np.conj(coeffs) @ gram) @ np.swapaxes(coeffs, 1, 2)
+    weights = np.diagonal(forms, axis1=1, axis2=2).real
+    cross = forms[:, _PAIR_SAME, _PAIR_DIFF]
+    w = weights[:, _PAIR_SAME] * weights[:, _PAIR_DIFF]
+    # A branch that never occurs imposes no constraint.
+    vals = np.divide(
+        np.hypot(cross.real, cross.imag), np.sqrt(w), out=np.zeros_like(w),
+        where=w > _PAIR_WEIGHT_TOL,
+    )
+    per_case = {case: tuple(vals[i].tolist()) for i, case in enumerate(CASES)}
 
     avec = np.array([spec.a[i, j] for (i, j) in EPS_ORDER])
     prods = tuple(
@@ -315,9 +344,9 @@ def _escape_flag(
     route_b = True
     worst = 0.0
     for table in tables:
-        same = [table.phi(*b) for b in SAME_BRANCHES if table.phi(*b) is not None]
-        diff = [table.phi(*b) for b in DIFF_BRANCHES if table.phi(*b) is not None]
-        if not same or not diff:
+        same = table.states[_SAME][table.occurs[_SAME]]
+        diff = table.states[_DIFF][table.occurs[_DIFF]]
+        if not len(same) or not len(diff):
             continue
         ok, mag = qmath.cross_gram_is_zero(same, diff, tol)
         worst = max(worst, mag)
@@ -341,10 +370,8 @@ def rho_pair(spec: AttackSpec, case: Case) -> tuple[np.ndarray, np.ndarray]:
     return rho[0, 0], rho[0, 1]
 
 
-#: The outcome pairs of a table in branch order, and the indices of the two
-#: branches of each mixture of :func:`_mixtures`: Alice +, Alice -, the
-#: same-sign set and the different-sign set.
-_BRANCHES = tuple((m, n) for m in _SIGNS for n in _SIGNS)
+#: The indices of the two branches of each mixture of :func:`_mixtures`:
+#: Alice +, Alice -, the same-sign set and the different-sign set.
 _MIXTURE_BRANCHES = np.array([
     [_BRANCHES.index(branch) for branch in pair]
     for pair in (*(tuple((m, n) for n in _SIGNS) for m in _SIGNS), SAME_BRANCHES, DIFF_BRANCHES)
@@ -359,14 +386,8 @@ def _mixtures(tables: list[ConditionalStateTable]) -> tuple[np.ndarray, np.ndarr
     probabilities. An announcement set that never occurs gets the zero
     mixture and weight; an Alice outcome that never occurs raises.
     """
-    dim = next(phi.shape[0] for t in tables for _, phi in t.entries.values() if phi is not None)
-    phis = np.zeros((len(tables), 4, dim), dtype=complex)
-    weights = np.empty((len(tables), 4))
-    for i, table in enumerate(tables):
-        for j, key in enumerate(_BRANCHES):
-            weights[i, j], phi = table.entries[key]
-            if phi is not None:
-                phis[i, j] = phi
+    phis = np.stack([table.states for table in tables])
+    weights = np.stack([table.weights for table in tables])
     w1, w2 = weights[:, _MIXTURE_BRANCHES[:, 0]], weights[:, _MIXTURE_BRANCHES[:, 1]]
     totals = w1 + w2
     occurs = totals > ZERO_BRANCH_TOL
@@ -399,21 +420,26 @@ def _helstrom_operators(tables: list[ConditionalStateTable]) -> tuple[np.ndarray
     return deltas.reshape(-1, *rho.shape[2:]), np.stack([p1, p2], axis=-1).reshape(-1, 2)
 
 
-def _in_basis(table: ConditionalStateTable, basis: np.ndarray) -> ConditionalStateTable:
-    """The table with each conditional state written in the orthonormal
+def _in_basis(tables: list[ConditionalStateTable], basis: np.ndarray) -> list[ConditionalStateTable]:
+    """The tables with each conditional state written in the orthonormal
     columns of ``basis``, which must span it: each stays normalised."""
-    entries = {}
-    for key, (weight, phi) in table.entries.items():
-        if phi is not None:
-            phi = basis.conj().T @ phi
-            deviation = abs(qmath.norm(phi) - 1.0)
-            if deviation > qmath.STRUCT_TOL:
-                raise ConsistencyError(
-                    f"conditional state {key[0].value}{key[1].value} of case "
-                    f"{table.case.key} lost norm {deviation:.3e} outside span(eps)"
-                )
-        entries[key] = (weight, phi)
-    return ConditionalStateTable(table.case, entries)
+    # one matrix-vector product per state, as basis^dagger @ phi computes it
+    states = np.matmul(basis.conj().T, np.stack([t.states for t in tables])[..., None])[..., 0]
+    occurs = np.stack([t.occurs for t in tables])
+    qmath._check_finite(states)
+    deviation = np.where(occurs, np.abs(np.sqrt((np.abs(states) ** 2).sum(axis=-1)) - 1.0), 0.0)
+    if (deviation > qmath.STRUCT_TOL).any():
+        i, k = np.unravel_index(np.argmax(deviation > qmath.STRUCT_TOL), deviation.shape)
+        alice, bob = _BRANCHES[k]
+        raise ConsistencyError(
+            f"conditional state {alice.value}{bob.value} of case {tables[i].case.key} "
+            f"lost norm {deviation[i, k]:.3e} outside span(eps)"
+        )
+    states[~occurs] = 0.0
+    return [
+        ConditionalStateTable(t.case, t.weights, states[i], t.occurs)
+        for i, t in enumerate(tables)
+    ]
 
 
 def helstrom(rho1, rho2, p1: float, p2: float) -> float:
@@ -425,11 +451,16 @@ def helstrom(rho1, rho2, p1: float, p2: float) -> float:
     return _helstrom_errors((p2 * r2 - p1 * r1)[None], [(p1, p2)])[0]
 
 
+#: Largest deviation from 1 of the sum of two priors (probabilities) that
+#: :func:`helstrom` accepts: a few ulps of 1 left by renormalising weights.
+_PRIOR_SUM_TOL = 1e-12
+
+
 def _helstrom_errors(deltas: np.ndarray, priors) -> list[float]:
     """:func:`helstrom` of a stack of operators p2 rho2 - p1 rho1 with their
     priors (p1, p2), from one batched trace-norm sweep."""
     for p1, p2 in priors:
-        if p1 < 0.0 or p2 < 0.0 or abs(p1 + p2 - 1.0) > 1e-12:
+        if p1 < 0.0 or p2 < 0.0 or abs(p1 + p2 - 1.0) > _PRIOR_SUM_TOL:
             raise ValueError(f"priors must be nonnegative and sum to 1, got {p1}, {p2}")
     errors = []
     for norm, (p1, p2) in zip(qmath.trace_norm_stack(deltas), priors):
@@ -539,7 +570,7 @@ def analyze(spec: AttackSpec, tol: float = DEFAULT_TOL) -> AttackReport:
     escape = _escape_flag(residuals, tables, tol)
     if spec.joint_dim > 4:
         span = qmath.orthonormal_span(spec.eps)
-        tables = [_in_basis(table, span) for table in tables]
+        tables = _in_basis(tables, span)
 
     errors = _helstrom_errors(*_helstrom_operators(tables))
     pe_numeric = {case: errors[2 * i] for i, case in enumerate(CASES)}

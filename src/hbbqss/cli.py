@@ -300,9 +300,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Largest ``sweep --grid``: a c step of about 7e-6, at about 1 ms of
+#: analysis per point; a larger grid would first exhaust memory.
+MAX_GRID = 100_000
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.grid < 2:
-        raise ValueError("--grid must be at least 2")
+    if not 2 <= args.grid <= MAX_GRID:
+        raise ValueError(f"--grid must be between 2 and {MAX_GRID}, got {args.grid}")
     buf = io.StringIO()
     writer = csv.writer(buf, delimiter=",", lineterminator="\n")
     writer.writerow(["c", "s", "pe_closed", "pe_numeric", "info", "max_residual"])

@@ -199,18 +199,14 @@ def _rotate(a: np.ndarray, v: np.ndarray | None, p: int, q: int, r: np.ndarray) 
 
 
 def cross_gram_is_zero(set1, set2, tol: float) -> tuple[bool, float]:
-    """Whether every cross inner product between two vector sets vanishes.
+    """Whether every cross inner product between two vector sets, the rows
+    of two stacks, vanishes.
 
     Returns (all magnitudes <= tol, maximum magnitude found).
     """
-    v1 = [as_vector(u) for u in set1]
-    v2 = [as_vector(u) for u in set2]
-    if not v1 or not v2:
-        raise ValueError("cross_gram_is_zero requires two nonempty sets")
-    dim = v1[0].shape[0]
-    for u in v1 + v2:
-        if u.shape[0] != dim:
-            raise ValueError("all vectors must share one dimension")
+    v1, v2 = as_matrix(set1), as_matrix(set2)
+    if v1.shape[1] != v2.shape[1]:
+        raise ValueError("all vectors must share one dimension")
     worst = 0.0
     for u in v1:
         for w in v2:

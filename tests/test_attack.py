@@ -482,13 +482,13 @@ def _counting(monkeypatch, name):
 def test_one_pass_builds_each_case_once(monkeypatch, run):
     tables = _counting(monkeypatch, "_case_tables")
     states = _counting(monkeypatch, "global_state")
-    projections = _counting(monkeypatch, "project_qubit")
+    projections = _counting(monkeypatch, "project_stack")
     residuals = _counting(monkeypatch, "detection_residuals")
     run()
-    # one global state, projected for all four cases: Alice's two bases
-    # twice each, then Bob's two outcomes in each of the eight branches
+    # one global state, projected for all four cases in two stacked
+    # contractions: Alice's four kets, then Bob's two in all eight branches
     assert len(tables) == 1 and len(states) == 1
-    assert len(projections) == 4 + 16
+    assert len(projections) == 2
     assert len(residuals) == 1
 
 

@@ -318,6 +318,15 @@ def test_sweep_rows_and_invariants(tmp_path):
     assert float(rows[-1][4]) == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("grid", ["1", str(cli.MAX_GRID + 1), "100000000000"])
+def test_sweep_rejects_a_grid_out_of_range_with_one_line(tmp_path, capsys, grid):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--grid", grid, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --grid must be between 2 and") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_sweep_contains_the_perfect_point(tmp_path):
     out = tmp_path / "s.csv"
     assert main(["sweep", "--grid", "41", "--out", str(out)]) == 0

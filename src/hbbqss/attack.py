@@ -170,8 +170,13 @@ def global_state(spec: AttackSpec) -> StateVector:
 #: The outcome pairs (Alice, Bob) of a case in branch order: row k of a
 #: table's arrays and of a case's coefficient stack is branch _BRANCHES[k].
 _BRANCHES = tuple((m, n) for m in _SIGNS for n in _SIGNS)
-_SAME = np.array([_BRANCHES.index(b) for b in SAME_BRANCHES])
-_DIFF = np.array([_BRANCHES.index(b) for b in DIFF_BRANCHES])
+#: The indices of the two branches of each mixture of :func:`_mixtures`:
+#: Alice +, Alice -, the same-sign set and the different-sign set.
+_MIXTURE_BRANCHES = np.array([
+    [_BRANCHES.index(branch) for branch in pair]
+    for pair in (*(tuple((m, n) for n in _SIGNS) for m in _SIGNS), SAME_BRANCHES, DIFF_BRANCHES)
+])
+_SAME, _DIFF = _MIXTURE_BRANCHES[2:]
 #: The branch indices of the same-sign and different-sign member of each
 #: of CONSTRAINT_PAIRS.
 _PAIR_SAME, _PAIR_DIFF = np.array(
@@ -368,14 +373,6 @@ def rho_pair(spec: AttackSpec, case: Case) -> tuple[np.ndarray, np.ndarray]:
     """
     rho, _ = _mixtures([conditional_states(spec, case)])
     return rho[0, 0], rho[0, 1]
-
-
-#: The indices of the two branches of each mixture of :func:`_mixtures`:
-#: Alice +, Alice -, the same-sign set and the different-sign set.
-_MIXTURE_BRANCHES = np.array([
-    [_BRANCHES.index(branch) for branch in pair]
-    for pair in (*(tuple((m, n) for n in _SIGNS) for m in _SIGNS), SAME_BRANCHES, DIFF_BRANCHES)
-])
 
 
 def _mixtures(tables: list[ConditionalStateTable]) -> tuple[np.ndarray, np.ndarray]:

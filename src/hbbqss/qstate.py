@@ -205,18 +205,25 @@ def project_qubit(state: StateVector, label: str, onto) -> tuple[float, StateVec
     The projected register is removed from the conditional state, which is
     renormalised. Branches with probability <= ZERO_BRANCH_TOL return None.
     """
+    ket = qmath.as_vector(onto)
     ax = state.axis(label)
-    # the register's axis first, where project_stack contracts <ket| with it
+    if ket.shape[0] != state.dims[ax]:
+        raise ValueError(
+            f"ket of dim {ket.shape[0]} cannot project register {label} of dim {state.dims[ax]}"
+        )
+    if abs(float(np.sqrt((np.abs(ket) ** 2).sum())) - 1.0) > qmath.STRUCT_TOL:
+        raise ValueError("projection ket must be normalised")
+    # <ket| contracted with the register's axis, as np.tensordot computes it
     tensor = state.vec.reshape(state.dims)
     if ax:
         tensor = np.moveaxis(tensor, ax, 0)
-    prob, cond = project_stack(tensor.reshape(state.dims[ax], -1), qmath.as_vector(onto))
-    prob = float(prob)
+    amp = np.dot(np.conj(ket).reshape(1, -1), tensor.reshape(ket.shape[0], -1))
+    prob = float((np.abs(amp) ** 2).sum())
     if prob <= ZERO_BRANCH_TOL or len(state.labels) == 1:
         return prob, None
     rest_labels = state.labels[:ax] + state.labels[ax + 1:]
     rest_dims = state.dims[:ax] + state.dims[ax + 1:]
-    return prob, StateVector(rest_labels, rest_dims, cond)
+    return prob, StateVector(rest_labels, rest_dims, amp.reshape(-1) / np.sqrt(prob))
 
 
 def project_stack(tensors: np.ndarray, kets) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +234,10 @@ def project_stack(tensors: np.ndarray, kets) -> tuple[np.ndarray, np.ndarray]:
     against the members. Returns the probabilities (...) and the
     renormalised conditional states (..., n), the zero state for a branch
     of probability <= ZERO_BRANCH_TOL. Every bra is contracted as a (1, k)
-    row of its own, so a member's arithmetic does not depend on the stack.
+    row of its own, as ``np.dot`` contracts it in project_qubit, so each
+    member is bit for bit project_qubit's result. A session measures one
+    state at a time, so it keeps project_qubit, whose scalar checks and
+    plain division cost less per call.
     """
     kets = np.asarray(kets, dtype=complex)
     qmath._check_finite(kets)
@@ -239,8 +249,10 @@ def project_stack(tensors: np.ndarray, kets) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("projection ket must be normalised")
     amp = np.matmul(np.conj(kets)[..., None, :], tensors)[..., 0, :]
     prob = (np.abs(amp) ** 2).sum(axis=-1)
+    # a complex divisor, as numpy casts a real one for the division
+    scale = np.sqrt(prob).astype(complex)[..., None]
     occurs = (prob > ZERO_BRANCH_TOL)[..., None]
-    return prob, np.divide(amp, np.sqrt(prob)[..., None], out=np.zeros_like(amp), where=occurs)
+    return prob, np.divide(amp, scale, out=np.zeros_like(amp), where=occurs)
 
 
 def _branches(

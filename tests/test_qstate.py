@@ -217,6 +217,33 @@ def test_project_rejects_unnormalised_ket():
         project_qubit(ghz_state(), "A", [2, 0])
 
 
+@pytest.mark.parametrize("rest", [1, 2, 4, 8, 16])
+def test_project_stack_gives_each_member_project_qubit_bit_for_bit(rng, rest):
+    kets = np.array([basis_kets(b) for b in (Basis.X, Basis.Y, Basis.Z)])  # (3, 2, 2)
+    states = []
+    for _ in range(6):
+        v = rng.normal(size=2 * rest) + 1j * rng.normal(size=2 * rest)
+        states.append(v / np.linalg.norm(v))
+    states.append(np.concatenate([np.ones(rest), np.zeros(rest)]) / math.sqrt(rest))  # z- never occurs
+    tensors = np.array(states).reshape(-1, 1, 1, 2, rest)
+    probs, conds = qstate.project_stack(tensors, kets)
+    for i, v in enumerate(states):
+        s = qstate.StateVector(("Q", "R"), (2, rest), v)
+        for b in range(3):
+            for k in range(2):
+                p, cond = project_qubit(s, "Q", kets[b, k])
+                assert probs[i, b, k].tobytes() == np.float64(p).tobytes()
+                expected = np.zeros(rest, dtype=complex) if cond is None else cond.vec
+                assert conds[i, b, k].tobytes() == expected.tobytes()
+
+
+def test_project_stack_checks_every_ket():
+    tensor = ghz_state().vec.reshape(2, 4)
+    for kets in ([[1, 0], [2, 0]], [[1, 0], [np.nan, 0]], [[1, 0, 0]]):
+        with pytest.raises(ValueError):
+            qstate.project_stack(tensor, kets)
+
+
 # ---------------------------------------------------------------------------
 # measure_qubit
 

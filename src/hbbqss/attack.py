@@ -23,7 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import qmath
-from .qstate import ZERO_BRANCH_TOL, Basis, Sign, StateVector, basis_kets, project_stack
+from .qstate import (
+    PROTOCOL_BASES, ZERO_BRANCH_TOL, Basis, Sign, StateVector, basis_kets, project_stack,
+)
 
 #: Default tolerance for the escape / NAS boolean checks.
 DEFAULT_TOL = 1e-9
@@ -184,7 +186,7 @@ _PAIR_SAME, _PAIR_DIFF = np.array(
 ).T
 
 #: The (+, -) kets of each protocol basis, stacked (2, 2).
-_KETS = {basis: np.array(basis_kets(basis)) for basis in (Basis.X, Basis.Y)}
+_KETS = {basis: np.array(basis_kets(basis)) for basis in PROTOCOL_BASES}
 
 
 @dataclass
@@ -417,7 +419,9 @@ def _helstrom_operators(tables: list[ConditionalStateTable]) -> tuple[np.ndarray
     return deltas.reshape(-1, *rho.shape[2:]), np.stack([p1, p2], axis=-1).reshape(-1, 2)
 
 
-def _in_basis(tables: list[ConditionalStateTable], basis: np.ndarray) -> list[ConditionalStateTable]:
+def _in_basis(
+    tables: list[ConditionalStateTable], basis: np.ndarray
+) -> list[ConditionalStateTable]:
     """The tables with each conditional state written in the orthonormal
     columns of ``basis``, which must span it: each stays normalised."""
     # one matrix-vector product per state, as basis^dagger @ phi computes it

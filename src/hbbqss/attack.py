@@ -307,10 +307,12 @@ def detection_residuals(spec: AttackSpec) -> DetectionResiduals:
     weights = np.diagonal(forms, axis1=1, axis2=2).real
     cross = forms[:, _PAIR_SAME, _PAIR_DIFF]
     w = weights[:, _PAIR_SAME] * weights[:, _PAIR_DIFF]
-    # A branch that never occurs imposes no constraint.
+    # A branch that never occurs imposes no constraint. Its weight product
+    # can round below zero, so the square root skips it too.
+    occurs = w > _PAIR_WEIGHT_TOL
     vals = np.divide(
-        np.hypot(cross.real, cross.imag), np.sqrt(w), out=np.zeros_like(w),
-        where=w > _PAIR_WEIGHT_TOL,
+        np.hypot(cross.real, cross.imag), np.sqrt(w, out=np.ones_like(w), where=occurs),
+        out=np.zeros_like(w), where=occurs,
     )
     per_case = {case: tuple(vals[i].tolist()) for i, case in enumerate(CASES)}
 

@@ -207,37 +207,28 @@ def project_qubit(state: StateVector, label: str, onto) -> tuple[float, StateVec
     """
     ket = qmath.as_vector(onto)
     ax = state.axis(label)
-    if ket.shape[0] != state.dims[ax]:
-        raise ValueError(
-            f"ket of dim {ket.shape[0]} cannot project register {label} of dim {state.dims[ax]}"
-        )
-    if abs(float(np.sqrt((np.abs(ket) ** 2).sum())) - 1.0) > qmath.STRUCT_TOL:
-        raise ValueError("projection ket must be normalised")
-    # <ket| contracted with the register's axis, as np.tensordot computes it
     tensor = state.vec.reshape(state.dims)
     if ax:
         tensor = np.moveaxis(tensor, ax, 0)
-    amp = np.dot(np.conj(ket).reshape(1, -1), tensor.reshape(ket.shape[0], -1))
-    prob = float((np.abs(amp) ** 2).sum())
+    prob, cond = project_stack(tensor.reshape(state.dims[ax], -1), ket)
+    prob = float(prob)
     if prob <= ZERO_BRANCH_TOL or len(state.labels) == 1:
         return prob, None
     rest_labels = state.labels[:ax] + state.labels[ax + 1:]
     rest_dims = state.dims[:ax] + state.dims[ax + 1:]
-    return prob, StateVector(rest_labels, rest_dims, amp.reshape(-1) / np.sqrt(prob))
+    return prob, StateVector(rest_labels, rest_dims, cond)
 
 
 def project_stack(tensors: np.ndarray, kets) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`project_qubit` of a stack of states, in one contraction.
+    """Project each member of a stack of states onto a ket, in one contraction.
 
     Each member of ``tensors`` (..., k, n) holds a state's amplitudes with
     the projected register (dim k) as rows; the kets (..., k) broadcast
     against the members. Returns the probabilities (...) and the
     renormalised conditional states (..., n), the zero state for a branch
     of probability <= ZERO_BRANCH_TOL. Every bra is contracted as a (1, k)
-    row of its own, as ``np.dot`` contracts it in project_qubit, so each
-    member is bit for bit project_qubit's result. A session measures one
-    state at a time, so it keeps project_qubit, whose scalar checks and
-    plain division cost less per call.
+    row of its own, so each member's result is bit for bit what it gets
+    projected alone, as :func:`project_qubit` projects it.
     """
     kets = np.asarray(kets, dtype=complex)
     qmath._check_finite(kets)

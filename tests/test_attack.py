@@ -1,13 +1,14 @@
 import hashlib
 import math
+import platform
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _literals import ANALYSIS_BITS_DIGEST, CASE_CONDITIONALS
-from hbbqss import attack, cli, exploit, hbb, optimizer, qmath
+from _literals import ANALYSIS_BITS_DIGEST, ANALYSIS_BITS_PLATFORM, CASE_CONDITIONALS
+from hbbqss import attack, cli, exploit, hbb, optimizer, qmath, qstate
 from hbbqss.attack import (
     CASES,
     AttackSpec,
@@ -750,8 +751,87 @@ def _analysis_bits(spec) -> list[str]:
     return lines
 
 
+def _bits_platform() -> str:
+    """The numpy version, BLAS build, machine and CPU SIMD extensions that
+    decide how the last ulp of the analysis rounds."""
+    try:
+        config = np.show_config(mode="dicts")
+        blas = config["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+        simd = " ".join(config["SIMD Extensions"]["found"])
+    except (TypeError, KeyError):  # numpy before 1.26 reports no dicts
+        blas = simd = "unknown"
+    return f"numpy {np.__version__}; {blas}; {platform.machine()}; SIMD {simd}"
+
+
+@pytest.mark.skipif(
+    _bits_platform() != ANALYSIS_BITS_PLATFORM,
+    reason="the frozen bits hold on the platform that recorded them; "
+    "test_stacked_analysis_matches_the_one_vector_route runs everywhere",
+)
 def test_analysis_bits_match_the_frozen_digest():
     text = "\n".join(
         f"spec {i}\n" + "\n".join(_analysis_bits(spec)) for i, spec in enumerate(_bit_specs())
     )
     assert hashlib.sha256(text.encode()).hexdigest() == ANALYSIS_BITS_DIGEST
+
+
+def _one_vector_projection(tensor, ket):
+    """Reference: one bra contracted by np.dot as a (1, k) row, renormalised
+    by a real divisor; None for a branch that does not occur."""
+    amp = np.dot(np.conj(ket).reshape(1, -1), tensor.reshape(ket.shape[0], -1))
+    prob = float((np.abs(amp) ** 2).sum())
+    if prob <= qstate.ZERO_BRANCH_TOL:
+        return prob, None
+    return prob, amp.reshape(-1) / np.sqrt(prob)
+
+
+def _one_vector_table(spec, case):
+    """Reference: a case's (weight, state or None) per outcome pair, one
+    projection at a time."""
+    psi = global_state(spec).vec.reshape(2, -1)
+    entries = []
+    for ket_a in basis_kets(case.alice_basis):
+        p_a, after_a = _one_vector_projection(psi, ket_a)
+        for ket_b in basis_kets(case.bob_basis):
+            if after_a is None:
+                entries.append((0.0, None))
+                continue
+            p_b, after_b = _one_vector_projection(after_a.reshape(2, -1), ket_b)
+            entries.append((p_a * p_b, after_b))
+    return entries
+
+
+def _one_vector_residuals(spec, case):
+    """Reference: a case's four residuals, each bilinear form a 1-D matmul."""
+    gram = spec.eps.conj() @ spec.eps.T
+    rows_i, rows_j = (np.array(index) for index in zip(*attack.EPS_ORDER))
+    bra_a = np.conj(np.array(basis_kets(case.alice_basis)))[:, None, rows_i]
+    bra_b = np.conj(np.array(basis_kets(case.bob_basis)))[None, :, rows_j]
+    coeff = bra_a * bra_b * spec.a[rows_i, rows_j]
+    signs = (Sign.PLUS, Sign.MINUS)
+    coeffs = {(m, n): coeff[k, l] for k, m in enumerate(signs) for l, n in enumerate(signs)}
+    weights = {b: float((np.conj(c) @ gram @ c).real) for b, c in coeffs.items()}
+    vals = []
+    for same, diff in attack.CONSTRAINT_PAIRS:
+        cross = complex(np.conj(coeffs[same]) @ gram @ coeffs[diff])
+        w = weights[same] * weights[diff]
+        vals.append(abs(cross) / math.sqrt(w) if w > 1e-24 else 0.0)
+    return vals
+
+
+def test_stacked_analysis_matches_the_one_vector_route():
+    """The stacked projections and bilinear forms give every conditional
+    weight, state and residual bit for bit as the one-vector-at-a-time
+    route does, on this machine's numpy and BLAS."""
+    for spec in _bit_specs():
+        residuals = detection_residuals(spec)
+        for case in CASES:
+            got = list(conditional_states(spec, case).entries.values())
+            for (weight, phi), (ref_weight, ref_phi) in zip(got, _one_vector_table(spec, case)):
+                assert weight.hex() == ref_weight.hex()
+                assert (phi is None) == (ref_phi is None)
+                if phi is not None:
+                    assert phi.tobytes() == ref_phi.tobytes()
+            ref = _one_vector_residuals(spec, case)
+            assert [v.hex() for v in residuals.per_case[case]] == [v.hex() for v in ref]

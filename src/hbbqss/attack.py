@@ -158,15 +158,20 @@ def kki_spec() -> AttackSpec:
 
 def global_state(spec: AttackSpec) -> StateVector:
     """The post-interaction state on registers A, B and the joint C+E."""
-    d2 = spec.joint_dim
-    vec = np.zeros(4 * d2, dtype=complex)
-    for row, (i, j) in enumerate(EPS_ORDER):
-        block = 2 * i + j
-        vec[block * d2:(block + 1) * d2] += spec.a[i, j] * spec.eps[row]
-    n = float(np.sqrt((np.abs(vec) ** 2).sum()))
-    if abs(n - 1.0) > qmath.STRUCT_TOL:
-        raise SpecError(f"global state norm {n} deviates from 1")
-    return StateVector(("A", "B", "CE"), (2, 2, d2), vec)
+    return StateVector(("A", "B", "CE"), (2, 2, spec.joint_dim), _global_vectors([spec])[0])
+
+
+def _global_vectors(specs) -> np.ndarray:
+    """The global state vectors of specs sharing one joint_dim, stacked
+    (k, 4 * joint_dim): block 2i + j of each holds a_ij eps_ij."""
+    a = np.stack([spec.a.reshape(4) for spec in specs])  # row-major: EPS_ORDER
+    eps = np.stack([spec.eps for spec in specs])
+    # 0.0 + ... makes every zero entry +0, as accumulating into np.zeros does
+    vecs = (0.0 + a[:, :, None] * eps).reshape(len(specs), -1)
+    for n in np.sqrt((np.abs(vecs) ** 2).sum(axis=1)):
+        if abs(n - 1.0) > qmath.STRUCT_TOL:
+            raise SpecError(f"global state norm {float(n)} deviates from 1")
+    return vecs
 
 
 #: The outcome pairs (Alice, Bob) of a case in branch order: row k of a
@@ -178,7 +183,9 @@ _MIXTURE_BRANCHES = np.array([
     [_BRANCHES.index(branch) for branch in pair]
     for pair in (*(tuple((m, n) for n in _SIGNS) for m in _SIGNS), SAME_BRANCHES, DIFF_BRANCHES)
 ])
-_SAME, _DIFF = _MIXTURE_BRANCHES[2:]
+#: The same-sign and the different-sign branches (rows 0, 3 and 1, 2 of
+#: _BRANCHES) as slices of a table's rows.
+_SAME_ROWS, _DIFF_ROWS = slice(0, 4, 3), slice(1, 3)
 #: The branch indices of the same-sign and different-sign member of each
 #: of CONSTRAINT_PAIRS.
 _PAIR_SAME, _PAIR_DIFF = np.array(
@@ -207,39 +214,40 @@ class ConditionalStateTable:
         k = _BRANCHES.index((alice, bob))
         return self.states[k] if self.occurs[k] else None
 
-    @property
-    def entries(self) -> dict[tuple[Sign, Sign], tuple[float, np.ndarray | None]]:
-        """(weight, state or None) of each outcome pair."""
-        return {b: (float(self.weights[k]), self.phi(*b)) for k, b in enumerate(_BRANCHES)}
-
 
 def conditional_states(spec: AttackSpec, case: Case) -> ConditionalStateTable:
     """Project the global state onto each (Alice, Bob) outcome pair."""
-    return _case_tables(global_state(spec), (case,))[0]
+    return _case_tables(_global_vectors([spec]), (case,))[0]
 
 
-def _case_tables(psi: StateVector, cases=CASES) -> list[ConditionalStateTable]:
-    """The conditional state table of each case from one global state, in two
-    stacked projections: Alice's in each basis her cases use, then Bob's in
-    every branch. Cases with the same Alice basis share her two branches."""
+def _case_tables(vecs: np.ndarray, cases=CASES) -> list[ConditionalStateTable]:
+    """The conditional state table of each case of each global state vector
+    (the rows of ``vecs``), spec-major, in two stacked projections: Alice's
+    in each basis her cases use, then Bob's in every branch. Cases with the
+    same Alice basis share her two branches."""
+    k = len(vecs)
     alice = list(dict.fromkeys(case.alice_basis for case in cases))
-    p_a, after_a = project_stack(psi.vec.reshape(2, -1), [_KETS[basis] for basis in alice])
+    p_a, after_a = project_stack(
+        vecs.reshape(k, 1, 1, 2, -1), [_KETS[basis] for basis in alice]
+    )
     row = [alice.index(case.alice_basis) for case in cases]
-    # Alice's branches as (basis, m, B, CE), each projected by Bob's kets (case, n, B)
+    # Alice's branches as (spec, basis, m, B, CE), each projected by Bob's
+    # kets (case, n, B)
     p_b, states = project_stack(
-        after_a.reshape(len(alice), 2, 2, -1)[row][:, :, None],
+        after_a.reshape(k, len(alice), 2, 2, -1)[:, row][:, :, :, None],
         np.array([_KETS[case.bob_basis] for case in cases])[:, None],
     )
     # An Alice branch that does not occur left the zero state, so each of its
     # Bob branches has probability 0 and weight 0 exactly.
-    weights = (p_a[row][:, :, None] * p_b).reshape(len(cases), 4)
-    for total in weights.sum(axis=1):
+    weights = (p_a[:, row][..., None] * p_b).reshape(k, len(cases), 4)
+    for total in weights.sum(axis=-1).ravel():
         if abs(total - 1.0) > qmath.STRUCT_TOL:
             raise ConsistencyError(f"conditional weights sum to {total}, expected 1")
-    occurs = (p_b > ZERO_BRANCH_TOL).reshape(len(cases), 4)
-    states = states.reshape(len(cases), 4, -1)
+    occurs = (p_b > ZERO_BRANCH_TOL).reshape(k, len(cases), 4)
+    states = states.reshape(k, len(cases), 4, -1)
     return [
-        ConditionalStateTable(case, weights[i], states[i], occurs[i])
+        ConditionalStateTable(case, weights[s, i], states[s, i], occurs[s, i])
+        for s in range(k)
         for i, case in enumerate(cases)
     ]
 
@@ -299,33 +307,48 @@ def detection_residuals(spec: AttackSpec) -> DetectionResiduals:
     form in one stacked product (conj(C) @ gram) @ C^T: the branch weights
     on its diagonals, the same/different cross terms off them.
     """
-    gram = spec.eps.conj() @ spec.eps.T
+    return _residual_stack([spec])[0]
+
+
+#: The (r, s) eps row pairs of DetectionResiduals.products.
+_PRODUCT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _residual_stack(specs) -> list[DetectionResiduals]:
+    """:func:`detection_residuals` of specs sharing one joint_dim, with
+    every spec's bilinear forms in one stacked product."""
+    a = np.stack([spec.a for spec in specs])
+    eps = np.stack([spec.eps for spec in specs])
+    grams = eps.conj() @ np.swapaxes(eps, 1, 2)
     # Each bra entry is real or imaginary, so these array products round as
     # the products of the single scalars do, bit for bit.
-    coeffs = _BRA_PRODUCTS * spec.a[_EPS_INDEX]
-    forms = (np.conj(coeffs) @ gram) @ np.swapaxes(coeffs, 1, 2)
-    weights = np.diagonal(forms, axis1=1, axis2=2).real
-    cross = forms[:, _PAIR_SAME, _PAIR_DIFF]
-    w = weights[:, _PAIR_SAME] * weights[:, _PAIR_DIFF]
+    coeffs = _BRA_PRODUCTS * a[:, _EPS_INDEX[0], _EPS_INDEX[1]][:, None, None]
+    forms = (np.conj(coeffs) @ grams[:, None]) @ np.swapaxes(coeffs, -1, -2)
+    weights = np.diagonal(forms, axis1=-2, axis2=-1).real
+    cross = forms[..., _PAIR_SAME, _PAIR_DIFF]
+    w = weights[..., _PAIR_SAME] * weights[..., _PAIR_DIFF]
     # A branch that never occurs imposes no constraint. Its weight product
     # can round below zero, so the square root skips it too.
     occurs = w > _PAIR_WEIGHT_TOL
     vals = np.divide(
         np.hypot(cross.real, cross.imag), np.sqrt(w, out=np.ones_like(w), where=occurs),
         out=np.zeros_like(w), where=occurs,
-    )
-    per_case = {case: tuple(vals[i].tolist()) for i, case in enumerate(CASES)}
+    ).tolist()
 
-    avec = np.array([spec.a[i, j] for (i, j) in EPS_ORDER])
-    prods = tuple(
-        float(abs(np.conj(avec[r]) * avec[s] * gram[r, s]))
-        for r, s in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-    )
-    gaps = (
-        float(abs(abs(avec[0]) - abs(avec[3]))),
-        float(abs(abs(avec[1]) - abs(avec[2]))),
-    )
-    return DetectionResiduals(per_case, prods, gaps)
+    residuals = []
+    for spec_vals, gram, avec in zip(vals, grams, a.reshape(-1, 4)):
+        # numpy scalars: their complex products and magnitudes round
+        # differently from the array loops'
+        prods = tuple(
+            float(abs(np.conj(avec[r]) * avec[s] * gram[r, s])) for r, s in _PRODUCT_PAIRS
+        )
+        gaps = (
+            float(abs(abs(avec[0]) - abs(avec[3]))),
+            float(abs(abs(avec[1]) - abs(avec[2]))),
+        )
+        per_case = {case: tuple(spec_vals[i]) for i, case in enumerate(CASES)}
+        residuals.append(DetectionResiduals(per_case, prods, gaps))
+    return residuals
 
 
 def escape_check(spec: AttackSpec, tol: float = DEFAULT_TOL) -> bool:
@@ -335,7 +358,7 @@ def escape_check(spec: AttackSpec, tol: float = DEFAULT_TOL) -> bool:
     orthogonality test on explicitly constructed conditional states. A
     disagreement is surfaced as ConsistencyError, never silently resolved.
     """
-    return _escape_flag(detection_residuals(spec), _case_tables(global_state(spec)), tol)
+    return _escape_flag(_residual_stack([spec])[0], _case_tables(_global_vectors([spec])), tol)
 
 
 def _escape_flag(
@@ -353,8 +376,8 @@ def _escape_flag(
     route_b = True
     worst = 0.0
     for table in tables:
-        same = table.states[_SAME][table.occurs[_SAME]]
-        diff = table.states[_DIFF][table.occurs[_DIFF]]
+        same = table.states[_SAME_ROWS][table.occurs[_SAME_ROWS]]
+        diff = table.states[_DIFF_ROWS][table.occurs[_DIFF_ROWS]]
         if not len(same) or not len(diff):
             continue
         ok, mag = qmath.cross_gram_is_zero(same, diff, tol)
@@ -392,12 +415,11 @@ def _mixtures(tables: list[ConditionalStateTable]) -> tuple[np.ndarray, np.ndarr
     w1, w2 = weights[:, _MIXTURE_BRANCHES[:, 0]], weights[:, _MIXTURE_BRANCHES[:, 1]]
     totals = w1 + w2
     occurs = totals > ZERO_BRANCH_TOL
-    for table, ok in zip(tables, occurs):
-        for alice, alice_ok in zip(_SIGNS, ok[:2]):
-            if not alice_ok:
-                raise InfeasibleError(
-                    f"Alice outcome {alice.value} never occurs in case {table.case.key}"
-                )
+    if not occurs[:, :2].all():
+        i, alice = np.unravel_index(np.argmin(occurs[:, :2]), (len(tables), 2))
+        raise InfeasibleError(
+            f"Alice outcome {_SIGNS[alice].value} never occurs in case {tables[i].case.key}"
+        )
     totals[~occurs] = 0.0
     c1 = np.divide(w1, totals, out=np.zeros_like(totals), where=occurs)[..., None, None]
     c2 = np.divide(w2, totals, out=np.zeros_like(totals), where=occurs)[..., None, None]
@@ -422,12 +444,14 @@ def _helstrom_operators(tables: list[ConditionalStateTable]) -> tuple[np.ndarray
 
 
 def _in_basis(
-    tables: list[ConditionalStateTable], basis: np.ndarray
+    tables: list[ConditionalStateTable], bases: np.ndarray
 ) -> list[ConditionalStateTable]:
     """The tables with each conditional state written in the orthonormal
-    columns of ``basis``, which must span it: each stays normalised."""
+    columns of its table's basis, ``bases[i]`` for table i, which must span
+    it: each stays normalised."""
     # one matrix-vector product per state, as basis^dagger @ phi computes it
-    states = np.matmul(basis.conj().T, np.stack([t.states for t in tables])[..., None])[..., 0]
+    adjoints = np.swapaxes(bases.conj(), 1, 2)[:, None]
+    states = np.matmul(adjoints, np.stack([t.states for t in tables])[..., None])[..., 0]
     occurs = np.stack([t.occurs for t in tables])
     qmath._check_finite(states)
     deviation = np.where(occurs, np.abs(np.sqrt((np.abs(states) ** 2).sum(axis=-1)) - 1.0), 0.0)
@@ -462,17 +486,18 @@ _PRIOR_SUM_TOL = 1e-12
 def _helstrom_errors(deltas: np.ndarray, priors) -> list[float]:
     """:func:`helstrom` of a stack of operators p2 rho2 - p1 rho1 with their
     priors (p1, p2), from one batched trace-norm sweep."""
-    for p1, p2 in priors:
-        if p1 < 0.0 or p2 < 0.0 or abs(p1 + p2 - 1.0) > _PRIOR_SUM_TOL:
-            raise ValueError(f"priors must be nonnegative and sum to 1, got {p1}, {p2}")
-    errors = []
-    for norm, (p1, p2) in zip(qmath.trace_norm_stack(deltas), priors):
-        pe = 0.5 - 0.5 * norm
-        cap = min(p1, p2)
-        if pe < -1e-9 or pe > cap + 1e-9:
-            raise ConsistencyError(f"Helstrom probability {pe} outside [0, {cap}]")
-        errors.append(float(min(max(pe, 0.0), cap)))
-    return errors
+    p1, p2 = np.asarray(priors).T
+    bad = (p1 < 0.0) | (p2 < 0.0) | (np.abs(p1 + p2 - 1.0) > _PRIOR_SUM_TOL)
+    if bad.any():
+        i = np.argmax(bad)
+        raise ValueError(f"priors must be nonnegative and sum to 1, got {p1[i]}, {p2[i]}")
+    pe = 0.5 - 0.5 * qmath.trace_norm_stack(deltas)
+    cap = np.minimum(p1, p2)
+    bad = (pe < -1e-9) | (pe > cap + 1e-9)
+    if bad.any():
+        i = np.argmax(bad)
+        raise ConsistencyError(f"Helstrom probability {pe[i]} outside [0, {cap[i]}]")
+    return np.minimum(np.maximum(pe, 0.0), cap).tolist()
 
 
 def pe_closed_form(spec: AttackSpec, tol: float = DEFAULT_TOL) -> float:
@@ -521,13 +546,13 @@ def is_realizable(spec: AttackSpec, tol: float = DEFAULT_TOL) -> tuple[bool, dic
     Necessary and sufficient: the two Alice-branch vectors
     v_i = sum_j a_ij |j>_B eps_ij have squared norm 1/2 and are orthogonal.
     """
-    return _realizable(global_state(spec), tol)
+    return _realizable(_global_vectors([spec])[0], tol)
 
 
-def _realizable(psi: StateVector, tol: float) -> tuple[bool, dict]:
-    """:func:`is_realizable` of the global state ``psi``, whose two rows
-    over Alice's register are the branch vectors v_0, v_1."""
-    v0, v1 = psi.vec.reshape(2, -1)
+def _realizable(vec: np.ndarray, tol: float) -> tuple[bool, dict]:
+    """:func:`is_realizable` of the global state vector ``vec``, whose two
+    rows over Alice's register are the branch vectors v_0, v_1."""
+    v0, v1 = vec.reshape(2, -1)
     n0 = float((np.abs(v0) ** 2).sum())
     n1 = float((np.abs(v1) ** 2).sum())
     overlap = float(abs(np.vdot(v0, v1)))
@@ -556,7 +581,13 @@ class AttackReport:
 
 
 def analyze(spec: AttackSpec, tol: float = DEFAULT_TOL) -> AttackReport:
-    """Run every check and measure on a spec and cross-validate the routes.
+    """Run every check and measure on a spec and cross-validate the routes:
+    :func:`analyze_stack` of the spec alone."""
+    return analyze_stack([spec], tol)[0]
+
+
+def analyze_stack(specs, tol: float = DEFAULT_TOL) -> list[AttackReport]:
+    """Run every check and measure on each spec and cross-validate the routes.
 
     The global state is projected once into the four conditional state
     tables; the escape routes, both Helstrom errors of every case and the
@@ -566,16 +597,58 @@ def analyze(spec: AttackSpec, tol: float = DEFAULT_TOL) -> AttackReport:
     the escape routes keep the full states. The eight Helstrom problems
     (per case, Alice's outcomes and the two announcement sets) are stacked
     and solved in one trace-norm sweep.
-    """
-    residuals = detection_residuals(spec)
-    psi = global_state(spec)
-    tables = _case_tables(psi)
-    escape = _escape_flag(residuals, tables, tol)
-    if spec.joint_dim > 4:
-        span = qmath.orthonormal_span(spec.eps)
-        tables = _in_basis(tables, span)
 
+    Specs whose C+E registers, and spans where those are used, share their
+    dimensions go through every stage together, with a leading spec axis,
+    and each report is bit for bit the spec's report alone. When a check
+    fails, the error raised is the one the first failing spec raises alone,
+    as analysing the specs in turn would raise it.
+    """
+    specs = list(specs)
+    spans = [qmath.orthonormal_span(spec.eps) if spec.joint_dim > 4 else None for spec in specs]
+    groups: dict[tuple, list[int]] = {}
+    for i, (spec, span) in enumerate(zip(specs, spans)):
+        groups.setdefault((spec.joint_dim, None if span is None else span.shape[1]), []).append(i)
+    reports: list[AttackReport] = [None] * len(specs)
+    try:
+        for members in groups.values():
+            group = _analysis_pass([specs[i] for i in members], [spans[i] for i in members], tol)
+            for i, report in zip(members, group):
+                reports[i] = report
+    except (ValueError, RuntimeError):  # every check raises one of these
+        if len(specs) > 1:
+            for spec, span in zip(specs, spans):
+                _analysis_pass([spec], [span], tol)
+        raise
+    return reports
+
+
+def _analysis_pass(specs, spans, tol: float) -> list[AttackReport]:
+    """:func:`analyze_stack` of specs sharing one joint_dim and, where
+    their Helstrom problems move to span(eps), one span dimension."""
+    residuals = _residual_stack(specs)
+    vecs = _global_vectors(specs)
+    tables = _case_tables(vecs)
+    n = len(CASES)
+    escapes = [
+        _escape_flag(spec_residuals, tables[n * s:n * (s + 1)], tol)
+        for s, spec_residuals in enumerate(residuals)
+    ]
+    if spans[0] is not None:
+        tables = _in_basis(tables, np.repeat(np.stack(spans), n, axis=0))
     errors = _helstrom_errors(*_helstrom_operators(tables))
+    return [
+        _report(spec, spec_residuals, escape, errors[2 * n * s:2 * n * (s + 1)], vec, tol)
+        for s, (spec, spec_residuals, escape, vec) in enumerate(zip(specs, residuals, escapes, vecs))
+    ]
+
+
+def _report(
+    spec: AttackSpec, residuals: DetectionResiduals, escape: bool, errors, vec: np.ndarray,
+    tol: float,
+) -> AttackReport:
+    """A spec's report from its residuals, escape flag, eight Helstrom
+    errors and global state vector, once the checks that read them pass."""
     pe_numeric = {case: errors[2 * i] for i, case in enumerate(CASES)}
     pe_announce = {case: errors[2 * i + 1] for i, case in enumerate(CASES)}
 
@@ -606,7 +679,7 @@ def analyze(spec: AttackSpec, tol: float = DEFAULT_TOL) -> AttackReport:
         info = float(np.mean([mutual_information(pe) for pe in pes]))
 
     nas_ok, _ = nas_check(spec, tol)
-    realizable, _ = _realizable(psi, tol)
+    realizable, _ = _realizable(vec, tol)
     return AttackReport(
         residuals=residuals,
         escape_ok=escape,

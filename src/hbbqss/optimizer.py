@@ -20,11 +20,13 @@ import numpy as np
 
 from .attack import (
     CASES,
+    AttackReport,
     AttackSpec,
     ConsistencyError,
     SpecError,
     _sig12,
     analyze,
+    analyze_stack,
     mutual_information,
 )
 
@@ -79,7 +81,11 @@ def objective(point: AttackFamilyPoint) -> float:
     Helstrom route of the same analysis is required to agree within 1e-9 on
     every basis case.
     """
-    report = analyze(point.to_spec())
+    return _information(analyze(point.to_spec()))
+
+
+def _information(report: AttackReport) -> float:
+    """:func:`objective` of the family point whose analysis is ``report``."""
     if not report.escape_ok:
         raise SpecError("family point does not satisfy the detection constraints")
     pe = report.pe_closed_form
@@ -89,6 +95,22 @@ def objective(point: AttackFamilyPoint) -> float:
             f"closed-form error probability deviates from Helstrom by {worst:.3e}"
         )
     return mutual_information(pe)
+
+
+def _objectives(points: list[AttackFamilyPoint]) -> list[float | Exception]:
+    """:func:`objective` of every point, from one stacked analysis; when that
+    raises, each point is evaluated alone and gets its value or the
+    exception it raises."""
+    try:
+        return [_information(r) for r in analyze_stack([p.to_spec() for p in points])]
+    except (ValueError, RuntimeError):  # every check raises one of these
+        outcomes: list[float | Exception] = []
+        for point in points:
+            try:
+                outcomes.append(objective(point))
+            except (ValueError, RuntimeError) as exc:
+                outcomes.append(exc)
+        return outcomes
 
 
 @dataclass
@@ -112,6 +134,14 @@ def maximize(
     is flagged converged only when the bracket closed within the iteration
     budget and the optimum matches the known analytic maximum (one bit at
     c = 1/2) to the requested tolerance.
+
+    The restarts are independent, so they run in lockstep: every pass
+    analyses, in one stack, the points each unfinished restart needs next
+    (first all phase probes and opening points, then one point per restart),
+    and a point met before is not analysed again. The trace, the evaluation
+    count and the best point are then replayed in restart order, and a
+    failure raises the exception the first failing restart meets first: all
+    as when the restarts run one after another, evaluating point by point.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -124,46 +154,43 @@ def maximize(
         raise ValueError(f"bounds must satisfy 0 <= lo < hi <= 1/sqrt(2), got {bounds}")
     rng = rng if rng is not None else np.random.default_rng(0)
 
+    phases = [(0.0, 0.0, 0.0, 0.0)]
+    phases += [tuple(rng.uniform(0.0, 2.0 * math.pi, 4)) for _ in range(1, restarts)]
+    calls: list[list[tuple[AttackFamilyPoint, float]]] = [[] for _ in phases]
+    searches = [_search(lo, hi, iters, ph, log) for ph, log in zip(phases, calls)]
+    requests = {r: next(search) for r, search in enumerate(searches)}
+    memo: dict[AttackFamilyPoint, float | Exception] = {}
+    bracket_ok = True
+    failure: Exception | None = None
+    while requests:
+        new = [p for p in dict.fromkeys(p for ps in requests.values() for p in ps) if p not in memo]
+        if new:
+            memo.update(zip(new, _objectives(new)))
+        for r in sorted(requests):
+            try:
+                requests[r] = searches[r].send([memo[p] for p in requests[r]])
+            except StopIteration as done:
+                del requests[r]
+                bracket_ok = bracket_ok and done.value
+            except (ValueError, RuntimeError) as exc:
+                # the restarts after this one never start when run in turn
+                failure = exc
+                for later in [q for q in requests if q >= r]:
+                    del requests[later]
+                break
+    if failure is not None:
+        raise failure
+
     evals = 0
     best_info = -1.0
     best_point: AttackFamilyPoint | None = None
     trace: list[tuple[int, float]] = []
-    bracket_ok = True
-
-    def f(c: float, phases) -> float:
-        nonlocal evals, best_info, best_point
-        point = AttackFamilyPoint(c, tuple(phases))
-        value = objective(point)
+    for point, value in (call for log in calls for call in log):
         evals += 1
         if value > best_info:
             best_info = value
             best_point = point
         trace.append((evals, best_info))
-        return value
-
-    for restart in range(restarts):
-        phases = (0.0, 0.0, 0.0, 0.0) if restart == 0 else tuple(rng.uniform(0.0, 2.0 * math.pi, 4))
-        _assert_phase_invariant(phases)
-        a, b = lo, hi
-        x1 = b - _GOLDEN * (b - a)
-        x2 = a + _GOLDEN * (b - a)
-        f1, f2 = f(x1, phases), f(x2, phases)
-        steps = 0
-        while (b - a) > BRACKET_TOL and steps < iters:
-            if f1 < f2:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + _GOLDEN * (b - a)
-                f2 = f(x2, phases)
-            else:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - _GOLDEN * (b - a)
-                f1 = f(x1, phases)
-            steps += 1
-        if (b - a) > BRACKET_TOL:
-            bracket_ok = False
-        # Endpoints can host the maximum when the bounds are constrained.
-        f(a, phases)
-        f(b, phases)
 
     converged = (
         bracket_ok
@@ -173,14 +200,63 @@ def maximize(
     return OptimizationResult(best_info, best_point, trace, converged)
 
 
-def _assert_phase_invariant(phases) -> None:
-    for c in (0.23, 0.45):
-        base = objective(AttackFamilyPoint(c))
-        shifted = objective(AttackFamilyPoint(c, tuple(phases)))
+#: The values of c at which each restart asserts the objective phase-invariant.
+_PROBES = (0.23, 0.45)
+
+
+def _search(lo: float, hi: float, iters: int, phases, calls: list):
+    """One restart: the phase-invariance probes, then a golden-section search
+    over c at ``phases``, ending on both bracket ends (which can host the
+    maximum when the bounds are constrained).
+
+    A generator: each yield lists the points the next step needs and takes
+    back their values, or the exception each raised, which it raises where
+    evaluating point by point would. The evaluations the trace counts go to
+    ``calls`` as (point, value); the return value says whether the bracket
+    closed within ``iters`` steps.
+    """
+    def record(points, values):
+        calls.extend(zip(points, _raise_first(values)))
+        return values
+
+    def evaluate(*cs):
+        points = [AttackFamilyPoint(c, phases) for c in cs]
+        return record(points, (yield points))
+
+    a, b = lo, hi
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    probes = [AttackFamilyPoint(c, ph) for c in _PROBES for ph in ((0.0,) * 4, phases)]
+    opening = [AttackFamilyPoint(x1, phases), AttackFamilyPoint(x2, phases)]
+    values = yield probes + opening
+    for c, base, shifted in zip(_PROBES, values[0:4:2], values[1:4:2]):
+        _raise_first((base, shifted))
         if abs(base - shifted) > 1e-10:
             raise ConsistencyError(
                 f"objective is not phase-invariant at c={c}: {base} vs {shifted}"
             )
+    f1, f2 = record(opening, values[4:])
+    steps = 0
+    while (b - a) > BRACKET_TOL and steps < iters:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2, = yield from evaluate(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1, = yield from evaluate(x1)
+        steps += 1
+    yield from evaluate(a, b)
+    return (b - a) <= BRACKET_TOL
+
+
+def _raise_first(values):
+    """``values``, unless one is an exception: then the first of those is raised."""
+    for value in values:
+        if isinstance(value, Exception):
+            raise value
+    return values
 
 
 def random_orthonormal(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:

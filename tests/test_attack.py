@@ -46,6 +46,11 @@ INFO_AT_C06 = 0.7093655097588324
 MAG_GAP = 0.14214113720780752  # |sqrt(.6) - sqrt(.4)|
 
 
+def entries(table):
+    """(weight, state or None) of each outcome pair of a conditional state table."""
+    return {b: (float(table.weights[k]), table.phi(*b)) for k, b in enumerate(attack._BRANCHES)}
+
+
 def circuit_spec():
     return exploit.example_spec()
 
@@ -153,7 +158,7 @@ def test_global_state_kki_normalised_and_perfect():
 def test_conditional_states_circuit_spec_xx_case():
     table = conditional_states(circuit_spec(), Case.XX)
     for (m, n) in ((a, b) for a in "+-" for b in "+-"):
-        weight = table.entries[Sign(m), Sign(n)][0]
+        weight = entries(table)[Sign(m), Sign(n)][0]
         assert weight == pytest.approx(0.25, abs=1e-12)
         phi = table.phi(Sign(m), Sign(n))
         expected = CASE_CONDITIONALS[(Case.XX, m, n)]
@@ -173,7 +178,7 @@ def test_conditional_states_honest_follow_the_table():
     kets = basis_kets(Basis.X)
     for m in (Sign.PLUS, Sign.MINUS):
         for n in (Sign.PLUS, Sign.MINUS):
-            assert table.entries[m, n][0] == pytest.approx(0.25, abs=1e-12)
+            assert entries(table)[m, n][0] == pytest.approx(0.25, abs=1e-12)
             # Charlie's qubit holds exactly the table outcome for (m, n):
             # same signs give x+, different signs x- (E is trivial here)
             expected = kets[0] if m == n else kets[1]
@@ -253,7 +258,7 @@ def test_rho_pair_handles_vanishing_branches():
         2, np.array([[R, 0.0], [0.0, R]], dtype=complex), eps
     )
     table = conditional_states(spec, Case.XX)
-    assert table.entries[Sign.PLUS, Sign.MINUS][0] <= 1e-12
+    assert entries(table)[Sign.PLUS, Sign.MINUS][0] <= 1e-12
     assert table.phi(Sign.PLUS, Sign.MINUS) is None
     rho_plus, rho_minus = rho_pair(spec, Case.XX)
     assert abs(np.trace(rho_plus) - 1.0) <= 1e-10
@@ -421,7 +426,7 @@ def test_nas_necessity_sampled(rng):
 
 def alice_priors(table):
     """Probabilities of Alice's + and - outcomes in one case."""
-    p_plus = sum(table.entries[Sign.PLUS, n][0] for n in (Sign.PLUS, Sign.MINUS))
+    p_plus = sum(entries(table)[Sign.PLUS, n][0] for n in (Sign.PLUS, Sign.MINUS))
     return p_plus, 1.0 - p_plus
 
 
@@ -477,27 +482,33 @@ def _counting(monkeypatch, name):
         lambda: analyze(kki_spec()),
         lambda: optimizer.objective(optimizer.AttackFamilyPoint(0.3)),
         lambda: escape_check(kki_spec()),
+        lambda: attack.analyze_stack([family_spec(c) for c in (0.1, 0.3, 0.5)]),
     ],
-    ids=["analyze", "objective", "escape_check"],
+    ids=["analyze", "objective", "escape_check", "analyze_stack"],
 )
 def test_one_pass_builds_each_case_once(monkeypatch, run):
     tables = _counting(monkeypatch, "_case_tables")
-    states = _counting(monkeypatch, "global_state")
+    states = _counting(monkeypatch, "_global_vectors")
     projections = _counting(monkeypatch, "project_stack")
-    residuals = _counting(monkeypatch, "detection_residuals")
+    residuals = _counting(monkeypatch, "_residual_stack")
     run()
-    # one global state, projected for all four cases in two stacked
+    # one stack of global states, projected for all four cases in two stacked
     # contractions: Alice's four kets, then Bob's two in all eight branches
     assert len(tables) == 1 and len(states) == 1
     assert len(projections) == 2
     assert len(residuals) == 1
 
 
-def _inflated_residuals(spec):
-    res = detection_residuals(spec)
-    return attack.DetectionResiduals(
-        {c: (1.0, 1.0, 1.0, 1.0) for c in CASES}, res.products, res.magnitude_gaps
-    )
+_RESIDUAL_STACK = attack._residual_stack
+
+
+def _inflated_residuals(specs):
+    return [
+        attack.DetectionResiduals(
+            {c: (1.0, 1.0, 1.0, 1.0) for c in CASES}, res.products, res.magnitude_gaps
+        )
+        for res in _RESIDUAL_STACK(specs)
+    ]
 
 
 _MIXTURES = attack._mixtures
@@ -523,7 +534,7 @@ def _blind_announcements(tables):
         (qmath, "cross_gram_is_zero", lambda s, d, tol: (False, 1.0), escape_check),
         (qmath, "cross_gram_is_zero", lambda s, d, tol: (False, 1.0), analyze),
         # bilinear route sees overlaps the constructed states do not
-        (attack, "detection_residuals", _inflated_residuals, analyze),
+        (attack, "_residual_stack", _inflated_residuals, analyze),
         # announcement sets indistinguishable on an escaping spec
         (attack, "_helstrom_operators", _blind_announcements, analyze),
         # one case read with other priors than the rest
@@ -593,7 +604,7 @@ def _full_route_announce(spec, case):
     table = conditional_states(spec, case)
 
     def mix(branches):
-        weights = [table.entries[b][0] for b in branches]
+        weights = [entries(table)[b][0] for b in branches]
         rho = sum(w * np.outer(table.phi(*b), table.phi(*b).conj()) for w, b in zip(weights, branches))
         return rho / sum(weights), sum(weights)
 
@@ -723,24 +734,28 @@ def _hex_lines(values):
             yield float(x).hex()
 
 
+def _report_bits(r) -> list[str]:
+    """float.hex of every AttackReport float and flag."""
+    return list(_hex_lines(
+        [v for c in CASES for v in r.residuals.per_case[c]]
+        + list(r.residuals.products) + list(r.residuals.magnitude_gaps)
+        + [r.escape_ok] + [r.pe_numeric[c] for c in CASES]
+        + [r.pe_announce[c] for c in CASES]
+        + [r.pe_closed_form, r.info, r.nas_ok, r.realizable, r.tol]
+    ))
+
+
 def _analysis_bits(spec) -> list[str]:
     """float.hex of every AttackReport float and flag, of every case's
     conditional weights and states, and of HelstromAttack's eight
     projectors; a failing step is recorded by its error class."""
     lines = []
     try:
-        r = analyze(spec)
-        lines += _hex_lines(
-            [v for c in CASES for v in r.residuals.per_case[c]]
-            + list(r.residuals.products) + list(r.residuals.magnitude_gaps)
-            + [r.escape_ok] + [r.pe_numeric[c] for c in CASES]
-            + [r.pe_announce[c] for c in CASES]
-            + [r.pe_closed_form, r.info, r.nas_ok, r.realizable, r.tol]
-        )
+        lines += _report_bits(analyze(spec))
     except (attack.ConsistencyError, InfeasibleError) as exc:
         lines.append(type(exc).__name__)
     for case in CASES:
-        for (weight, phi) in conditional_states(spec, case).entries.values():
+        for (weight, phi) in entries(conditional_states(spec, case)).values():
             lines += _hex_lines([weight])
             lines += ["None"] if phi is None else _hex_lines(phi)
     try:
@@ -790,16 +805,16 @@ def _one_vector_table(spec, case):
     """Reference: a case's (weight, state or None) per outcome pair, one
     projection at a time."""
     psi = global_state(spec).vec.reshape(2, -1)
-    entries = []
+    rows = []
     for ket_a in basis_kets(case.alice_basis):
         p_a, after_a = _one_vector_projection(psi, ket_a)
         for ket_b in basis_kets(case.bob_basis):
             if after_a is None:
-                entries.append((0.0, None))
+                rows.append((0.0, None))
                 continue
             p_b, after_b = _one_vector_projection(after_a.reshape(2, -1), ket_b)
-            entries.append((p_a * p_b, after_b))
-    return entries
+            rows.append((p_a * p_b, after_b))
+    return rows
 
 
 def _one_vector_residuals(spec, case):
@@ -827,7 +842,7 @@ def test_stacked_analysis_matches_the_one_vector_route():
     for spec in _bit_specs():
         residuals = detection_residuals(spec)
         for case in CASES:
-            got = list(conditional_states(spec, case).entries.values())
+            got = list(entries(conditional_states(spec, case)).values())
             for (weight, phi), (ref_weight, ref_phi) in zip(got, _one_vector_table(spec, case)):
                 assert weight.hex() == ref_weight.hex()
                 assert (phi is None) == (ref_phi is None)
@@ -835,3 +850,50 @@ def test_stacked_analysis_matches_the_one_vector_route():
                     assert phi.tobytes() == ref_phi.tobytes()
             ref = _one_vector_residuals(spec, case)
             assert [v.hex() for v in residuals.per_case[case]] == [v.hex() for v in ref]
+
+
+def test_stacked_pass_gives_every_spec_its_result_alone():
+    """analyze_stack over the ~200 digest specs, ancilla_dim 1-4 mixed, gives
+    every spec the report it gets alone, bit for bit, and the stacked
+    projections give every global state the conditional tables it gets
+    alone."""
+    specs = _bit_specs()
+    stacked = attack.analyze_stack(specs)
+    assert [_report_bits(r) for r in stacked] == [_report_bits(analyze(s)) for s in specs]
+    for dim in sorted({spec.joint_dim for spec in specs}):
+        group = [spec for spec in specs if spec.joint_dim == dim]
+        tables = attack._case_tables(attack._global_vectors(group))
+        alone = [t for spec in group for t in attack._case_tables(attack._global_vectors([spec]))]
+        assert len(tables) == len(alone) == 4 * len(group)
+        for got, ref in zip(tables, alone):
+            assert got.case is ref.case
+            for name in ("weights", "states", "occurs"):
+                assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+
+
+def _alice_plus_spec():
+    """Alice's qubit left in |+>: her - outcome never occurs in the X basis."""
+    eps = np.eye(4, dtype=complex)[[0, 1, 0, 1]]
+    return AttackSpec(2, np.full((2, 2), 0.5, dtype=complex), eps)
+
+
+def test_stacked_pass_raises_what_the_first_failing_spec_raises_alone(monkeypatch):
+    infeasible = _alice_plus_spec()
+    with pytest.raises(InfeasibleError, match="Alice outcome - never occurs in case xx"):
+        analyze(infeasible)
+    # the first spec fails at the last stage, the second at an earlier one:
+    # the stacked pass meets the second's error first, but analysing the
+    # specs in turn raises the first's
+    first = honest_spec(2)
+    report = attack._report
+
+    def failing(spec, *args):
+        if spec is first:
+            raise attack.ConsistencyError("first spec fails")
+        return report(spec, *args)
+
+    monkeypatch.setattr(attack, "_report", failing)
+    with pytest.raises(attack.ConsistencyError, match="first spec fails"):
+        attack.analyze_stack([family_spec(0.3), first, infeasible])
+    with pytest.raises(InfeasibleError, match="never occurs in case xx"):
+        attack.analyze_stack([family_spec(0.3), infeasible, first])

@@ -359,6 +359,46 @@ def test_optimize_outputs_are_deterministic(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_optimize_exits_4_when_helstrom_is_off_by_1e8(tmp_path, monkeypatch, capsys):
+    original = attack._helstrom_errors
+
+    def off(deltas, priors):
+        return [pe + 1e-8 if i % 2 == 0 else pe for i, pe in enumerate(original(deltas, priors))]
+
+    monkeypatch.setattr(attack, "_helstrom_errors", off)
+    out = tmp_path / "o.json"
+    assert main(["optimize", "--restarts", "2", "--seed", "11", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical check failed: closed-form error probability "
+                          "deviates from Helstrom") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def _counting_stacks(monkeypatch, owner):
+    passes = []
+    original = attack.analyze_stack
+
+    def counted(specs, tol=attack.DEFAULT_TOL):
+        specs = list(specs)
+        passes.append(len(specs))
+        return original(specs, tol)
+
+    monkeypatch.setattr(owner, "analyze_stack", counted)
+    return passes
+
+
+def test_optimize_and_sweep_analyse_their_points_in_stacked_passes(tmp_path, monkeypatch):
+    # point by point, optimize --restarts 2 makes 112 analyses; in lockstep
+    # its 104 distinct points take at most 52 stacked passes
+    passes = _counting_stacks(monkeypatch, optimizer)
+    assert main(["optimize", "--restarts", "2", "--seed", "101", "--out", str(tmp_path / "o")]) == 0
+    assert sum(passes) == 104 and len(passes) <= 52
+    # sweep --grid 5 analyses its 6 rows in one pass
+    passes = _counting_stacks(monkeypatch, attack)
+    assert main(["sweep", "--grid", "5", "--out", str(tmp_path / "s.csv")]) == 0
+    assert passes == [6]
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
 
@@ -380,6 +420,23 @@ def test_run_config_validation(capsys):
     assert capsys.readouterr().err == (
         "error: --spec is required exactly when --attacker spec is chosen\n"
     )
+
+
+def test_main_calls_in_turn_each_get_their_own_defaults(monkeypatch):
+    cli._parser.cache_clear()
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    seen = []
+    for name in ("cmd_simulate", "cmd_optimize"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or 0)
+    assert main(["optimize", "--seed", "7"]) == 0
+    assert main(["simulate"]) == 0
+    assert main(["optimize"]) == 0
+    assert len(built) == 1  # one parser for the process
+    assert seen[0] == {**vars(build().parse_args(["optimize"])), "seed": 7}
+    assert seen[1] == vars(build().parse_args(["simulate"]))
+    assert seen[2] == vars(build().parse_args(["optimize"])) and seen[2]["seed"] == 42
 
 
 def test_console_entry_point(tmp_path):

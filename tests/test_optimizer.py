@@ -1,12 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from hbbqss import attack
+from hbbqss import attack, optimizer
 from hbbqss.optimizer import (
+    BRACKET_TOL,
     INV_SQRT2,
+    MAX_ITERS,
     AttackFamilyPoint,
+    OptimizationResult,
     maximize,
     objective,
     random_family_point,
@@ -138,6 +142,167 @@ def test_maximize_validates_arguments():
         maximize(restarts=0)
     with pytest.raises(ValueError):
         maximize(bounds=(0.5, 0.2))
+
+
+# ---------------------------------------------------------------------------
+# lockstep restarts against the sequential loop
+
+
+def sequential_maximize(restarts=4, iters=MAX_ITERS, tol=1e-6, rng=None,
+                        bounds=(0.0, INV_SQRT2), evaluated=None):
+    """Reference: the restarts one after another, every point evaluated by
+    objective() alone when the search reaches it. ``evaluated`` collects
+    (restart, point) of every objective call, phase probes included."""
+    lo, hi = bounds
+    rng = rng if rng is not None else np.random.default_rng(0)
+    evaluated = evaluated if evaluated is not None else []
+    evals = 0
+    best_info = -1.0
+    best_point = None
+    trace = []
+    bracket_ok = True
+
+    def evaluate(point):
+        evaluated.append((restart, point))
+        return objective(point)
+
+    def f(c, phases):
+        nonlocal evals, best_info, best_point
+        point = AttackFamilyPoint(c, tuple(phases))
+        value = evaluate(point)
+        evals += 1
+        if value > best_info:
+            best_info = value
+            best_point = point
+        trace.append((evals, best_info))
+        return value
+
+    for restart in range(restarts):
+        phases = (0.0, 0.0, 0.0, 0.0) if restart == 0 else tuple(rng.uniform(0.0, 2.0 * math.pi, 4))
+        for c in (0.23, 0.45):
+            base = evaluate(AttackFamilyPoint(c))
+            shifted = evaluate(AttackFamilyPoint(c, tuple(phases)))
+            if abs(base - shifted) > 1e-10:
+                raise attack.ConsistencyError(
+                    f"objective is not phase-invariant at c={c}: {base} vs {shifted}"
+                )
+        a, b = lo, hi
+        x1 = b - optimizer._GOLDEN * (b - a)
+        x2 = a + optimizer._GOLDEN * (b - a)
+        f1, f2 = f(x1, phases), f(x2, phases)
+        steps = 0
+        while (b - a) > BRACKET_TOL and steps < iters:
+            if f1 < f2:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + optimizer._GOLDEN * (b - a)
+                f2 = f(x2, phases)
+            else:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - optimizer._GOLDEN * (b - a)
+                f1 = f(x1, phases)
+            steps += 1
+        if (b - a) > BRACKET_TOL:
+            bracket_ok = False
+        f(a, phases)
+        f(b, phases)
+
+    converged = (
+        bracket_ok
+        and abs(best_info - 1.0) <= tol
+        and abs(best_point.c - 0.5) <= 10.0 * tol
+    )
+    return OptimizationResult(best_info, best_point, trace, converged)
+
+
+def _result_bits(result):
+    return (
+        [(i, v.hex()) for i, v in result.trace],
+        result.best_info.hex(),
+        result.best_point.c.hex(),
+        [float(p).hex() for p in result.best_point.phases],
+        result.converged,
+    )
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("seed", [42, 101, 1492956812])
+def test_lockstep_restarts_match_the_sequential_loop(restarts, seed):
+    got = maximize(restarts=restarts, rng=np.random.default_rng(seed))
+    ref = sequential_maximize(restarts=restarts, rng=np.random.default_rng(seed))
+    assert _result_bits(got) == _result_bits(ref)
+
+
+@pytest.mark.parametrize("bounds,iters", [((0.65, INV_SQRT2), MAX_ITERS), ((0.1, 0.6), 12)])
+def test_lockstep_restarts_match_the_sequential_loop_on_constrained_runs(bounds, iters):
+    got = maximize(restarts=3, iters=iters, bounds=bounds, rng=np.random.default_rng(5))
+    ref = sequential_maximize(restarts=3, iters=iters, bounds=bounds, rng=np.random.default_rng(5))
+    assert _result_bits(got) == _result_bits(ref)
+
+
+def _inject(monkeypatch, points, shift=None):
+    """Make the analysis of each given family point raise ConsistencyError,
+    or, with ``shift``, read an information off by that much."""
+    targets = [(point, point.to_spec().a) for point in points]
+    report = attack._report
+
+    def injected(spec, *args):
+        for point, a in targets:
+            if np.array_equal(spec.a, a):
+                if shift is None:
+                    raise attack.ConsistencyError(f"injected at c={point.c!r}")
+                r = report(spec, *args)
+                return dataclasses.replace(
+                    r, pe_closed_form=r.pe_closed_form + shift,
+                    pe_numeric={c: pe + shift for c, pe in r.pe_numeric.items()},
+                )
+        return report(spec, *args)
+
+    monkeypatch.setattr(attack, "_report", injected)
+
+
+def _evaluated(restarts, seed, **kwargs):
+    log = []
+    sequential_maximize(restarts=restarts, rng=np.random.default_rng(seed), evaluated=log, **kwargs)
+    return log
+
+
+def _search_points(log, restart):
+    """The points a restart's golden-section search evaluates, in order."""
+    return [point for r, point in log if r == restart][4:]
+
+
+@pytest.mark.parametrize(
+    "pick,shift",
+    [
+        (lambda log: [_search_points(log, 1)[9]], None),
+        (lambda log: [AttackFamilyPoint(0.45)], None),  # restart 0's second probe pair
+        (lambda log: [_search_points(log, 0)[29], _search_points(log, 1)[0]], None),
+        (lambda log: [[p for r, p in log if r == 1][1]], 1e-6),  # restart 1's shifted probe
+    ],
+    ids=["restart-1-search", "restart-0-probe", "restart-0-late-restart-1-early",
+         "restart-1-phase-variant"],
+)
+def test_lockstep_raises_the_error_the_sequential_loop_meets_first(monkeypatch, pick, shift):
+    targets = pick(_evaluated(3, 9))
+    _inject(monkeypatch, targets, shift)
+    with pytest.raises(attack.ConsistencyError) as ref:
+        sequential_maximize(restarts=3, rng=np.random.default_rng(9))
+    with pytest.raises(attack.ConsistencyError) as got:
+        maximize(restarts=3, rng=np.random.default_rng(9))
+    assert str(got.value) == str(ref.value)
+
+
+def test_a_failure_the_sequential_loop_never_reaches_leaves_the_result_unchanged(monkeypatch):
+    clean = _result_bits(maximize(restarts=3, rng=np.random.default_rng(9)))
+    never = AttackFamilyPoint(0.65)
+    bounds = (0.65, INV_SQRT2)
+    assert never not in [point for _, point in _evaluated(3, 9)]
+    assert never in [point for _, point in _evaluated(3, 9, bounds=bounds)]
+    _inject(monkeypatch, [never])
+    assert _result_bits(maximize(restarts=3, rng=np.random.default_rng(9))) == clean
+    # a search that does reach it fails on it
+    with pytest.raises(attack.ConsistencyError, match="injected at c=0.65"):
+        maximize(restarts=3, bounds=bounds, rng=np.random.default_rng(9))
 
 
 # ---------------------------------------------------------------------------

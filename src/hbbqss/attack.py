@@ -74,13 +74,14 @@ class Case(Enum):
 
     @classmethod
     def from_bases(cls, alice: Basis, bob: Basis) -> "Case":
-        for c in cls:
-            if c.value == (alice, bob):
-                return c
-        raise ValueError(f"no case for bases {alice!r}, {bob!r}")
+        try:
+            return _CASE_OF_BASES[alice, bob]
+        except (KeyError, TypeError):
+            raise ValueError(f"no case for bases {alice!r}, {bob!r}") from None
 
 
 CASES = (Case.XX, Case.XY, Case.YX, Case.YY)
+_CASE_OF_BASES = {c.value: c for c in CASES}
 
 # Pair ordering of the four zero-overlap constraints per case:
 # both "same-sign" branches against both "different-sign" branches.
@@ -119,10 +120,11 @@ class AttackSpec:
         total = float((np.abs(a) ** 2).sum())
         if abs(total - 1.0) > qmath.STRUCT_TOL:
             raise SpecError(f"amplitude magnitudes sum to {total}, expected 1")
-        for idx, row in enumerate(eps):
-            n = float(np.sqrt((np.abs(row) ** 2).sum()))
-            if abs(n - 1.0) > qmath.STRUCT_TOL:
-                raise SpecError(f"eps row {EPS_ORDER[idx]} has norm {n}, expected 1")
+        norms = np.sqrt((np.abs(eps) ** 2).sum(axis=1))
+        bad = np.flatnonzero(np.abs(norms - 1.0) > qmath.STRUCT_TOL)
+        if bad.size:
+            idx = int(bad[0])
+            raise SpecError(f"eps row {EPS_ORDER[idx]} has norm {float(norms[idx])}, expected 1")
         object.__setattr__(self, "ancilla_dim", d)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "eps", eps)

@@ -7,6 +7,11 @@ checks announced outcomes against the GHZ correlation table, and extracts
 key bits. A pluggable attacker strategy may replace Charlie; it intercepts
 the two transit qubits joined to a private ancilla register and is only
 queried again after the bases are public.
+
+The per-round table lookups read tables built once at import. Transcripts
+are written from per-row templates: each distinct row (all fields but
+``round_id``) is encoded once per export, and the bytes are those of
+``json.dumps(..., sort_keys=True, indent=2)`` or of a ``csv.writer`` loop.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ def required_announcement(alice: Outcome, bob: Outcome) -> Outcome:
     """Charlie's outcome demanded by the correlation table."""
     _require_protocol_outcome(alice)
     _require_protocol_outcome(bob)
-    return Outcome.from_label(CORRELATION_TABLE[(alice.label, bob.label)])
+    return _REQUIRED[alice, bob]
 
 
 def infer_alice(bob: Outcome, charlie: Outcome) -> Outcome:
@@ -81,23 +86,29 @@ def infer_alice(bob: Outcome, charlie: Outcome) -> Outcome:
     """
     _require_protocol_outcome(bob)
     _require_protocol_outcome(charlie)
-    alice_basis = completion_basis(bob.basis, charlie.basis)
-    matches = [
-        Outcome.from_label(f"{alice_basis.value}{s}")
-        for s in "+-"
-        if CORRELATION_TABLE[(f"{alice_basis.value}{s}", bob.label)] == charlie.label
-    ]
-    if len(matches) != 1:
+    alice = _ALICE.get((bob, charlie))
+    if alice is None:
         raise ValueError(
             f"announcement {charlie.label} is inconsistent with Bob {bob.label}: "
             f"no unique table entry"
         )
-    return matches[0]
+    return alice
 
 
 def _require_protocol_outcome(o: Outcome) -> None:
     if not isinstance(o, Outcome) or o.basis not in PROTOCOL_BASES:
         raise ValueError(f"expected an x/y outcome, got {o!r}")
+
+
+# The correlation table keyed by outcomes: the required announcement by
+# (Alice, Bob), and its inverse, Alice's outcome by (Bob, Charlie). Every
+# entry sifts and no Bob column repeats a Charlie outcome, so the inverse
+# gives the unique outcome in the completion basis for all 16 agent pairs.
+_REQUIRED: dict[tuple[Outcome, Outcome], Outcome] = {
+    (Outcome.from_label(a), Outcome.from_label(b)): Outcome.from_label(c)
+    for (a, b), c in CORRELATION_TABLE.items()
+}
+_ALICE: dict[tuple[Outcome, Outcome], Outcome] = {(b, c): a for (a, b), c in _REQUIRED.items()}
 
 
 @dataclass(frozen=True)
@@ -316,7 +327,7 @@ def _round_row(r: RoundRecord) -> dict:
     }
 
 
-def transcript_to_dict(t: SessionTranscript) -> dict:
+def _transcript_header(t: SessionTranscript) -> dict:
     return {
         "n_rounds": t.n_rounds,
         "check_fraction": _sig12(t.check_fraction),
@@ -326,12 +337,11 @@ def transcript_to_dict(t: SessionTranscript) -> dict:
         "key_alice": t.key_alice,
         "key_reconstructed": t.key_reconstructed,
         "attacker_key_guess": t.attacker_key_guess,
-        "rounds": [_round_row(r) for r in t.rounds],
     }
 
 
-def transcript_to_json(t: SessionTranscript) -> str:
-    return json.dumps(transcript_to_dict(t), sort_keys=True, indent=2) + "\n"
+def transcript_to_dict(t: SessionTranscript) -> dict:
+    return {**_transcript_header(t), "rounds": [_round_row(r) for r in t.rounds]}
 
 
 CSV_COLUMNS = (
@@ -339,12 +349,67 @@ CSV_COLUMNS = (
     "outcome_a", "outcome_b", "announced_c", "consistent",
 )
 
+#: A round id no round has; both encoders write it as its digits, so the
+#: text of a row written with it splits into the text before and after the id.
+_ID_SLOT = -7_340_033_019
+
+
+def _row_texts(t: SessionTranscript, write_row) -> list[str]:
+    """Each round's row as ``write_row`` writes its ``_round_row`` dict.
+
+    Rounds that differ only in ``round_id`` share one text: it is written
+    once per call with ``_ID_SLOT`` in place of the id, and each round's id
+    is put in its place.
+    """
+    templates: dict[tuple, list[str]] = {}
+    texts = []
+    for r in t.rounds:
+        key = (r.bases, r.outcome_a, r.outcome_b, r.announced_c, r.sifted, r.role, r.consistent)
+        template = templates.get(key)
+        if template is None:
+            row = write_row({**_round_row(r), "round_id": _ID_SLOT})
+            template = templates[key] = row.split(str(_ID_SLOT))
+        head, tail = template
+        texts.append(f"{head}{r.round_id}{tail}")
+    return texts
+
+
+def _json_row(row: dict) -> str:
+    """``row`` as ``json.dumps(..., indent=2)`` lays it out inside the rounds list."""
+    return json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    ")
+
+
+def _json_list(items: list) -> str:
+    """A list of ints or written rows as ``json.dumps(..., indent=2)`` lays it out one level down."""
+    if not items:
+        return "[]"
+    return "[\n    " + ",\n    ".join(map(str, items)) + "\n  ]"
+
+
+def transcript_to_json(t: SessionTranscript) -> str:
+    """The bytes of ``json.dumps(transcript_to_dict(t), sort_keys=True, indent=2) + "\\n"``.
+
+    The header scalars go through ``json.dumps``; the key lists are joined
+    directly and the rounds written from per-row templates.
+    """
+    fields = {**_transcript_header(t), "rounds": _row_texts(t, _json_row)}
+    lists = {k: v for k, v in fields.items() if isinstance(v, list)}
+    text = json.dumps({**fields, **{k: f"\0{k}" for k in lists}}, sort_keys=True, indent=2)
+    for k, items in lists.items():
+        text = text.replace(json.dumps(f"\0{k}"), _json_list(items))
+    return text + "\n"
+
+
+def _csv_line(fields) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, delimiter=",", lineterminator="\n").writerow(fields)
+    return buf.getvalue()
+
+
+def _csv_row(row: dict) -> str:
+    return _csv_line(["" if row[c] is None else row[c] for c in CSV_COLUMNS])
+
 
 def transcript_to_csv(t: SessionTranscript) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=",", lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in t.rounds:
-        row = _round_row(r)
-        writer.writerow(["" if row[c] is None else row[c] for c in CSV_COLUMNS])
-    return buf.getvalue()
+    """A header line, then one ``csv.writer`` line per round, written from per-row templates."""
+    return _csv_line(CSV_COLUMNS) + "".join(_row_texts(t, _csv_row))

@@ -69,7 +69,7 @@ class AttackFamilyPoint:
         if d2 % 2:
             raise SpecError("ancilla states must live on C x E, an even dimension")
         c, s = min(max(self.c, 0.0), INV_SQRT2), self.s
-        ph = [np.exp(1j * t) for t in self.phases]
+        ph = np.exp(1j * np.asarray(self.phases, dtype=float))
         a = np.array([[c * ph[0], s * ph[1]], [s * ph[2], c * ph[3]]], dtype=complex)
         return AttackSpec(d2 // 2, a, eps)
 

@@ -1,11 +1,17 @@
+import csv
+import io
+import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hbbqss import attack, exploit, optimizer, qstate
+from hbbqss import attack, exploit, hbb, optimizer, qstate
 from hbbqss.hbb import (
+    CSV_COLUMNS,
     Role,
     SessionAbort,
     CORRELATION_TABLE,
@@ -90,6 +96,49 @@ def test_required_announcement_matches_literal():
     for (a, b), c in CORRELATION_TABLE.items():
         got = required_announcement(Outcome.from_label(a), Outcome.from_label(b))
         assert got == Outcome.from_label(c)
+
+
+def _alice_by_parity(bob: Outcome, charlie: Outcome) -> list[Outcome]:
+    """Alice's outcomes in the completion basis whose table row maps Bob to Charlie."""
+    basis = completion_basis(bob.basis, charlie.basis)
+    return [
+        Outcome(sign, basis)
+        for sign in Sign
+        if CORRELATION_TABLE[f"{basis.value}{sign.value}", bob.label] == charlie.label
+    ]
+
+
+def test_lookup_tables_are_the_correlation_table():
+    outcomes = [Outcome(sign, basis) for basis in (X, Y) for sign in Sign]
+    for first in outcomes:
+        for second in outcomes:
+            labels = (first.label, second.label)
+            assert hbb._REQUIRED[first, second] == Outcome.from_label(CORRELATION_TABLE[labels])
+            assert [hbb._ALICE[first, second]] == _alice_by_parity(first, second)
+    assert len(hbb._REQUIRED) == len(hbb._ALICE) == 16
+    assert attack._CASE_OF_BASES == {c.value: c for c in attack.Case}
+    for a in (X, Y):
+        for b in (X, Y):
+            assert attack.Case.from_bases(a, b).value == (a, b)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: required_announcement(Outcome(Sign.PLUS, Basis.Z), Outcome.from_label("x+")),
+        lambda: required_announcement(Outcome.from_label("x+"), "x+"),
+        lambda: infer_alice(["x+"], Outcome.from_label("x+")),
+    ],
+)
+def test_lookups_keep_their_input_checks(call):
+    with pytest.raises(ValueError, match="expected an x/y outcome"):
+        call()
+
+
+@pytest.mark.parametrize("bases", [(Basis.Z, X), (X, None), ([X], Y)])
+def test_case_from_bases_rejects_non_protocol_bases(bases):
+    with pytest.raises(ValueError, match="no case for bases"):
+        attack.Case.from_bases(*bases)
 
 
 def test_infer_alice_rejects_wrong_basis_announcement():
@@ -429,3 +478,51 @@ def test_json_export_roundtrip():
     assert data["check_error_rate"] == 0.0
     d = transcript_to_dict(t)
     assert [r["round_id"] for r in d["rounds"]] == list(range(50))
+
+
+def _reference_json(t) -> str:
+    return json.dumps(transcript_to_dict(t), sort_keys=True, indent=2) + "\n"
+
+
+def _reference_csv(t) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=",", lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for r in t.rounds:
+        row = hbb._round_row(r)
+        writer.writerow(["" if row[c] is None else row[c] for c in CSV_COLUMNS])
+    return buf.getvalue()
+
+
+EXPORT_ATTACKERS = ("none", "hbb-circuit", "intercept-resend", "spec-kki")
+
+
+# check_fraction 1 leaves every key list empty, 0 leaves check_error_rate None,
+# and a seedless session writes a null seed
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(EXPORT_ATTACKERS),
+    st.integers(1, 60),
+    st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+@example("none", 1, 1.0, 5, False)
+@example("none", 60, 0.0, 5, True)
+@example("hbb-circuit", 60, 1.0, 6, True)
+@example("intercept-resend", 60, 0.0, 7, False)
+@example("spec-kki", 60, 1.0, 8, True)
+@example("spec-kki", 1, 0.0, 9, False)
+def test_template_export_matches_the_reference_encoders(attacker, n_rounds, check_fraction, seed, explicit_rng):
+    strategy = BUILT_IN_ATTACKERS[attacker]()
+    if explicit_rng:
+        t = run_session(n_rounds, check_fraction, strategy, rng=np.random.default_rng(seed))
+        assert t.seed is None
+    else:
+        t = run_session(n_rounds, check_fraction, strategy, seed=seed)
+    if check_fraction == 1.0:
+        assert t.key_alice == t.key_reconstructed == []
+    if check_fraction == 0.0:
+        assert t.check_error_rate is None
+    assert transcript_to_json(t) == _reference_json(t)
+    assert transcript_to_csv(t) == _reference_csv(t)

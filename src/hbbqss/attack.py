@@ -360,7 +360,7 @@ def escape_check(spec: AttackSpec, tol: float = DEFAULT_TOL) -> bool:
     orthogonality test on explicitly constructed conditional states. A
     disagreement is surfaced as ConsistencyError, never silently resolved.
     """
-    return _escape_flag(_residual_stack([spec])[0], _case_tables(_global_vectors([spec])), tol)
+    return _escape_stage([spec], tol)[-1][0]
 
 
 def _escape_flag(
@@ -625,9 +625,10 @@ def analyze_stack(specs, tol: float = DEFAULT_TOL) -> list[AttackReport]:
     return reports
 
 
-def _analysis_pass(specs, spans, tol: float) -> list[AttackReport]:
-    """:func:`analyze_stack` of specs sharing one joint_dim and, where
-    their Helstrom problems move to span(eps), one span dimension."""
+def _escape_stage(specs, tol: float):
+    """The detection residuals, global state vectors, conditional state tables
+    (spec-major) and escape flags of specs sharing one joint_dim: the stage of
+    an analysis pass before the Helstrom problems."""
     residuals = _residual_stack(specs)
     vecs = _global_vectors(specs)
     tables = _case_tables(vecs)
@@ -636,6 +637,14 @@ def _analysis_pass(specs, spans, tol: float) -> list[AttackReport]:
         _escape_flag(spec_residuals, tables[n * s:n * (s + 1)], tol)
         for s, spec_residuals in enumerate(residuals)
     ]
+    return residuals, vecs, tables, escapes
+
+
+def _analysis_pass(specs, spans, tol: float) -> list[AttackReport]:
+    """:func:`analyze_stack` of specs sharing one joint_dim and, where
+    their Helstrom problems move to span(eps), one span dimension."""
+    residuals, vecs, tables, escapes = _escape_stage(specs, tol)
+    n = len(CASES)
     if spans[0] is not None:
         tables = _in_basis(tables, np.repeat(np.stack(spans), n, axis=0))
     errors = _helstrom_errors(*_helstrom_operators(tables))

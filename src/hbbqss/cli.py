@@ -102,7 +102,7 @@ def _check_closed_form_agreement() -> tuple[float, str]:
         pe = attack.pe_closed_form(spec)
         report = attack.analyze(spec)
         worst = max(worst, max(abs(report.pe_numeric[c] - pe) for c in attack.CASES))
-    if worst > 1e-9:
+    if worst > optimizer.CLOSED_FORM_TOL:
         raise AssertionError(f"closed form deviates from Helstrom by {worst:.3e}")
     return worst, f"max closed-form vs Helstrom deviation {worst:.3e}"
 

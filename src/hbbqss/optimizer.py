@@ -5,8 +5,9 @@ orthogonal ancilla states, the amplitude magnitudes reduce to a single
 parameter c = |a00| = |a11| (with |a01| = |a10| = sqrt(1/2 - c^2)), and the
 information is a smooth unimodal function of c. A golden-section search
 over c combined with random restarts over the amplitude phases verifies
-that the maximum is one full bit, attained at c = 1/2. Random family points
-with random orthonormal ancilla states feed the built-in checks.
+that the maximum is one full bit, attained at c = 1/2, from closed-form
+values that the Helstrom route checks on the phase probes and optima. Random
+family points with random orthonormal ancilla states feed the built-in checks.
 """
 
 from __future__ import annotations
@@ -20,10 +21,13 @@ import numpy as np
 
 from .attack import (
     CASES,
+    DEFAULT_TOL,
     AttackReport,
     AttackSpec,
     ConsistencyError,
     SpecError,
+    _closed_form,
+    _escape_stage,
     _sig12,
     analyze,
     analyze_stack,
@@ -37,6 +41,12 @@ BRACKET_TOL = 1e-10
 
 #: Iteration cap for the one-dimensional search.
 MAX_ITERS = 200
+
+#: Largest gap between the closed-form and a case's Helstrom error probability.
+CLOSED_FORM_TOL = 1e-9
+
+#: Largest information gap (bits) between a phase probe's two phasings.
+PHASE_TOL = 1e-10
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -78,8 +88,8 @@ def objective(point: AttackFamilyPoint) -> float:
     """Information gain (bits) at a family point.
 
     Evaluated through the closed-form error probability; the numeric
-    Helstrom route of the same analysis is required to agree within 1e-9 on
-    every basis case.
+    Helstrom route of the same analysis is required to agree within
+    CLOSED_FORM_TOL on every basis case.
     """
     return _information(analyze(point.to_spec()))
 
@@ -90,24 +100,34 @@ def _information(report: AttackReport) -> float:
         raise SpecError("family point does not satisfy the detection constraints")
     pe = report.pe_closed_form
     worst = max(abs(report.pe_numeric[c] - pe) for c in CASES)
-    if worst > 1e-9:
+    if worst > CLOSED_FORM_TOL:
         raise ConsistencyError(
             f"closed-form error probability deviates from Helstrom by {worst:.3e}"
         )
     return mutual_information(pe)
 
 
-def _objectives(points: list[AttackFamilyPoint]) -> list[float | Exception]:
-    """:func:`objective` of every point, from one stacked analysis; when that
-    raises, each point is evaluated alone and gets its value or the
-    exception it raises."""
+def _values(points: list[AttackFamilyPoint], checked: bool) -> list[float | Exception]:
+    """:func:`objective` of every point, in one stacked pass: through the full
+    analysis when ``checked``, else from its escape stage and the closed
+    form alone, the same float without the Helstrom route. When the pass
+    raises, each point is evaluated alone on the same route and gets its
+    value or the exception it raises."""
+    def route(batch):
+        specs = [p.to_spec() for p in batch]
+        if checked:
+            return [_information(r) for r in analyze_stack(specs)]
+        if not all(_escape_stage(specs, DEFAULT_TOL)[-1]):
+            raise SpecError("family point does not satisfy the detection constraints")
+        return [mutual_information(_closed_form(abs(s.a[0, 0]), abs(s.a[1, 0]))) for s in specs]
+
     try:
-        return [_information(r) for r in analyze_stack([p.to_spec() for p in points])]
+        return route(points)
     except (ValueError, RuntimeError):  # every check raises one of these
         outcomes: list[float | Exception] = []
         for point in points:
             try:
-                outcomes.append(objective(point))
+                outcomes += route([point])
             except (ValueError, RuntimeError) as exc:
                 outcomes.append(exc)
         return outcomes
@@ -136,12 +156,15 @@ def maximize(
     c = 1/2) to the requested tolerance.
 
     The restarts are independent, so they run in lockstep: every pass
-    analyses, in one stack, the points each unfinished restart needs next
-    (first all phase probes and opening points, then one point per restart),
-    and a point met before is not analysed again. The trace, the evaluation
-    count and the best point are then replayed in restart order, and a
-    failure raises the exception the first failing restart meets first: all
-    as when the restarts run one after another, evaluating point by point.
+    evaluates, in one stack per route, the points each unfinished restart
+    needs next (first all phase probes and opening points, then one point
+    per restart), and a point met before on its route is not evaluated
+    again. Only the phase probes, and each restart's optimum as its last
+    step, take :func:`objective`'s Helstrom check; the optimum must keep its
+    search value. The trace, the evaluation count and the best point are
+    then replayed in restart order, and a failure raises the exception the
+    first failing restart meets first: all as when the restarts run one
+    after another, evaluating point by point.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -159,16 +182,18 @@ def maximize(
     calls: list[list[tuple[AttackFamilyPoint, float]]] = [[] for _ in phases]
     searches = [_search(lo, hi, iters, ph, log) for ph, log in zip(phases, calls)]
     requests = {r: next(search) for r, search in enumerate(searches)}
-    memo: dict[AttackFamilyPoint, float | Exception] = {}
+    memo: dict[tuple[AttackFamilyPoint, bool], float | Exception] = {}
     bracket_ok = True
     failure: Exception | None = None
     while requests:
-        new = [p for p in dict.fromkeys(p for ps in requests.values() for p in ps) if p not in memo]
-        if new:
-            memo.update(zip(new, _objectives(new)))
+        new = [k for k in dict.fromkeys(k for ks in requests.values() for k in ks) if k not in memo]
+        for checked in (True, False):
+            points = [p for p, kind in new if kind is checked]
+            if points:
+                memo.update(zip([(p, checked) for p in points], _values(points, checked)))
         for r in sorted(requests):
             try:
-                requests[r] = searches[r].send([memo[p] for p in requests[r]])
+                requests[r] = searches[r].send([memo[k] for k in requests[r]])
             except StopIteration as done:
                 del requests[r]
                 bracket_ok = bracket_ok and done.value
@@ -207,11 +232,12 @@ _PROBES = (0.23, 0.45)
 def _search(lo: float, hi: float, iters: int, phases, calls: list):
     """One restart: the phase-invariance probes, then a golden-section search
     over c at ``phases``, ending on both bracket ends (which can host the
-    maximum when the bounds are constrained).
+    maximum when the bounds are constrained), then the check of its optimum.
 
-    A generator: each yield lists the points the next step needs and takes
-    back their values, or the exception each raised, which it raises where
-    evaluating point by point would. The evaluations the trace counts go to
+    A generator: each yield lists the points the next step needs, as
+    (point, checked) for :func:`_values`, and takes back their values, or
+    the exception each raised, which it raises where evaluating point by
+    point would. The evaluations the trace counts go to
     ``calls`` as (point, value); the return value says whether the bracket
     closed within ``iters`` steps.
     """
@@ -221,17 +247,17 @@ def _search(lo: float, hi: float, iters: int, phases, calls: list):
 
     def evaluate(*cs):
         points = [AttackFamilyPoint(c, phases) for c in cs]
-        return record(points, (yield points))
+        return record(points, (yield [(p, False) for p in points]))
 
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     probes = [AttackFamilyPoint(c, ph) for c in _PROBES for ph in ((0.0,) * 4, phases)]
     opening = [AttackFamilyPoint(x1, phases), AttackFamilyPoint(x2, phases)]
-    values = yield probes + opening
+    values = yield [(p, True) for p in probes] + [(p, False) for p in opening]
     for c, base, shifted in zip(_PROBES, values[0:4:2], values[1:4:2]):
         _raise_first((base, shifted))
-        if abs(base - shifted) > 1e-10:
+        if abs(base - shifted) > PHASE_TOL:
             raise ConsistencyError(
                 f"objective is not phase-invariant at c={c}: {base} vs {shifted}"
             )
@@ -248,6 +274,10 @@ def _search(lo: float, hi: float, iters: int, phases, calls: list):
             f1, = yield from evaluate(x1)
         steps += 1
     yield from evaluate(a, b)
+    optimum, value = max(calls, key=lambda call: call[1])  # the first best, as replayed
+    checked, = _raise_first((yield [(optimum, True)]))
+    if checked != value:
+        raise ConsistencyError(f"search value {value!r} at c={optimum.c} checks as {checked!r}")
     return (b - a) <= BRACKET_TOL
 
 

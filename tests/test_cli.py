@@ -359,6 +359,18 @@ def test_optimize_outputs_are_deterministic(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_optimize_exits_4_when_its_search_values_are_off_by_1e8(tmp_path, monkeypatch, capsys):
+    # only the search points read the closed form through this binding; the
+    # check of each restart's optimum reads the full analysis
+    monkeypatch.setattr(optimizer, "_closed_form", lambda c, s: attack._closed_form(c, s) + 1e-8)
+    out = tmp_path / "o.json"
+    assert main(["optimize", "--restarts", "2", "--seed", "11", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical check failed: search value ") and err.count("\n") == 1
+    assert " checks as " in err
+    assert not out.exists()
+
+
 def test_optimize_exits_4_when_helstrom_is_off_by_1e8(tmp_path, monkeypatch, capsys):
     original = attack._helstrom_errors
 
@@ -374,25 +386,29 @@ def test_optimize_exits_4_when_helstrom_is_off_by_1e8(tmp_path, monkeypatch, cap
     assert not out.exists()
 
 
-def _counting_stacks(monkeypatch, owner):
+def _counting_stacks(monkeypatch, owner, name="analyze_stack"):
     passes = []
-    original = attack.analyze_stack
+    original = getattr(attack, name)
 
     def counted(specs, tol=attack.DEFAULT_TOL):
         specs = list(specs)
         passes.append(len(specs))
         return original(specs, tol)
 
-    monkeypatch.setattr(owner, "analyze_stack", counted)
+    monkeypatch.setattr(owner, name, counted)
     return passes
 
 
 def test_optimize_and_sweep_analyse_their_points_in_stacked_passes(tmp_path, monkeypatch):
-    # point by point, optimize --restarts 2 makes 112 analyses; in lockstep
-    # its 104 distinct points take at most 52 stacked passes
-    passes = _counting_stacks(monkeypatch, optimizer)
+    # point by point, optimize --restarts 2 makes 112 evaluations; in
+    # lockstep the four distinct phase probes get the full analysis in the
+    # first pass and the two restarts' optima in the last, and the 100
+    # distinct search points get the escape stage alone, in 49 passes
+    full = _counting_stacks(monkeypatch, optimizer)
+    light = _counting_stacks(monkeypatch, optimizer, "_escape_stage")
     assert main(["optimize", "--restarts", "2", "--seed", "101", "--out", str(tmp_path / "o")]) == 0
-    assert sum(passes) == 104 and len(passes) <= 52
+    assert full == [4, 2]
+    assert sum(light) == 100 and len(light) == 49
     # sweep --grid 5 analyses its 6 rows in one pass
     passes = _counting_stacks(monkeypatch, attack)
     assert main(["sweep", "--grid", "5", "--out", str(tmp_path / "s.csv")]) == 0

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hbbqss import attack, optimizer
 from hbbqss.optimizer import (
@@ -86,6 +88,30 @@ def test_objective_catches_a_helstrom_route_off_by_1e8(monkeypatch, shifted):
     assert calls == [8]  # one batched call, on the first evaluation
 
 
+# Family points exist from ancilla_dim 2 on: four orthonormal ancilla states
+# need a C+E register of dimension 4. None draws the default eps, the
+# identity that maximize() searches with.
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.floats(0.0, INV_SQRT2),
+    st.tuples(*[st.floats(0.0, 2.0 * math.pi)] * 4),
+    st.one_of(st.none(), st.integers(2, 4)),
+    st.integers(0, 2**32 - 1),
+)
+@example(0.0, (0.1, 0.2, 0.3, 0.4), None, 0)
+@example(0.5, (5.0, 1.0, 3.0, 2.0), 2, 1)
+@example(0.5, (0.0, 0.0, 0.0, 0.0), 4, 2)
+@example(INV_SQRT2, (1.0, 6.0, 0.5, 4.0), 3, 3)
+def test_objective_equals_the_search_value_and_agrees_with_helstrom(c, phases, ancilla_dim, seed):
+    eps = None
+    if ancilla_dim is not None:
+        eps = random_orthonormal(np.random.default_rng(seed), 2 * ancilla_dim, 4)
+    point = AttackFamilyPoint(c, phases, eps)
+    assert objective(point).hex() == optimizer._values([point], checked=False)[0].hex()
+    report = attack.analyze(point.to_spec())
+    assert max(abs(report.pe_numeric[case] - report.pe_closed_form) for case in attack.CASES) <= 1e-9
+
+
 def test_objective_phase_invariance(rng):
     base = objective(AttackFamilyPoint(0.37))
     worst = 0.0
@@ -137,6 +163,36 @@ def test_maximize_converges_where_the_closed_form_rounds_below_zero():
     assert result.best_info == pytest.approx(1.0, abs=1e-6)
 
 
+def test_the_helstrom_route_runs_on_the_probes_and_optima_only(monkeypatch):
+    members = []
+    helstrom = attack._helstrom_errors
+    monkeypatch.setattr(
+        attack, "_helstrom_errors",
+        lambda deltas, priors: members.append(len(deltas)) or helstrom(deltas, priors),
+    )
+    checked = []
+    analyze_stack = optimizer.analyze_stack
+
+    def recorded(specs, tol=attack.DEFAULT_TOL):
+        checked.append(list(specs))
+        return analyze_stack(checked[-1], tol)
+
+    monkeypatch.setattr(optimizer, "analyze_stack", recorded)
+    result = maximize(restarts=2, rng=np.random.default_rng(101))
+    # eight Helstrom problems per point: the first pass checks the four
+    # distinct phase probes, the last the two restarts' optima, and none of
+    # the search points goes through the route
+    assert members == [8 * 4, 8 * 2]
+    phases = tuple(np.random.default_rng(101).uniform(0.0, 2.0 * math.pi, 4))
+    probes = [AttackFamilyPoint(c, ph) for c in (0.23, 0.45) for ph in ((0.0,) * 4, phases)]
+    assert sorted(spec.a.tobytes() for spec in checked[0]) == sorted(
+        {p.to_spec().a.tobytes() for p in probes}
+    )
+    optima = [spec.a.tobytes() for spec in checked[1]]
+    assert result.best_point.to_spec().a.tobytes() in optima
+    assert all(abs(abs(spec.a[0, 0]) - 0.5) <= 1e-6 for spec in checked[1])
+
+
 def test_maximize_validates_arguments():
     with pytest.raises(ValueError):
         maximize(restarts=0)
@@ -148,11 +204,22 @@ def test_maximize_validates_arguments():
 # lockstep restarts against the sequential loop
 
 
+def light_information(point):
+    """Reference for the value maximize() reads at a search point: the
+    escape check and the closed form, without the Helstrom route."""
+    spec = point.to_spec()
+    if not attack.escape_check(spec):
+        raise attack.SpecError("family point does not satisfy the detection constraints")
+    return attack.mutual_information(attack._closed_form(abs(spec.a[0, 0]), abs(spec.a[1, 0])))
+
+
 def sequential_maximize(restarts=4, iters=MAX_ITERS, tol=1e-6, rng=None,
                         bounds=(0.0, INV_SQRT2), evaluated=None):
-    """Reference: the restarts one after another, every point evaluated by
-    objective() alone when the search reaches it. ``evaluated`` collects
-    (restart, point) of every objective call, phase probes included."""
+    """Reference: the restarts one after another, every point evaluated
+    alone when the search reaches it: the phase probes, and each restart's
+    optimum at its end, by objective(); every other point by
+    light_information(). ``evaluated`` collects (restart, point) of every
+    evaluation, phase probes and optima included."""
     lo, hi = bounds
     rng = rng if rng is not None else np.random.default_rng(0)
     evaluated = evaluated if evaluated is not None else []
@@ -162,14 +229,15 @@ def sequential_maximize(restarts=4, iters=MAX_ITERS, tol=1e-6, rng=None,
     trace = []
     bracket_ok = True
 
-    def evaluate(point):
+    def evaluate(point, checked=False):
         evaluated.append((restart, point))
-        return objective(point)
+        return objective(point) if checked else light_information(point)
 
     def f(c, phases):
         nonlocal evals, best_info, best_point
         point = AttackFamilyPoint(c, tuple(phases))
         value = evaluate(point)
+        restart_calls.append((point, value))
         evals += 1
         if value > best_info:
             best_info = value
@@ -179,9 +247,10 @@ def sequential_maximize(restarts=4, iters=MAX_ITERS, tol=1e-6, rng=None,
 
     for restart in range(restarts):
         phases = (0.0, 0.0, 0.0, 0.0) if restart == 0 else tuple(rng.uniform(0.0, 2.0 * math.pi, 4))
+        restart_calls = []
         for c in (0.23, 0.45):
-            base = evaluate(AttackFamilyPoint(c))
-            shifted = evaluate(AttackFamilyPoint(c, tuple(phases)))
+            base = evaluate(AttackFamilyPoint(c), checked=True)
+            shifted = evaluate(AttackFamilyPoint(c, tuple(phases)), checked=True)
             if abs(base - shifted) > 1e-10:
                 raise attack.ConsistencyError(
                     f"objective is not phase-invariant at c={c}: {base} vs {shifted}"
@@ -205,6 +274,15 @@ def sequential_maximize(restarts=4, iters=MAX_ITERS, tol=1e-6, rng=None,
             bracket_ok = False
         f(a, phases)
         f(b, phases)
+        optimum, value = None, -1.0
+        for point, v in restart_calls:
+            if v > value:
+                optimum, value = point, v
+        checked = evaluate(optimum, checked=True)
+        if checked != value:
+            raise attack.ConsistencyError(
+                f"search value {value!r} at c={optimum.c} checks as {checked!r}"
+            )
 
     converged = (
         bracket_ok
@@ -240,24 +318,40 @@ def test_lockstep_restarts_match_the_sequential_loop_on_constrained_runs(bounds,
 
 
 def _inject(monkeypatch, points, shift=None):
-    """Make the analysis of each given family point raise ConsistencyError,
-    or, with ``shift``, read an information off by that much."""
+    """Make the escape stage, which both routes run, raise ConsistencyError
+    on each given family point; or, with ``shift``, make the full analysis
+    of each read an information off by that much, with its Helstrom errors
+    shifted alike. Only phase probes and optima reach the full analysis."""
     targets = [(point, point.to_spec().a) for point in points]
+
+    def target(spec):
+        return next((point for point, a in targets if np.array_equal(spec.a, a)), None)
+
+    if shift is None:
+        stage = attack._escape_stage
+
+        def injected(specs, *args):
+            for spec in specs:
+                point = target(spec)
+                if point is not None:
+                    raise attack.ConsistencyError(f"injected at c={point.c!r}")
+            return stage(specs, *args)
+
+        monkeypatch.setattr(attack, "_escape_stage", injected)
+        monkeypatch.setattr(optimizer, "_escape_stage", injected)
+        return
     report = attack._report
 
-    def injected(spec, *args):
-        for point, a in targets:
-            if np.array_equal(spec.a, a):
-                if shift is None:
-                    raise attack.ConsistencyError(f"injected at c={point.c!r}")
-                r = report(spec, *args)
-                return dataclasses.replace(
-                    r, pe_closed_form=r.pe_closed_form + shift,
-                    pe_numeric={c: pe + shift for c, pe in r.pe_numeric.items()},
-                )
-        return report(spec, *args)
+    def shifted(spec, *args):
+        r = report(spec, *args)
+        if target(spec) is None:
+            return r
+        return dataclasses.replace(
+            r, pe_closed_form=r.pe_closed_form + shift,
+            pe_numeric={c: pe + shift for c, pe in r.pe_numeric.items()},
+        )
 
-    monkeypatch.setattr(attack, "_report", injected)
+    monkeypatch.setattr(attack, "_report", shifted)
 
 
 def _evaluated(restarts, seed, **kwargs):

@@ -534,9 +534,7 @@ def nas_check(spec: AttackSpec, tol: float = DEFAULT_TOL) -> tuple[bool, dict]:
     """Conditions for a perfect attack: mutually orthogonal ancilla states
     and every amplitude of magnitude 1/2. Returns (flag, residuals)."""
     gram = spec.eps.conj() @ spec.eps.T
-    overlaps = [
-        float(abs(gram[r, s])) for r, s in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-    ]
+    overlaps = [float(abs(gram[r, s])) for r, s in _PRODUCT_PAIRS]
     gaps = [float(abs(abs(spec.a[i, j]) - 0.5)) for (i, j) in EPS_ORDER]
     ok = max(overlaps) <= tol and max(gaps) <= tol
     return ok, {"ancilla_overlaps": overlaps, "amplitude_gaps": gaps}
@@ -600,29 +598,50 @@ def analyze_stack(specs, tol: float = DEFAULT_TOL) -> list[AttackReport]:
     (per case, Alice's outcomes and the two announcement sets) are stacked
     and solved in one trace-norm sweep.
 
-    Specs whose C+E registers, and spans where those are used, share their
-    dimensions go through every stage together, with a leading spec axis,
-    and each report is bit for bit the spec's report alone. When a check
-    fails, the error raised is the one the first failing spec raises alone,
-    as analysing the specs in turn would raise it.
+    The specs go through every stage in the stacked passes of
+    :func:`_outcomes`, and each report is bit for bit the spec's report
+    alone. When a check fails, the error raised is the one the first failing
+    spec raises alone, as analysing the specs in turn would raise it.
+    """
+    return _raise_first(_outcomes(specs, tol, _analysis_pass))
+
+
+def _outcomes(specs, tol: float, stage) -> list:
+    """``stage(specs, spans, tol)``'s result for each spec, or the exception
+    the spec raises alone. Specs whose C+E registers, and spans where those
+    are used, share their dimensions go through ``stage`` in one pass. Only
+    a pass of several specs that raises runs them again, each once alone; if
+    all pass alone, stacking them failed and each gets the pass's error.
     """
     specs = list(specs)
     spans = [qmath.orthonormal_span(spec.eps) if spec.joint_dim > 4 else None for spec in specs]
     groups: dict[tuple, list[int]] = {}
     for i, (spec, span) in enumerate(zip(specs, spans)):
         groups.setdefault((spec.joint_dim, None if span is None else span.shape[1]), []).append(i)
-    reports: list[AttackReport] = [None] * len(specs)
-    try:
-        for members in groups.values():
-            group = _analysis_pass([specs[i] for i in members], [spans[i] for i in members], tol)
-            for i, report in zip(members, group):
-                reports[i] = report
-    except (ValueError, RuntimeError):  # every check raises one of these
-        if len(specs) > 1:
-            for spec, span in zip(specs, spans):
-                _analysis_pass([spec], [span], tol)
-        raise
-    return reports
+
+    def run(members):
+        try:
+            return stage([specs[i] for i in members], [spans[i] for i in members], tol)
+        except (ValueError, RuntimeError) as exc:  # every check raises one of these
+            return [exc] * len(members)
+
+    outcomes = {}
+    for members in groups.values():
+        results = run(members)
+        if len(members) > 1 and isinstance(results[0], Exception):
+            alone = [run([i])[0] for i in members]
+            if any(isinstance(result, Exception) for result in alone):
+                results = alone
+        outcomes.update(zip(members, results))
+    return [outcomes[i] for i in range(len(specs))]
+
+
+def _raise_first(values):
+    """``values``, unless one is an exception: then the first of those is raised."""
+    for value in values:
+        if isinstance(value, Exception):
+            raise value
+    return values
 
 
 def _escape_stage(specs, tol: float):

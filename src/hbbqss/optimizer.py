@@ -15,22 +15,20 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .attack import (
-    CASES,
     DEFAULT_TOL,
-    AttackReport,
     AttackSpec,
     ConsistencyError,
     SpecError,
+    _analysis_pass,
     _closed_form,
     _escape_stage,
+    _outcomes,
+    _raise_first,
     _sig12,
-    analyze,
-    analyze_stack,
     mutual_information,
 )
 
@@ -91,46 +89,44 @@ def objective(point: AttackFamilyPoint) -> float:
     Helstrom route of the same analysis is required to agree within
     CLOSED_FORM_TOL on every basis case.
     """
-    return _information(analyze(point.to_spec()))
+    return _raise_first(_values([point], True))[0]
 
 
-def _information(report: AttackReport) -> float:
-    """:func:`objective` of the family point whose analysis is ``report``."""
-    if not report.escape_ok:
+def _values(points: list[AttackFamilyPoint], checked: bool) -> list[float | Exception]:
+    """:func:`objective` of every point, or the exception it raises alone,
+    from the stacked passes of :func:`attack._outcomes`: through the full
+    analysis when ``checked``, else from the escape stage and the closed
+    form alone, the same float without the Helstrom route."""
+    stage = _checked_stage if checked else _search_stage
+    return _outcomes([p.to_spec() for p in points], DEFAULT_TOL, stage)
+
+
+def _checked_stage(specs, spans, tol: float) -> list[float]:
+    return [
+        _information(r.escape_ok, r.pe_closed_form, r.pe_numeric.values())
+        for r in _analysis_pass(specs, spans, tol)
+    ]
+
+
+def _search_stage(specs, spans, tol: float) -> list[float]:
+    return [
+        _information(escape, _closed_form(abs(s.a[0, 0]), abs(s.a[1, 0])))
+        for s, escape in zip(specs, _escape_stage(specs, tol)[-1])
+    ]
+
+
+def _information(escape: bool, pe: float | None, numeric=()) -> float:
+    """The information read at the closed-form error probability ``pe`` of a
+    family point, which must escape detection and lie within CLOSED_FORM_TOL
+    of each Helstrom error in ``numeric``."""
+    if not escape:
         raise SpecError("family point does not satisfy the detection constraints")
-    pe = report.pe_closed_form
-    worst = max(abs(report.pe_numeric[c] - pe) for c in CASES)
+    worst = max((abs(x - pe) for x in numeric), default=0.0)
     if worst > CLOSED_FORM_TOL:
         raise ConsistencyError(
             f"closed-form error probability deviates from Helstrom by {worst:.3e}"
         )
     return mutual_information(pe)
-
-
-def _values(points: list[AttackFamilyPoint], checked: bool) -> list[float | Exception]:
-    """:func:`objective` of every point, in one stacked pass: through the full
-    analysis when ``checked``, else from its escape stage and the closed
-    form alone, the same float without the Helstrom route. When the pass
-    raises, each point is evaluated alone on the same route and gets its
-    value or the exception it raises."""
-    def route(batch):
-        specs = [p.to_spec() for p in batch]
-        if checked:
-            return [_information(r) for r in analyze_stack(specs)]
-        if not all(_escape_stage(specs, DEFAULT_TOL)[-1]):
-            raise SpecError("family point does not satisfy the detection constraints")
-        return [mutual_information(_closed_form(abs(s.a[0, 0]), abs(s.a[1, 0]))) for s in specs]
-
-    try:
-        return route(points)
-    except (ValueError, RuntimeError):  # every check raises one of these
-        outcomes: list[float | Exception] = []
-        for point in points:
-            try:
-                outcomes += route([point])
-            except (ValueError, RuntimeError) as exc:
-                outcomes.append(exc)
-        return outcomes
 
 
 @dataclass
@@ -189,8 +185,7 @@ def maximize(
         new = [k for k in dict.fromkeys(k for ks in requests.values() for k in ks) if k not in memo]
         for checked in (True, False):
             points = [p for p, kind in new if kind is checked]
-            if points:
-                memo.update(zip([(p, checked) for p in points], _values(points, checked)))
+            memo.update(zip([(p, checked) for p in points], _values(points, checked)))
         for r in sorted(requests):
             try:
                 requests[r] = searches[r].send([memo[k] for k in requests[r]])
@@ -200,18 +195,15 @@ def maximize(
             except (ValueError, RuntimeError) as exc:
                 # the restarts after this one never start when run in turn
                 failure = exc
-                for later in [q for q in requests if q >= r]:
-                    del requests[later]
+                requests = {q: ks for q, ks in requests.items() if q < r}
                 break
     if failure is not None:
         raise failure
 
-    evals = 0
     best_info = -1.0
     best_point: AttackFamilyPoint | None = None
     trace: list[tuple[int, float]] = []
-    for point, value in (call for log in calls for call in log):
-        evals += 1
+    for evals, (point, value) in enumerate((call for log in calls for call in log), 1):
         if value > best_info:
             best_info = value
             best_point = point
@@ -281,14 +273,6 @@ def _search(lo: float, hi: float, iters: int, phases, calls: list):
     return (b - a) <= BRACKET_TOL
 
 
-def _raise_first(values):
-    """``values``, unless one is an exception: then the first of those is raised."""
-    for value in values:
-        if isinstance(value, Exception):
-            raise value
-    return values
-
-
 def random_orthonormal(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
     """Random orthonormal rows via Gram-Schmidt on Gaussian vectors."""
     if count > dim:
@@ -330,7 +314,3 @@ def result_to_dict(result: OptimizationResult) -> dict:
 
 def result_to_json(result: OptimizationResult) -> str:
     return json.dumps(result_to_dict(result), sort_keys=True, indent=2) + "\n"
-
-
-def save_result(result: OptimizationResult, path) -> None:
-    Path(path).write_text(result_to_json(result))

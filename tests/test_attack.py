@@ -897,3 +897,55 @@ def test_stacked_pass_raises_what_the_first_failing_spec_raises_alone(monkeypatc
         attack.analyze_stack([family_spec(0.3), first, infeasible])
     with pytest.raises(InfeasibleError, match="never occurs in case xx"):
         attack.analyze_stack([family_spec(0.3), infeasible, first])
+
+
+def _counting_passes(monkeypatch, fail_stacked=False):
+    """Record the joint_dim of every spec of every analysis pass, wrapping
+    ``_analysis_pass`` at every module binding; with ``fail_stacked``, a
+    pass of more than one spec raises ConsistencyError."""
+    passes = []
+    original = attack._analysis_pass
+
+    def counted(specs, *args):
+        passes.append([spec.joint_dim for spec in specs])
+        if fail_stacked and len(specs) > 1:
+            raise attack.ConsistencyError("injected: the stacked pass fails")
+        return original(specs, *args)
+
+    for module in (attack, optimizer):
+        if getattr(module, "_analysis_pass", None) is original:
+            monkeypatch.setattr(module, "_analysis_pass", counted)
+    return passes
+
+
+def test_a_failing_pass_runs_each_of_its_specs_alone_once(monkeypatch):
+    passes = _counting_passes(monkeypatch)
+    with pytest.raises(InfeasibleError, match="Alice outcome - never occurs in case xx"):
+        attack.analyze_stack([kki_spec(), honest_spec(2), _alice_plus_spec()])
+    # the kki spec's own pass passed, so it is not analysed again
+    assert passes == [[8], [4, 4], [4], [4]]
+
+    report = attack._report
+
+    def failing(spec, *args):
+        if abs(abs(spec.a[0, 0]) - 0.45) <= 1e-12:
+            raise attack.ConsistencyError("injected at c=0.45")
+        return report(spec, *args)
+
+    monkeypatch.setattr(attack, "_report", failing)
+    passes.clear()
+    with pytest.raises(attack.ConsistencyError, match="injected at c=0.45"):
+        optimizer.maximize(restarts=2, rng=np.random.default_rng(101))
+    # the four distinct phase probes fail together, then each runs alone once
+    assert [len(specs) for specs in passes] == [4, 1, 1, 1, 1]
+
+
+def test_a_pass_that_fails_only_when_stacked_raises_its_error(monkeypatch):
+    passes = _counting_passes(monkeypatch, fail_stacked=True)
+    with pytest.raises(attack.ConsistencyError, match="the stacked pass fails"):
+        attack.analyze_stack([family_spec(0.3), family_spec(0.5)])
+    assert passes == [[4, 4], [4], [4]]
+    passes.clear()
+    with pytest.raises(attack.ConsistencyError, match="the stacked pass fails"):
+        optimizer.maximize(restarts=2, rng=np.random.default_rng(101))
+    assert [len(specs) for specs in passes] == [4, 1, 1, 1, 1]

@@ -359,6 +359,17 @@ def test_optimize_outputs_are_deterministic(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+@pytest.mark.parametrize("restarts", ["0", str(cli.MAX_RESTARTS + 1), "100000000000"])
+def test_optimize_rejects_restarts_out_of_range(tmp_path, capsys, monkeypatch, restarts):
+    # the bound is checked before any work starts
+    monkeypatch.setattr(optimizer, "maximize", lambda **kwargs: pytest.fail("maximize ran"))
+    out = tmp_path / "o.json"
+    assert main(["optimize", "--restarts", restarts, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --restarts must be between 1 and") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_optimize_exits_4_when_its_search_values_are_off_by_1e8(tmp_path, monkeypatch, capsys):
     # only the search points read the closed form through this binding; the
     # check of each restart's optimum reads the full analysis
@@ -390,10 +401,10 @@ def _counting_stacks(monkeypatch, owner, name="analyze_stack"):
     passes = []
     original = getattr(attack, name)
 
-    def counted(specs, tol=attack.DEFAULT_TOL):
+    def counted(specs, *args):
         specs = list(specs)
         passes.append(len(specs))
-        return original(specs, tol)
+        return original(specs, *args)
 
     monkeypatch.setattr(owner, name, counted)
     return passes
@@ -404,7 +415,7 @@ def test_optimize_and_sweep_analyse_their_points_in_stacked_passes(tmp_path, mon
     # lockstep the four distinct phase probes get the full analysis in the
     # first pass and the two restarts' optima in the last, and the 100
     # distinct search points get the escape stage alone, in 49 passes
-    full = _counting_stacks(monkeypatch, optimizer)
+    full = _counting_stacks(monkeypatch, optimizer, "_analysis_pass")
     light = _counting_stacks(monkeypatch, optimizer, "_escape_stage")
     assert main(["optimize", "--restarts", "2", "--seed", "101", "--out", str(tmp_path / "o")]) == 0
     assert full == [4, 2]

@@ -171,13 +171,13 @@ def test_the_helstrom_route_runs_on_the_probes_and_optima_only(monkeypatch):
         lambda deltas, priors: members.append(len(deltas)) or helstrom(deltas, priors),
     )
     checked = []
-    analyze_stack = optimizer.analyze_stack
+    analysis_pass = optimizer._analysis_pass
 
-    def recorded(specs, tol=attack.DEFAULT_TOL):
+    def recorded(specs, spans, tol):
         checked.append(list(specs))
-        return analyze_stack(checked[-1], tol)
+        return analysis_pass(checked[-1], spans, tol)
 
-    monkeypatch.setattr(optimizer, "analyze_stack", recorded)
+    monkeypatch.setattr(optimizer, "_analysis_pass", recorded)
     result = maximize(restarts=2, rng=np.random.default_rng(101))
     # eight Helstrom problems per point: the first pass checks the four
     # distinct phase probes, the last the two restarts' optima, and none of

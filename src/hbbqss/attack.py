@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -30,9 +31,25 @@ from .qstate import (
 #: Default tolerance for the escape / NAS boolean checks.
 DEFAULT_TOL = 1e-9
 
-#: Largest gap between the two escape routes' magnitudes that counts as
-#: round-off (the widest seen over 400 near-perfect rotations: 2.7e-16).
-_ROUTE_TIE = 1e-14
+
+def _route_tie(n: int) -> float:
+    """Largest gap between the two escape routes' magnitudes that counts as
+    round-off on a C+E register of dimension n. Each magnitude is an inner
+    product of unit vectors of length n, within gamma_n ||x|| ||y|| of the
+    exact value in any summation order, gamma_n = n u / (1 - n u) with the
+    unit round-off u = 2^-53 (Higham 2002, sec. 3.1); the two routes differ
+    by at most twice that."""
+    nu = n * 2.0**-53
+    return 2.0 * nu / (1.0 - nu)
+
+
+#: Largest amount (a probability) by which a Helstrom error may leave
+#: [0, min(p1, p2)] before ConsistencyError; within it the error is clamped.
+_PE_RANGE_SLACK = 1e-9
+
+#: Largest spread (a probability) between the four cases' Helstrom errors of
+#: a spec that escapes detection.
+_CASE_SPREAD_TOL = 1e-6
 
 #: Amplitude index order (i, j) for the rows of AttackSpec.eps.
 EPS_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -104,7 +121,7 @@ class AttackSpec:
     eps: np.ndarray
 
     def __post_init__(self):
-        d = int(self.ancilla_dim)
+        d = _ancilla_dim(self.ancilla_dim)
         if d < 1:
             raise SpecError(f"ancilla_dim must be >= 1, got {self.ancilla_dim}")
         a = np.asarray(self.a, dtype=complex)
@@ -133,6 +150,13 @@ class AttackSpec:
     def joint_dim(self) -> int:
         """Dimension of the C+E register the ancilla states live on."""
         return 2 * self.ancilla_dim
+
+
+def _ancilla_dim(d) -> int:
+    """``d`` as an int: a Python or numpy integer, not a bool, a float or a string."""
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+        raise SpecError(f"ancilla_dim must be an integer, got {d!r}")
+    return int(d)
 
 
 def honest_spec(ancilla_dim: int = 1) -> AttackSpec:
@@ -166,13 +190,14 @@ def global_state(spec: AttackSpec) -> StateVector:
 def _global_vectors(specs) -> np.ndarray:
     """The global state vectors of specs sharing one joint_dim, stacked
     (k, 4 * joint_dim): block 2i + j of each holds a_ij eps_ij."""
-    a = np.stack([spec.a.reshape(4) for spec in specs])  # row-major: EPS_ORDER
-    eps = np.stack([spec.eps for spec in specs])
+    a = np.array([spec.a.reshape(4) for spec in specs])  # row-major: EPS_ORDER
+    eps = np.array([spec.eps for spec in specs])
     # 0.0 + ... makes every zero entry +0, as accumulating into np.zeros does
     vecs = (0.0 + a[:, :, None] * eps).reshape(len(specs), -1)
-    for n in np.sqrt((np.abs(vecs) ** 2).sum(axis=1)):
-        if abs(n - 1.0) > qmath.STRUCT_TOL:
-            raise SpecError(f"global state norm {float(n)} deviates from 1")
+    norms = np.sqrt((np.abs(vecs) ** 2).sum(axis=1))
+    bad = np.abs(norms - 1.0) > qmath.STRUCT_TOL
+    if bad.any():
+        raise SpecError(f"global state norm {float(norms[np.argmax(bad)])} deviates from 1")
     return vecs
 
 
@@ -219,14 +244,21 @@ class ConditionalStateTable:
 
 def conditional_states(spec: AttackSpec, case: Case) -> ConditionalStateTable:
     """Project the global state onto each (Alice, Bob) outcome pair."""
-    return _case_tables(_global_vectors([spec]), (case,))[0]
+    t = _case_tables(_global_vectors([spec]), (case,))
+    return ConditionalStateTable(case, t.weights[0, 0], t.states[0, 0], t.occurs[0, 0])
 
 
-def _case_tables(vecs: np.ndarray, cases=CASES) -> list[ConditionalStateTable]:
-    """The conditional state table of each case of each global state vector
-    (the rows of ``vecs``), spec-major, in two stacked projections: Alice's
-    in each basis her cases use, then Bob's in every branch. Cases with the
-    same Alice basis share her two branches."""
+#: The conditional state tables of a stack of global states in each of
+#: ``cases``, laid out as ConditionalStateTable's rows behind two leading axes:
+#: ``weights`` and ``occurs`` (spec, case, branch), ``states`` (spec, case, branch, d).
+_CaseTables = namedtuple("_CaseTables", "cases weights states occurs")
+
+
+def _case_tables(vecs: np.ndarray, cases: tuple[Case, ...] = CASES) -> _CaseTables:
+    """The conditional state tables of each case of each global state vector
+    (the rows of ``vecs``) in two stacked projections: Alice's in each basis
+    her cases use, then Bob's in every branch. Cases with the same Alice
+    basis share her two branches."""
     k = len(vecs)
     alice = list(dict.fromkeys(case.alice_basis for case in cases))
     p_a, after_a = project_stack(
@@ -242,30 +274,20 @@ def _case_tables(vecs: np.ndarray, cases=CASES) -> list[ConditionalStateTable]:
     # An Alice branch that does not occur left the zero state, so each of its
     # Bob branches has probability 0 and weight 0 exactly.
     weights = (p_a[:, row][..., None] * p_b).reshape(k, len(cases), 4)
-    for total in weights.sum(axis=-1).ravel():
-        if abs(total - 1.0) > qmath.STRUCT_TOL:
-            raise ConsistencyError(f"conditional weights sum to {total}, expected 1")
+    totals = weights.sum(axis=-1)
+    bad = np.abs(totals - 1.0) > qmath.STRUCT_TOL
+    if bad.any():
+        total = totals.flat[np.argmax(bad)]
+        raise ConsistencyError(f"conditional weights sum to {total}, expected 1")
     occurs = (p_b > ZERO_BRANCH_TOL).reshape(k, len(cases), 4)
-    states = states.reshape(k, len(cases), 4, -1)
-    return [
-        ConditionalStateTable(case, weights[s, i], states[s, i], occurs[s, i])
-        for s in range(k)
-        for i, case in enumerate(cases)
-    ]
+    return _CaseTables(cases, weights, states.reshape(k, len(cases), 4, -1), occurs)
 
-
-#: The (i, j) index of each row of EPS_ORDER, as two index arrays.
-_EPS_INDEX = tuple(np.array(index) for index in zip(*EPS_ORDER))
 
 #: <a_m|i><b_n|j> of each case's branches, stacked (case, branch, eps row):
 #: branch (m, n) of the global state is sum_ij <a_m|i><b_n|j> a_ij eps_ij up
 #: to the overall projector normalisation.
 _BRA_PRODUCTS = np.array([
-    (
-        np.conj(_KETS[case.alice_basis])[:, None, _EPS_INDEX[0]]
-        * np.conj(_KETS[case.bob_basis])[None, :, _EPS_INDEX[1]]
-    ).reshape(4, 4)
-    for case in CASES
+    np.kron(np.conj(_KETS[case.alice_basis]), np.conj(_KETS[case.bob_basis])) for case in CASES
 ])
 
 #: Product of a same-sign and a different-sign branch weight (two
@@ -309,22 +331,23 @@ def detection_residuals(spec: AttackSpec) -> DetectionResiduals:
     form in one stacked product (conj(C) @ gram) @ C^T: the branch weights
     on its diagonals, the same/different cross terms off them.
     """
-    return _residual_stack([spec])[0]
+    return _residuals(spec, _residual_stack([spec])[0])
 
 
 #: The (r, s) eps row pairs of DetectionResiduals.products.
 _PRODUCT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def _residual_stack(specs) -> list[DetectionResiduals]:
-    """:func:`detection_residuals` of specs sharing one joint_dim, with
-    every spec's bilinear forms in one stacked product."""
-    a = np.stack([spec.a for spec in specs])
-    eps = np.stack([spec.eps for spec in specs])
+def _residual_stack(specs) -> np.ndarray:
+    """The per-case values of :func:`detection_residuals` of specs sharing
+    one joint_dim, stacked (spec, case, 4), with every spec's bilinear forms
+    in one stacked product."""
+    a = np.array([spec.a for spec in specs])
+    eps = np.array([spec.eps for spec in specs])
     grams = eps.conj() @ np.swapaxes(eps, 1, 2)
     # Each bra entry is real or imaginary, so these array products round as
     # the products of the single scalars do, bit for bit.
-    coeffs = _BRA_PRODUCTS * a[:, _EPS_INDEX[0], _EPS_INDEX[1]][:, None, None]
+    coeffs = _BRA_PRODUCTS * a.reshape(-1, 1, 1, 4)  # row-major: EPS_ORDER
     forms = (np.conj(coeffs) @ grams[:, None]) @ np.swapaxes(coeffs, -1, -2)
     weights = np.diagonal(forms, axis1=-2, axis2=-1).real
     cross = forms[..., _PAIR_SAME, _PAIR_DIFF]
@@ -332,25 +355,22 @@ def _residual_stack(specs) -> list[DetectionResiduals]:
     # A branch that never occurs imposes no constraint. Its weight product
     # can round below zero, so the square root skips it too.
     occurs = w > _PAIR_WEIGHT_TOL
-    vals = np.divide(
+    return np.divide(
         np.hypot(cross.real, cross.imag), np.sqrt(w, out=np.ones_like(w), where=occurs),
         out=np.zeros_like(w), where=occurs,
-    ).tolist()
+    )
 
-    residuals = []
-    for spec_vals, gram, avec in zip(vals, grams, a.reshape(-1, 4)):
-        # numpy scalars: their complex products and magnitudes round
-        # differently from the array loops'
-        prods = tuple(
-            float(abs(np.conj(avec[r]) * avec[s] * gram[r, s])) for r, s in _PRODUCT_PAIRS
-        )
-        gaps = (
-            float(abs(abs(avec[0]) - abs(avec[3]))),
-            float(abs(abs(avec[1]) - abs(avec[2]))),
-        )
-        per_case = {case: tuple(spec_vals[i]) for i, case in enumerate(CASES)}
-        residuals.append(DetectionResiduals(per_case, prods, gaps))
-    return residuals
+
+def _residuals(spec: AttackSpec, case_vals: np.ndarray) -> DetectionResiduals:
+    """The spec's DetectionResiduals from its per-case values (case, 4) of
+    :func:`_residual_stack`, with the aggregate products and gaps."""
+    avec = spec.a.reshape(4)
+    gram = spec.eps.conj() @ spec.eps.T
+    # numpy scalars: their complex products and magnitudes round
+    # differently from the array loops'
+    prods = tuple(float(abs(np.conj(avec[r]) * avec[s] * gram[r, s])) for r, s in _PRODUCT_PAIRS)
+    gaps = (float(abs(abs(avec[0]) - abs(avec[3]))), float(abs(abs(avec[1]) - abs(avec[2]))))
+    return DetectionResiduals(dict(zip(CASES, map(tuple, case_vals.tolist()))), prods, gaps)
 
 
 def escape_check(spec: AttackSpec, tol: float = DEFAULT_TOL) -> bool:
@@ -363,36 +383,6 @@ def escape_check(spec: AttackSpec, tol: float = DEFAULT_TOL) -> bool:
     return _escape_stage([spec], tol)[-1][0]
 
 
-def _escape_flag(
-    residuals: DetectionResiduals, tables: list[ConditionalStateTable], tol: float
-) -> bool:
-    """The escape flag of the bilinear residuals, asserted against the
-    cross overlaps of the constructed states the attacker must tell apart on
-    check rounds: the same-sign branches against the different-sign ones.
-
-    Flags that differ only because the two magnitudes straddle ``tol`` by
-    round-off (within _ROUTE_TIE of each other) are not a disagreement.
-    """
-    route_a = residuals.max_case_residual <= tol
-
-    route_b = True
-    worst = 0.0
-    for table in tables:
-        same = table.states[_SAME_ROWS][table.occurs[_SAME_ROWS]]
-        diff = table.states[_DIFF_ROWS][table.occurs[_DIFF_ROWS]]
-        if not len(same) or not len(diff):
-            continue
-        ok, mag = qmath.cross_gram_is_zero(same, diff, tol)
-        worst = max(worst, mag)
-        route_b = route_b and ok
-    if route_a != route_b and abs(residuals.max_case_residual - worst) > _ROUTE_TIE:
-        raise ConsistencyError(
-            f"escape routes disagree: bilinear max {residuals.max_case_residual:.3e}, "
-            f"state-construction max {worst:.3e}, tol {tol:.1e}"
-        )
-    return route_a
-
-
 def rho_pair(spec: AttackSpec, case: Case) -> tuple[np.ndarray, np.ndarray]:
     """Mixed states the attacker must discriminate to learn Alice's bit.
 
@@ -400,75 +390,70 @@ def rho_pair(spec: AttackSpec, case: Case) -> tuple[np.ndarray, np.ndarray]:
     outcome, weighted by the true conditional probabilities (which are
     equal whenever the detection constraints hold).
     """
-    rho, _ = _mixtures([conditional_states(spec, case)])
-    return rho[0, 0], rho[0, 1]
+    rho, _ = _mixtures(_case_tables(_global_vectors([spec]), (case,)))
+    return rho[0, 0, 0], rho[0, 0, 1]
 
 
-def _mixtures(tables: list[ConditionalStateTable]) -> tuple[np.ndarray, np.ndarray]:
-    """The four mixtures of each table, stacked (tables, 4, d, d), with
-    their total weights (tables, 4).
+def _mixtures(tables: _CaseTables) -> tuple[np.ndarray, np.ndarray]:
+    """The four mixtures of each case of each spec, stacked
+    (spec, case, 4, d, d), with their total weights (spec, case, 4).
 
     Each mixture weights its two conditional states by their conditional
     probabilities. An announcement set that never occurs gets the zero
     mixture and weight; an Alice outcome that never occurs raises.
     """
-    phis = np.stack([table.states for table in tables])
-    weights = np.stack([table.weights for table in tables])
-    w1, w2 = weights[:, _MIXTURE_BRANCHES[:, 0]], weights[:, _MIXTURE_BRANCHES[:, 1]]
+    phis, weights = tables.states, tables.weights
+    w1, w2 = weights[..., _MIXTURE_BRANCHES[:, 0]], weights[..., _MIXTURE_BRANCHES[:, 1]]
     totals = w1 + w2
     occurs = totals > ZERO_BRANCH_TOL
-    if not occurs[:, :2].all():
-        i, alice = np.unravel_index(np.argmin(occurs[:, :2]), (len(tables), 2))
+    if not occurs[..., :2].all():
+        _, i, alice = np.unravel_index(np.argmin(occurs[..., :2]), occurs[..., :2].shape)
         raise InfeasibleError(
-            f"Alice outcome {_SIGNS[alice].value} never occurs in case {tables[i].case.key}"
+            f"Alice outcome {_SIGNS[alice].value} never occurs in case {tables.cases[i].key}"
         )
     totals[~occurs] = 0.0
     c1 = np.divide(w1, totals, out=np.zeros_like(totals), where=occurs)[..., None, None]
     c2 = np.divide(w2, totals, out=np.zeros_like(totals), where=occurs)[..., None, None]
     outer = phis[..., :, None] * phis.conj()[..., None, :]
     # 0.0 + ... makes every zero entry +0, as accumulating into np.zeros does
-    rho = (0.0 + c1 * outer[:, _MIXTURE_BRANCHES[:, 0]]) + c2 * outer[:, _MIXTURE_BRANCHES[:, 1]]
+    first, second = outer[:, :, _MIXTURE_BRANCHES[:, 0]], outer[:, :, _MIXTURE_BRANCHES[:, 1]]
+    rho = (0.0 + c1 * first) + c2 * second
     return rho, totals
 
 
-def _helstrom_operators(tables: list[ConditionalStateTable]) -> tuple[np.ndarray, np.ndarray]:
-    """The two Helstrom operators p2 rho2 - p1 rho1 of each table, stacked
-    (2 * len(tables), d, d), with their priors (p1, p2): per table, first
-    Alice's - against + outcome, then the different-sign against the
-    same-sign set."""
+def _helstrom_operators(tables: _CaseTables) -> tuple[np.ndarray, np.ndarray]:
+    """The two Helstrom operators p2 rho2 - p1 rho1 of each case of each
+    spec, stacked (2 * cases * specs, d, d), with their priors (p1, p2): per
+    case, first Alice's - against + outcome, then the different-sign against
+    the same-sign set."""
     rho, totals = _mixtures(tables)
-    p_plus = totals[:, 0]
-    set_total = totals[:, 2] + totals[:, 3]  # a binary partition; renormalise away float drift
-    p1 = np.stack([p_plus, totals[:, 2] / set_total], axis=1)
-    p2 = np.stack([1.0 - p_plus, totals[:, 3] / set_total], axis=1)
-    deltas = p2[..., None, None] * rho[:, 1::2] - p1[..., None, None] * rho[:, 0::2]
-    return deltas.reshape(-1, *rho.shape[2:]), np.stack([p1, p2], axis=-1).reshape(-1, 2)
+    p_plus = totals[..., 0]
+    set_total = totals[..., 2] + totals[..., 3]  # a binary partition; renormalise away float drift
+    p1 = np.stack([p_plus, totals[..., 2] / set_total], axis=-1)
+    p2 = np.stack([1.0 - p_plus, totals[..., 3] / set_total], axis=-1)
+    deltas = p2[..., None, None] * rho[:, :, 1::2] - p1[..., None, None] * rho[:, :, 0::2]
+    return deltas.reshape(-1, *rho.shape[-2:]), np.stack([p1, p2], axis=-1).reshape(-1, 2)
 
 
-def _in_basis(
-    tables: list[ConditionalStateTable], bases: np.ndarray
-) -> list[ConditionalStateTable]:
+def _in_basis(tables: _CaseTables, bases: np.ndarray) -> _CaseTables:
     """The tables with each conditional state written in the orthonormal
-    columns of its table's basis, ``bases[i]`` for table i, which must span
+    columns of its spec's basis, ``bases[s]`` for spec s, which must span
     it: each stays normalised."""
     # one matrix-vector product per state, as basis^dagger @ phi computes it
-    adjoints = np.swapaxes(bases.conj(), 1, 2)[:, None]
-    states = np.matmul(adjoints, np.stack([t.states for t in tables])[..., None])[..., 0]
-    occurs = np.stack([t.occurs for t in tables])
+    adjoints = np.swapaxes(bases.conj(), 1, 2)[:, None, None]
+    states = np.matmul(adjoints, tables.states[..., None])[..., 0]
+    occurs = tables.occurs
     qmath._check_finite(states)
     deviation = np.where(occurs, np.abs(np.sqrt((np.abs(states) ** 2).sum(axis=-1)) - 1.0), 0.0)
     if (deviation > qmath.STRUCT_TOL).any():
-        i, k = np.unravel_index(np.argmax(deviation > qmath.STRUCT_TOL), deviation.shape)
-        alice, bob = _BRANCHES[k]
+        where = np.unravel_index(np.argmax(deviation > qmath.STRUCT_TOL), deviation.shape)
+        alice, bob = _BRANCHES[where[2]]
         raise ConsistencyError(
-            f"conditional state {alice.value}{bob.value} of case {tables[i].case.key} "
-            f"lost norm {deviation[i, k]:.3e} outside span(eps)"
+            f"conditional state {alice.value}{bob.value} of case {tables.cases[where[1]].key} "
+            f"lost norm {deviation[where]:.3e} outside span(eps)"
         )
     states[~occurs] = 0.0
-    return [
-        ConditionalStateTable(t.case, t.weights, states[i], t.occurs)
-        for i, t in enumerate(tables)
-    ]
+    return tables._replace(states=states)
 
 
 def helstrom(rho1, rho2, p1: float, p2: float) -> float:
@@ -495,7 +480,7 @@ def _helstrom_errors(deltas: np.ndarray, priors) -> list[float]:
         raise ValueError(f"priors must be nonnegative and sum to 1, got {p1[i]}, {p2[i]}")
     pe = 0.5 - 0.5 * qmath.trace_norm_stack(deltas)
     cap = np.minimum(p1, p2)
-    bad = (pe < -1e-9) | (pe > cap + 1e-9)
+    bad = (pe < -_PE_RANGE_SLACK) | (pe > cap + _PE_RANGE_SLACK)
     if bad.any():
         i = np.argmax(bad)
         raise ConsistencyError(f"Helstrom probability {pe[i]} outside [0, {cap[i]}]")
@@ -645,31 +630,49 @@ def _raise_first(values):
 
 
 def _escape_stage(specs, tol: float):
-    """The detection residuals, global state vectors, conditional state tables
-    (spec-major) and escape flags of specs sharing one joint_dim: the stage of
-    an analysis pass before the Helstrom problems."""
-    residuals = _residual_stack(specs)
+    """The per-case detection residuals (spec, case, 4), global state
+    vectors, conditional state tables and escape flags of specs sharing one
+    joint_dim, all as array code over the pass: the stage of an analysis
+    pass before the Helstrom problems.
+
+    Each flag is the bilinear route's, asserted against the cross overlaps
+    of the constructed states the attacker must tell apart on check rounds,
+    the same-sign branches against the different-sign ones, in one product
+    over every case of every spec; a pair with a branch that does not occur
+    is masked out. Flags that differ only because the two magnitudes
+    straddle ``tol`` by round-off (within :func:`_route_tie` of each other)
+    are not a disagreement.
+    """
+    case_vals = _residual_stack(specs)
     vecs = _global_vectors(specs)
     tables = _case_tables(vecs)
-    n = len(CASES)
-    escapes = [
-        _escape_flag(spec_residuals, tables[n * s:n * (s + 1)], tol)
-        for s, spec_residuals in enumerate(residuals)
-    ]
-    return residuals, vecs, tables, escapes
+    worst_a = case_vals.max(axis=(1, 2))
+    states, occurs = tables.states, tables.occurs
+    overlaps = qmath.cross_overlaps(states[:, :, _SAME_ROWS], states[:, :, _DIFF_ROWS])
+    pairs = occurs[:, :, _SAME_ROWS, None] & occurs[:, :, None, _DIFF_ROWS]
+    worst_b = np.where(pairs, overlaps, 0.0).max(axis=(1, 2, 3))
+    route_a = worst_a <= tol
+    bad = (route_a != (worst_b <= tol)) & (np.abs(worst_a - worst_b) > _route_tie(states.shape[-1]))
+    if bad.any():
+        s = np.argmax(bad)
+        raise ConsistencyError(
+            f"escape routes disagree: bilinear max {worst_a[s]:.3e}, "
+            f"state-construction max {worst_b[s]:.3e}, tol {tol:.1e}"
+        )
+    return case_vals, vecs, tables, route_a.tolist()
 
 
 def _analysis_pass(specs, spans, tol: float) -> list[AttackReport]:
     """:func:`analyze_stack` of specs sharing one joint_dim and, where
     their Helstrom problems move to span(eps), one span dimension."""
-    residuals, vecs, tables, escapes = _escape_stage(specs, tol)
-    n = len(CASES)
+    case_vals, vecs, tables, escapes = _escape_stage(specs, tol)
     if spans[0] is not None:
-        tables = _in_basis(tables, np.repeat(np.stack(spans), n, axis=0))
+        tables = _in_basis(tables, np.stack(spans))
     errors = _helstrom_errors(*_helstrom_operators(tables))
+    n = 2 * len(CASES)
     return [
-        _report(spec, spec_residuals, escape, errors[2 * n * s:2 * n * (s + 1)], vec, tol)
-        for s, (spec, spec_residuals, escape, vec) in enumerate(zip(specs, residuals, escapes, vecs))
+        _report(spec, _residuals(spec, vals), escape, errors[n * s:n * (s + 1)], vec, tol)
+        for s, (spec, vals, escape, vec) in enumerate(zip(specs, case_vals, escapes, vecs))
     ]
 
 
@@ -695,7 +698,7 @@ def _report(
     pes = np.array([pe_numeric[c] for c in CASES])
     if escape:
         spread = float(pes.max() - pes.min())
-        if spread > 1e-6:
+        if spread > _CASE_SPREAD_TOL:
             raise ConsistencyError(
                 f"per-case error probabilities spread {spread:.3e} on a "
                 f"detection-passing spec"
@@ -750,9 +753,7 @@ def spec_from_dict(data: dict) -> AttackSpec:
     missing = {"ancilla_dim", "a", "eps"} - set(data)
     if missing:
         raise SpecError(f"spec document missing keys: {sorted(missing)}")
-    d = data["ancilla_dim"]
-    if isinstance(d, bool) or not isinstance(d, int):
-        raise SpecError(f"ancilla_dim must be an integer, got {d!r}")
+    d = _ancilla_dim(data["ancilla_dim"])
     try:
         a_pairs = [[_number(re), _number(im)] for re, im in data["a"]]
         eps_pairs = [[[_number(re), _number(im)] for re, im in row] for row in data["eps"]]

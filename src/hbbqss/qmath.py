@@ -198,20 +198,17 @@ def _rotate(a: np.ndarray, v: np.ndarray | None, p: int, q: int, r: np.ndarray) 
         v[:, :, pq] = np.swapaxes(col[:, 0:2] * old[:, :1] + col[:, 2:4] * old[:, 1:], 1, 2)
 
 
-def cross_gram_is_zero(set1, set2, tol: float) -> tuple[bool, float]:
-    """Whether every cross inner product between two vector sets, the rows
-    of two stacks, vanishes.
-
-    Returns (all magnitudes <= tol, maximum magnitude found).
-    """
-    v1, v2 = as_matrix(set1), as_matrix(set2)
-    if v1.shape[1] != v2.shape[1]:
-        raise ValueError("all vectors must share one dimension")
-    worst = 0.0
-    for u in v1:
-        for w in v2:
-            worst = max(worst, abs(np.vdot(u, w)))
-    return worst <= tol, float(worst)
+def cross_overlaps(set1, set2) -> np.ndarray:
+    """Magnitudes |<u|w>| of the cross inner products between two vector
+    sets, the rows of two stacks: (..., m, n) against (..., p, n) gives
+    (..., m, p), every member of the leading axes in one product."""
+    v1, v2 = np.asarray(set1, dtype=complex), np.asarray(set2, dtype=complex)
+    if min(v1.ndim, v2.ndim) < 2 or not (v1.size and v2.size) or v1.shape[-1] != v2.shape[-1]:
+        raise ValueError(f"expected nonempty stacks of vectors of one dimension, got "
+                         f"shapes {v1.shape} and {v2.shape}")
+    _check_finite(v1)
+    _check_finite(v2)
+    return np.abs(v1.conj() @ np.swapaxes(v2, -1, -2))
 
 
 def orthonormal_completion(vectors: Sequence[np.ndarray], dim: int) -> np.ndarray:

@@ -93,6 +93,17 @@ def test_spec_requires_matching_dimensions():
         AttackSpec(2, 0.5 * np.ones((2, 2)), np.eye(6))
 
 
+@pytest.mark.parametrize("dim", [2.7, 2.0, True, np.True_, "2"])
+def test_spec_rejects_an_ancilla_dim_that_is_not_an_integer(dim):
+    with pytest.raises(SpecError, match="ancilla_dim must be an integer"):
+        AttackSpec(dim, 0.5 * np.ones((2, 2)), np.eye(4))
+
+
+def test_spec_accepts_a_numpy_integer_ancilla_dim():
+    spec = AttackSpec(np.int64(2), 0.5 * np.ones((2, 2)), np.eye(4))
+    assert type(spec.ancilla_dim) is int and spec.ancilla_dim == 2
+
+
 def test_spec_json_roundtrip(tmp_path):
     spec = kki_spec()
     path = tmp_path / "spec.json"
@@ -503,12 +514,7 @@ _RESIDUAL_STACK = attack._residual_stack
 
 
 def _inflated_residuals(specs):
-    return [
-        attack.DetectionResiduals(
-            {c: (1.0, 1.0, 1.0, 1.0) for c in CASES}, res.products, res.magnitude_gaps
-        )
-        for res in _RESIDUAL_STACK(specs)
-    ]
+    return np.ones_like(_RESIDUAL_STACK(specs))
 
 
 _MIXTURES = attack._mixtures
@@ -517,7 +523,7 @@ _HELSTROM_OPERATORS = attack._helstrom_operators
 
 def _yy_priors(tables):
     rho, totals = _MIXTURES(tables)
-    totals[[t.case is Case.YY for t in tables], 0] = 0.6
+    totals[:, tables.cases.index(Case.YY), 0] = 0.6
     return rho, totals
 
 
@@ -531,8 +537,8 @@ def _blind_announcements(tables):
     "owner,name,fake,run",
     [
         # state-construction route sees overlaps the bilinear route does not
-        (qmath, "cross_gram_is_zero", lambda s, d, tol: (False, 1.0), escape_check),
-        (qmath, "cross_gram_is_zero", lambda s, d, tol: (False, 1.0), analyze),
+        (qmath, "cross_overlaps", lambda s, d: 1.0, escape_check),
+        (qmath, "cross_overlaps", lambda s, d: 1.0, analyze),
         # bilinear route sees overlaps the constructed states do not
         (attack, "_residual_stack", _inflated_residuals, analyze),
         # announcement sets indistinguishable on an escaping spec
@@ -588,6 +594,62 @@ def test_escape_routes_tied_by_round_off_give_the_bilinear_flag():
     report = analyze(spec)
     assert report.escape_ok == (report.residuals.max_case_residual <= attack.DEFAULT_TOL)
     assert escape_check(spec) == report.escape_ok
+
+
+def _boundary_spec(ancilla_dim):
+    """The NAS example spec carried onto a C+E register of dimension
+    2 * ancilla_dim by a seeded random unitary, so that every overlap sums
+    over all its entries, with eps[0] turned toward eps[1] by the smallest
+    angle, to a bisection's resolution, at which the bilinear residual
+    exceeds DEFAULT_TOL."""
+    rng = np.random.default_rng(ancilla_dim)
+    n = 2 * ancilla_dim
+    unitary, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    base = exploit.example_spec()
+    eps = np.zeros((4, n), dtype=complex)
+    eps[:, :4] = base.eps
+    eps = eps @ unitary.T
+
+    def turned(angle):
+        rows = eps.copy()
+        rows[0] = math.cos(angle) * eps[0] + math.sin(angle) * eps[1]
+        return AttackSpec(ancilla_dim, base.a, rows)
+
+    lo, hi = 0.0, 1e-8
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if detection_residuals(turned(mid)).max_case_residual > attack.DEFAULT_TOL:
+            hi = mid
+        else:
+            lo = mid
+    return turned(hi)
+
+
+def test_route_tie_covers_any_summation_order_at_large_dimension(monkeypatch):
+    # Each route's magnitude is an inner product of unit vectors of length n,
+    # within gamma_n = n u / (1 - n u) of the exact value in any summation
+    # order (Higham 2002, sec. 3.1). At n = 96 twice that is 2.1e-14, more
+    # than a fixed tie of 1e-14 would allow.
+    spec = _boundary_spec(48)
+    nu = spec.joint_dim * 2.0**-53
+    bound = 2.0 * nu / (1.0 - nu)
+    assert bound > 1e-14
+    worst = detection_residuals(spec).max_case_residual
+    assert attack.DEFAULT_TOL < worst <= attack.DEFAULT_TOL + bound / 4
+    assert escape_check(spec) is False and analyze(spec).escape_ok is False
+    # the state route read lower, as another summation order may round it:
+    # within the bound the flag is the bilinear route's, beyond it the
+    # routes disagree
+    overlaps = qmath.cross_overlaps
+    for shift in (0.75 * bound, 1.5 * bound):
+        monkeypatch.setattr(
+            qmath, "cross_overlaps", lambda s, d: np.maximum(overlaps(s, d) - shift, 0.0)
+        )
+        if shift < bound:
+            assert escape_check(spec) is False and analyze(spec).escape_ok is False
+        else:
+            with pytest.raises(attack.ConsistencyError, match="escape routes disagree"):
+                escape_check(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -863,12 +925,48 @@ def test_stacked_pass_gives_every_spec_its_result_alone():
     for dim in sorted({spec.joint_dim for spec in specs}):
         group = [spec for spec in specs if spec.joint_dim == dim]
         tables = attack._case_tables(attack._global_vectors(group))
-        alone = [t for spec in group for t in attack._case_tables(attack._global_vectors([spec]))]
-        assert len(tables) == len(alone) == 4 * len(group)
-        for got, ref in zip(tables, alone):
-            assert got.case is ref.case
-            for name in ("weights", "states", "occurs"):
-                assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+        alone = [attack._case_tables(attack._global_vectors([spec])) for spec in group]
+        assert tables.cases == CASES and all(ref.cases == CASES for ref in alone)
+        for name in ("weights", "states", "occurs"):
+            got = getattr(tables, name)
+            assert len(got) == len(group)
+            assert got.tobytes() == np.concatenate([getattr(ref, name) for ref in alone]).tobytes()
+
+
+def _pass_member(kind, dim, seed):
+    """A spec of one kind a pass may mix: honest_spec, kki_spec, one whose
+    identical ancilla states leave conditional branches that never occur,
+    or a drawn family point or random (non-escaping) spec."""
+    if kind == "honest":
+        return honest_spec(dim)
+    if kind == "kki":
+        return kki_spec()
+    if kind == "zero-branch":
+        eps = np.zeros((4, 2 * dim), dtype=complex)
+        eps[:, 0] = 1.0
+        return AttackSpec(dim, np.array([[R, 0.0], [0.0, R]], dtype=complex), eps)
+    return _drawn_spec(kind, dim, seed, 0.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(
+    st.tuples(
+        st.sampled_from(("honest", "kki", "zero-branch", "family", "random")),
+        st.integers(2, 4),
+        st.integers(0, 2**32 - 1),
+    ),
+    min_size=2, max_size=6,
+))
+def test_stacked_passes_give_each_spec_its_flag_and_report_alone(members):
+    specs = [_pass_member(*member) for member in members]
+    stacked = attack.analyze_stack(specs)
+    assert [_report_bits(r) for r in stacked] == [_report_bits(analyze(s)) for s in specs]
+    for dim in {spec.joint_dim for spec in specs}:
+        group = [spec for spec in specs if spec.joint_dim == dim]
+        case_vals, _, _, flags = attack._escape_stage(group, attack.DEFAULT_TOL)
+        alone = [attack._escape_stage([spec], attack.DEFAULT_TOL) for spec in group]
+        assert flags == [stage[-1][0] for stage in alone]
+        assert case_vals.tobytes() == np.concatenate([stage[0] for stage in alone]).tobytes()
 
 
 def _alice_plus_spec():

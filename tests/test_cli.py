@@ -253,7 +253,7 @@ def test_analyze_near_perfect_spec(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "name,value",
-    [("cross_gram_is_zero", lambda s, d, tol: (False, 1.0)), ("_JACOBI_MAX_SWEEPS", 1)],
+    [("cross_overlaps", lambda s, d: 1.0), ("_JACOBI_MAX_SWEEPS", 1)],
     ids=["ConsistencyError", "ConvergenceError"],
 )
 def test_numerical_failures_exit_4_with_one_line(tmp_path, monkeypatch, capsys, name, value):

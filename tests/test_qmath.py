@@ -226,28 +226,37 @@ def test_stacked_sweep_raises_at_the_sweep_cap(rng, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# cross_gram_is_zero
+# cross_overlaps
 
 
-def test_cross_gram_orthogonal_sets():
-    ok, worst = qmath.cross_gram_is_zero([KET0], [KET1], tol=1e-12)
-    assert ok and worst == 0.0
+def test_cross_overlaps_orthogonal_sets():
+    assert qmath.cross_overlaps([KET0], [KET1]).tolist() == [[0.0]]
 
 
-def test_cross_gram_overlapping_sets():
-    ok, worst = qmath.cross_gram_is_zero([KET0], [XPLUS], tol=1e-12)
-    assert not ok
-    assert worst == pytest.approx(R, abs=1e-12)
+def test_cross_overlaps_overlapping_sets():
+    overlaps = qmath.cross_overlaps([KET0], [XPLUS])
+    assert overlaps.shape == (1, 1)
+    assert overlaps[0, 0] == pytest.approx(R, abs=1e-12)
 
 
-def test_cross_gram_rejects_empty():
+def test_cross_overlaps_rejects_empty():
     with pytest.raises(ValueError):
-        qmath.cross_gram_is_zero([], [KET0], tol=1e-9)
+        qmath.cross_overlaps(np.empty((0, 2)), [KET0])
 
 
-def test_cross_gram_rejects_mismatched_dims():
+def test_cross_overlaps_rejects_mismatched_dims():
     with pytest.raises(ValueError):
-        qmath.cross_gram_is_zero([KET0], [np.ones(3)], tol=1e-9)
+        qmath.cross_overlaps([KET0], [np.ones(3)])
+
+
+def test_cross_overlaps_stack_matches_each_member_by_vdot(rng):
+    set1 = rng.normal(size=(3, 4, 2, 6)) + 1j * rng.normal(size=(3, 4, 2, 6))
+    set2 = rng.normal(size=(3, 4, 5, 6)) + 1j * rng.normal(size=(3, 4, 5, 6))
+    overlaps = qmath.cross_overlaps(set1, set2)
+    assert overlaps.shape == (3, 4, 2, 5)
+    for index in np.ndindex(3, 4, 2, 5):
+        ref = abs(np.vdot(set1[index[:3]], set2[index[:2] + index[3:]]))
+        assert overlaps[index] == pytest.approx(ref, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

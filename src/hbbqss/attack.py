@@ -25,10 +25,11 @@ import numpy as np
 
 from . import qmath
 from .qstate import (
-    PROTOCOL_BASES, ZERO_BRANCH_TOL, Basis, Sign, StateVector, basis_kets, project_stack,
+    PROTOCOL_BASES, ZERO_BRANCH_TOL, Basis, Sign, StateVector, _project_stack, basis_kets,
 )
 
-#: Default tolerance for the escape / NAS boolean checks.
+#: The one tolerance of the analysis: the escape, NAS, realizability and
+#: announcement checks all compare against it, and a report's "tol" is it.
 DEFAULT_TOL = 1e-9
 
 
@@ -221,6 +222,10 @@ _PAIR_SAME, _PAIR_DIFF = np.array(
 
 #: The (+, -) kets of each protocol basis, stacked (2, 2).
 _KETS = {basis: np.array(basis_kets(basis)) for basis in PROTOCOL_BASES}
+#: The kets of each protocol basis (basis, m, A) and of each case's Bob
+#: basis (case, 1, n, B), as :func:`_case_tables` projects onto them.
+_ALICE_KETS = np.array([_KETS[basis] for basis in PROTOCOL_BASES])
+_BOB_KETS = np.array([_KETS[case.bob_basis] for case in CASES])[:, None]
 
 
 @dataclass
@@ -261,15 +266,15 @@ def _case_tables(vecs: np.ndarray, cases: tuple[Case, ...] = CASES) -> _CaseTabl
     basis share her two branches."""
     k = len(vecs)
     alice = list(dict.fromkeys(case.alice_basis for case in cases))
-    p_a, after_a = project_stack(
-        vecs.reshape(k, 1, 1, 2, -1), [_KETS[basis] for basis in alice]
+    p_a, after_a = _project_stack(
+        vecs.reshape(k, 1, 1, 2, -1), _ALICE_KETS[[PROTOCOL_BASES.index(b) for b in alice]]
     )
     row = [alice.index(case.alice_basis) for case in cases]
     # Alice's branches as (spec, basis, m, B, CE), each projected by Bob's
     # kets (case, n, B)
-    p_b, states = project_stack(
+    p_b, states = _project_stack(
         after_a.reshape(k, len(alice), 2, 2, -1)[:, row][:, :, :, None],
-        np.array([_KETS[case.bob_basis] for case in cases])[:, None],
+        _BOB_KETS[[CASES.index(case) for case in cases]],
     )
     # An Alice branch that does not occur left the zero state, so each of its
     # Bob branches has probability 0 and weight 0 exactly.
@@ -373,14 +378,14 @@ def _residuals(spec: AttackSpec, case_vals: np.ndarray) -> DetectionResiduals:
     return DetectionResiduals(dict(zip(CASES, map(tuple, case_vals.tolist()))), prods, gaps)
 
 
-def escape_check(spec: AttackSpec, tol: float = DEFAULT_TOL) -> bool:
+def escape_check(spec: AttackSpec) -> bool:
     """Whether the attacker escapes the eavesdropping check.
 
     Two routes must agree: the bilinear residuals and a direct
     orthogonality test on explicitly constructed conditional states. A
     disagreement is surfaced as ConsistencyError, never silently resolved.
     """
-    return _escape_stage([spec], tol)[-1][0]
+    return _escape_stage([spec])[-1][0]
 
 
 def rho_pair(spec: AttackSpec, case: Case) -> tuple[np.ndarray, np.ndarray]:
@@ -487,10 +492,10 @@ def _helstrom_errors(deltas: np.ndarray, priors) -> list[float]:
     return np.minimum(np.maximum(pe, 0.0), cap).tolist()
 
 
-def pe_closed_form(spec: AttackSpec, tol: float = DEFAULT_TOL) -> float:
+def pe_closed_form(spec: AttackSpec) -> float:
     """Minimum-error probability (1 - 4|a00||a10|)/2, valid only for specs
     that pass the detection constraints."""
-    if not escape_check(spec, tol):
+    if not escape_check(spec):
         raise InfeasibleError(
             "closed form is only valid for specs satisfying the detection constraints"
         )
@@ -515,33 +520,33 @@ def mutual_information(pe: float) -> float:
     return min(1.0, max(0.0, 1.0 + xlog(pe) + xlog(1.0 - pe)))
 
 
-def nas_check(spec: AttackSpec, tol: float = DEFAULT_TOL) -> tuple[bool, dict]:
+def nas_check(spec: AttackSpec) -> tuple[bool, dict]:
     """Conditions for a perfect attack: mutually orthogonal ancilla states
     and every amplitude of magnitude 1/2. Returns (flag, residuals)."""
     gram = spec.eps.conj() @ spec.eps.T
     overlaps = [float(abs(gram[r, s])) for r, s in _PRODUCT_PAIRS]
     gaps = [float(abs(abs(spec.a[i, j]) - 0.5)) for (i, j) in EPS_ORDER]
-    ok = max(overlaps) <= tol and max(gaps) <= tol
+    ok = max(overlaps) <= DEFAULT_TOL and max(gaps) <= DEFAULT_TOL
     return ok, {"ancilla_overlaps": overlaps, "amplitude_gaps": gaps}
 
 
-def is_realizable(spec: AttackSpec, tol: float = DEFAULT_TOL) -> tuple[bool, dict]:
+def is_realizable(spec: AttackSpec) -> tuple[bool, dict]:
     """Whether some unitary on B, C, E produces this spec from GHZ x ancilla.
 
     Necessary and sufficient: the two Alice-branch vectors
     v_i = sum_j a_ij |j>_B eps_ij have squared norm 1/2 and are orthogonal.
     """
-    return _realizable(_global_vectors([spec])[0], tol)
+    return _realizable(_global_vectors([spec])[0])
 
 
-def _realizable(vec: np.ndarray, tol: float) -> tuple[bool, dict]:
+def _realizable(vec: np.ndarray) -> tuple[bool, dict]:
     """:func:`is_realizable` of the global state vector ``vec``, whose two
     rows over Alice's register are the branch vectors v_0, v_1."""
     v0, v1 = vec.reshape(2, -1)
     n0 = float((np.abs(v0) ** 2).sum())
     n1 = float((np.abs(v1) ** 2).sum())
     overlap = float(abs(np.vdot(v0, v1)))
-    ok = abs(n0 - 0.5) <= tol and abs(n1 - 0.5) <= tol and overlap <= tol
+    ok = max(abs(n0 - 0.5), abs(n1 - 0.5), overlap) <= DEFAULT_TOL
     return ok, {"branch_norms": [n0, n1], "branch_overlap": overlap}
 
 
@@ -562,16 +567,15 @@ class AttackReport:
     info: float
     nas_ok: bool
     realizable: bool
-    tol: float
 
 
-def analyze(spec: AttackSpec, tol: float = DEFAULT_TOL) -> AttackReport:
+def analyze(spec: AttackSpec) -> AttackReport:
     """Run every check and measure on a spec and cross-validate the routes:
     :func:`analyze_stack` of the spec alone."""
-    return analyze_stack([spec], tol)[0]
+    return analyze_stack([spec])[0]
 
 
-def analyze_stack(specs, tol: float = DEFAULT_TOL) -> list[AttackReport]:
+def analyze_stack(specs) -> list[AttackReport]:
     """Run every check and measure on each spec and cross-validate the routes.
 
     The global state is projected once into the four conditional state
@@ -588,11 +592,11 @@ def analyze_stack(specs, tol: float = DEFAULT_TOL) -> list[AttackReport]:
     alone. When a check fails, the error raised is the one the first failing
     spec raises alone, as analysing the specs in turn would raise it.
     """
-    return _raise_first(_outcomes(specs, tol, _analysis_pass))
+    return _raise_first(_outcomes(specs, _analysis_pass))
 
 
-def _outcomes(specs, tol: float, stage) -> list:
-    """``stage(specs, spans, tol)``'s result for each spec, or the exception
+def _outcomes(specs, stage) -> list:
+    """``stage(specs, spans)``'s result for each spec, or the exception
     the spec raises alone. Specs whose C+E registers, and spans where those
     are used, share their dimensions go through ``stage`` in one pass. Only
     a pass of several specs that raises runs them again, each once alone; if
@@ -606,7 +610,7 @@ def _outcomes(specs, tol: float, stage) -> list:
 
     def run(members):
         try:
-            return stage([specs[i] for i in members], [spans[i] for i in members], tol)
+            return stage([specs[i] for i in members], [spans[i] for i in members])
         except (ValueError, RuntimeError) as exc:  # every check raises one of these
             return [exc] * len(members)
 
@@ -629,7 +633,7 @@ def _raise_first(values):
     return values
 
 
-def _escape_stage(specs, tol: float):
+def _escape_stage(specs):
     """The per-case detection residuals (spec, case, 4), global state
     vectors, conditional state tables and escape flags of specs sharing one
     joint_dim, all as array code over the pass: the stage of an analysis
@@ -640,7 +644,7 @@ def _escape_stage(specs, tol: float):
     the same-sign branches against the different-sign ones, in one product
     over every case of every spec; a pair with a branch that does not occur
     is masked out. Flags that differ only because the two magnitudes
-    straddle ``tol`` by round-off (within :func:`_route_tie` of each other)
+    straddle DEFAULT_TOL by round-off (within :func:`_route_tie` of each other)
     are not a disagreement.
     """
     case_vals = _residual_stack(specs)
@@ -651,34 +655,35 @@ def _escape_stage(specs, tol: float):
     overlaps = qmath.cross_overlaps(states[:, :, _SAME_ROWS], states[:, :, _DIFF_ROWS])
     pairs = occurs[:, :, _SAME_ROWS, None] & occurs[:, :, None, _DIFF_ROWS]
     worst_b = np.where(pairs, overlaps, 0.0).max(axis=(1, 2, 3))
-    route_a = worst_a <= tol
-    bad = (route_a != (worst_b <= tol)) & (np.abs(worst_a - worst_b) > _route_tie(states.shape[-1]))
+    route_a = worst_a <= DEFAULT_TOL
+    bad = (route_a != (worst_b <= DEFAULT_TOL)) & (
+        np.abs(worst_a - worst_b) > _route_tie(states.shape[-1])
+    )
     if bad.any():
         s = np.argmax(bad)
         raise ConsistencyError(
             f"escape routes disagree: bilinear max {worst_a[s]:.3e}, "
-            f"state-construction max {worst_b[s]:.3e}, tol {tol:.1e}"
+            f"state-construction max {worst_b[s]:.3e}, tol {DEFAULT_TOL:.1e}"
         )
     return case_vals, vecs, tables, route_a.tolist()
 
 
-def _analysis_pass(specs, spans, tol: float) -> list[AttackReport]:
+def _analysis_pass(specs, spans) -> list[AttackReport]:
     """:func:`analyze_stack` of specs sharing one joint_dim and, where
     their Helstrom problems move to span(eps), one span dimension."""
-    case_vals, vecs, tables, escapes = _escape_stage(specs, tol)
+    case_vals, vecs, tables, escapes = _escape_stage(specs)
     if spans[0] is not None:
         tables = _in_basis(tables, np.stack(spans))
     errors = _helstrom_errors(*_helstrom_operators(tables))
     n = 2 * len(CASES)
     return [
-        _report(spec, _residuals(spec, vals), escape, errors[n * s:n * (s + 1)], vec, tol)
+        _report(spec, _residuals(spec, vals), escape, errors[n * s:n * (s + 1)], vec)
         for s, (spec, vals, escape, vec) in enumerate(zip(specs, case_vals, escapes, vecs))
     ]
 
 
 def _report(
     spec: AttackSpec, residuals: DetectionResiduals, escape: bool, errors, vec: np.ndarray,
-    tol: float,
 ) -> AttackReport:
     """A spec's report from its residuals, escape flag, eight Helstrom
     errors and global state vector, once the checks that read them pass."""
@@ -686,13 +691,13 @@ def _report(
     pe_announce = {case: errors[2 * i + 1] for i, case in enumerate(CASES)}
 
     # The announcement error scales as the residual squared, so a spec just
-    # off the escape set may still announce with an error below tol; only
-    # escape => perfect announcements holds at one tolerance.
-    if escape and max(pe_announce.values()) > tol:
+    # off the escape set may still announce with an error below DEFAULT_TOL;
+    # only escape => perfect announcements holds at one tolerance.
+    if escape and max(pe_announce.values()) > DEFAULT_TOL:
         raise ConsistencyError(
             f"announcement-set discrimination ({max(pe_announce.values()):.3e}) "
             f"disagrees with the escape residuals "
-            f"({residuals.max_case_residual:.3e}) at tol {tol:.1e}"
+            f"({residuals.max_case_residual:.3e}) at tol {DEFAULT_TOL:.1e}"
         )
 
     pes = np.array([pe_numeric[c] for c in CASES])
@@ -711,8 +716,8 @@ def _report(
         # read with its own error probability.
         info = float(np.mean([mutual_information(pe) for pe in pes]))
 
-    nas_ok, _ = nas_check(spec, tol)
-    realizable, _ = _realizable(vec, tol)
+    nas_ok, _ = nas_check(spec)
+    realizable, _ = _realizable(vec)
     return AttackReport(
         residuals=residuals,
         escape_ok=escape,
@@ -722,7 +727,6 @@ def _report(
         info=info,
         nas_ok=nas_ok,
         realizable=realizable,
-        tol=tol,
     )
 
 
@@ -736,7 +740,9 @@ def _sig12(x: float | None) -> float | None:
 
 
 def _complex_pairs(arr: np.ndarray) -> list:
-    return [[_sig12(z.real), _sig12(z.imag)] for z in arr]
+    """Each entry as [re, im], floats that JSON writes as their round-trip
+    repr: a spec file loads back bit for bit, flags included."""
+    return [[float(z.real), float(z.imag)] for z in arr]
 
 
 def spec_to_dict(spec: AttackSpec) -> dict:
@@ -799,7 +805,7 @@ def report_to_dict(report: AttackReport) -> dict:
         "info": _sig12(report.info),
         "nas_ok": report.nas_ok,
         "realizable": report.realizable,
-        "tol": _sig12(report.tol),
+        "tol": _sig12(DEFAULT_TOL),
     }
 
 

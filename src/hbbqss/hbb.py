@@ -21,7 +21,7 @@ import io
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -62,12 +62,6 @@ class SessionAbort(RuntimeError):
 def sift(bases: tuple[Basis, Basis, Basis]) -> bool:
     """Keep a round iff the number of parties choosing x is odd."""
     return sum(1 for b in bases if b is Basis.X) % 2 == 1
-
-
-def completion_basis(first: Basis, second: Basis) -> Basis:
-    """The unique third basis choice that makes the round sift."""
-    n_x = sum(1 for b in (first, second) if b is Basis.X)
-    return Basis.X if n_x % 2 == 0 else Basis.Y
 
 
 def required_announcement(alice: Outcome, bob: Outcome) -> Outcome:
@@ -123,7 +117,6 @@ class RespondContext:
     state: StateVector | None
 
 
-@runtime_checkable
 class AttackStrategy(Protocol):
     """Hooks a dishonest Charlie may implement.
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attack import (
-    DEFAULT_TOL,
     AttackSpec,
     ConsistencyError,
     SpecError,
@@ -48,6 +47,10 @@ PHASE_TOL = 1e-10
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: Round-off, an amplitude magnitude, by which c and the search's upper
+#: bound may leave [0, 1/sqrt(2)]; to_spec clamps c back into it.
+_C_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class AttackFamilyPoint:
@@ -64,7 +67,7 @@ class AttackFamilyPoint:
     eps: np.ndarray | None = None
 
     def __post_init__(self):
-        if not -1e-12 <= self.c <= INV_SQRT2 + 1e-12:
+        if not -_C_SLACK <= self.c <= INV_SQRT2 + _C_SLACK:
             raise SpecError(f"c must lie in [0, 1/sqrt(2)], got {self.c}")
 
     @property
@@ -98,20 +101,20 @@ def _values(points: list[AttackFamilyPoint], checked: bool) -> list[float | Exce
     analysis when ``checked``, else from the escape stage and the closed
     form alone, the same float without the Helstrom route."""
     stage = _checked_stage if checked else _search_stage
-    return _outcomes([p.to_spec() for p in points], DEFAULT_TOL, stage)
+    return _outcomes([p.to_spec() for p in points], stage)
 
 
-def _checked_stage(specs, spans, tol: float) -> list[float]:
+def _checked_stage(specs, spans) -> list[float]:
     return [
         _information(r.escape_ok, r.pe_closed_form, r.pe_numeric.values())
-        for r in _analysis_pass(specs, spans, tol)
+        for r in _analysis_pass(specs, spans)
     ]
 
 
-def _search_stage(specs, spans, tol: float) -> list[float]:
+def _search_stage(specs, spans) -> list[float]:
     return [
         _information(escape, _closed_form(abs(s.a[0, 0]), abs(s.a[1, 0])))
-        for s, escape in zip(specs, _escape_stage(specs, tol)[-1])
+        for s, escape in zip(specs, _escape_stage(specs)[-1])
     ]
 
 
@@ -169,7 +172,7 @@ def maximize(
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     lo, hi = bounds
-    if not 0.0 <= lo < hi <= INV_SQRT2 + 1e-12:
+    if not 0.0 <= lo < hi <= INV_SQRT2 + _C_SLACK:
         raise ValueError(f"bounds must satisfy 0 <= lo < hi <= 1/sqrt(2), got {bounds}")
     rng = rng if rng is not None else np.random.default_rng(0)
 

@@ -211,16 +211,16 @@ def cross_overlaps(set1, set2) -> np.ndarray:
     return np.abs(v1.conj() @ np.swapaxes(v2, -1, -2))
 
 
-def orthonormal_completion(vectors: Sequence[np.ndarray], dim: int) -> np.ndarray:
-    """Extend orthonormal columns to a full orthonormal basis of C^dim.
+def orthonormal_completion(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Extend orthonormal columns to a full orthonormal basis of C^dim, dim
+    the vectors' common length.
 
     Uses two-pass Gram-Schmidt against the standard basis; the given
     vectors occupy the leading columns of the returned dim x dim matrix.
     """
-    basis = [as_vector(v) for v in vectors]
-    for v in basis:
-        if v.shape[0] != dim:
-            raise ValueError("seed vectors must have the requested dimension")
+    rows = as_matrix(vectors)  # a ValueError also for vectors of different lengths
+    dim = rows.shape[1]
+    basis = list(rows)
     for i, u in enumerate(basis):
         if abs(norm(u) - 1.0) > STRUCT_TOL:
             raise ValueError(f"seed vector {i} is not normalised")

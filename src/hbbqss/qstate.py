@@ -76,9 +76,6 @@ class Outcome:
             raise ValueError(f"bad outcome label {label!r}")
         return cls(Sign(label[1]), Basis(label[0]))
 
-    def __str__(self) -> str:  # pragma: no cover - debug nicety
-        return self.label
-
 
 # Gate matrices. SH is composed at lookup time so the pieces stay the single
 # source of truth.
@@ -207,10 +204,16 @@ def project_qubit(state: StateVector, label: str, onto) -> tuple[float, StateVec
     """
     ket = qmath.as_vector(onto)
     ax = state.axis(label)
+    if ket.shape[0] != state.dims[ax]:
+        raise ValueError(
+            f"ket of dim {ket.shape[0]} cannot project a register of dim {state.dims[ax]}"
+        )
+    if abs(np.sqrt((np.abs(ket) ** 2).sum()) - 1.0) > qmath.STRUCT_TOL:
+        raise ValueError("projection ket must be normalised")
     tensor = state.vec.reshape(state.dims)
     if ax:
         tensor = np.moveaxis(tensor, ax, 0)
-    prob, cond = project_stack(tensor.reshape(state.dims[ax], -1), ket)
+    prob, cond = _project_stack(tensor.reshape(state.dims[ax], -1), ket)
     prob = float(prob)
     if prob <= ZERO_BRANCH_TOL or len(state.labels) == 1:
         return prob, None
@@ -219,25 +222,18 @@ def project_qubit(state: StateVector, label: str, onto) -> tuple[float, StateVec
     return prob, StateVector(rest_labels, rest_dims, cond)
 
 
-def project_stack(tensors: np.ndarray, kets) -> tuple[np.ndarray, np.ndarray]:
+def _project_stack(tensors: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Project each member of a stack of states onto a ket, in one contraction.
 
     Each member of ``tensors`` (..., k, n) holds a state's amplitudes with
-    the projected register (dim k) as rows; the kets (..., k) broadcast
-    against the members. Returns the probabilities (...) and the
-    renormalised conditional states (..., n), the zero state for a branch
-    of probability <= ZERO_BRANCH_TOL. Every bra is contracted as a (1, k)
-    row of its own, so each member's result is bit for bit what it gets
-    projected alone, as :func:`project_qubit` projects it.
+    the projected register (dim k) as rows; the finite unit kets (..., k), a
+    complex array the caller has checked, broadcast against the members.
+    Returns the probabilities (...) and the renormalised conditional states
+    (..., n), the zero state for a branch of probability <= ZERO_BRANCH_TOL.
+    Every bra is contracted as a (1, k) row of its own, so each member's
+    result is bit for bit what it gets projected alone, as
+    :func:`project_qubit` projects it.
     """
-    kets = np.asarray(kets, dtype=complex)
-    qmath._check_finite(kets)
-    if kets.shape[-1] != tensors.shape[-2]:
-        raise ValueError(
-            f"ket of dim {kets.shape[-1]} cannot project a register of dim {tensors.shape[-2]}"
-        )
-    if (np.abs(np.sqrt((np.abs(kets) ** 2).sum(axis=-1)) - 1.0) > qmath.STRUCT_TOL).any():
-        raise ValueError("projection ket must be normalised")
     amp = np.matmul(np.conj(kets)[..., None, :], tensors)[..., 0, :]
     prob = (np.abs(amp) ** 2).sum(axis=-1)
     # a complex divisor, as numpy casts a real one for the division

@@ -4,7 +4,7 @@ import platform
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _literals import ANALYSIS_BITS_DIGEST, ANALYSIS_BITS_PLATFORM, CASE_CONDITIONALS
@@ -112,6 +112,39 @@ def test_spec_json_roundtrip(tmp_path):
     assert loaded.ancilla_dim == 4
     assert np.abs(loaded.a - spec.a).max() <= 1e-11
     assert np.abs(loaded.eps - spec.eps).max() <= 1e-11
+
+
+#: The angle (rad) past which the NAS example spec, eps[0] turned toward
+#: eps[1], no longer escapes detection.
+_ESCAPE_BOUNDARY = 1.999999998947289e-9
+
+
+def _turned_example(angle):
+    spec = exploit.example_spec()
+    eps = spec.eps.copy()
+    eps[0] = math.cos(angle) * eps[0] + math.sin(angle) * eps[1]
+    return AttackSpec(2, spec.a, eps)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.floats(-1e-11, 1e-11).map(lambda r: _turned_example(_ESCAPE_BOUNDARY * (1.0 + r))),
+    st.tuples(
+        st.sampled_from(("honest", "kki", "zero-branch", "family", "random")),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    ).map(lambda member: _pass_member(*member)),
+))
+@example(_turned_example(_ESCAPE_BOUNDARY * (1.0 - 5e-13)))  # flipped by 12-digit files
+def test_spec_files_round_trip_bit_for_bit(tmp_path_factory, spec):
+    path = tmp_path_factory.mktemp("spec") / "spec.json"
+    save_spec(spec, path)
+    loaded = load_spec(path)
+    assert loaded.ancilla_dim == spec.ancilla_dim
+    assert loaded.a.tobytes() == spec.a.tobytes()
+    assert loaded.eps.tobytes() == spec.eps.tobytes()
+    flags = [(r.escape_ok, r.nas_ok, r.realizable) for r in map(analyze, (spec, loaded))]
+    assert flags[0] == flags[1]
 
 
 def test_spec_json_schema_diagnostics(tmp_path):
@@ -500,7 +533,7 @@ def _counting(monkeypatch, name):
 def test_one_pass_builds_each_case_once(monkeypatch, run):
     tables = _counting(monkeypatch, "_case_tables")
     states = _counting(monkeypatch, "_global_vectors")
-    projections = _counting(monkeypatch, "project_stack")
+    projections = _counting(monkeypatch, "_project_stack")
     residuals = _counting(monkeypatch, "_residual_stack")
     run()
     # one stack of global states, projected for all four cases in two stacked
@@ -803,7 +836,7 @@ def _report_bits(r) -> list[str]:
         + list(r.residuals.products) + list(r.residuals.magnitude_gaps)
         + [r.escape_ok] + [r.pe_numeric[c] for c in CASES]
         + [r.pe_announce[c] for c in CASES]
-        + [r.pe_closed_form, r.info, r.nas_ok, r.realizable, r.tol]
+        + [r.pe_closed_form, r.info, r.nas_ok, r.realizable, attack.DEFAULT_TOL]
     ))
 
 
@@ -963,8 +996,8 @@ def test_stacked_passes_give_each_spec_its_flag_and_report_alone(members):
     assert [_report_bits(r) for r in stacked] == [_report_bits(analyze(s)) for s in specs]
     for dim in {spec.joint_dim for spec in specs}:
         group = [spec for spec in specs if spec.joint_dim == dim]
-        case_vals, _, _, flags = attack._escape_stage(group, attack.DEFAULT_TOL)
-        alone = [attack._escape_stage([spec], attack.DEFAULT_TOL) for spec in group]
+        case_vals, _, _, flags = attack._escape_stage(group)
+        alone = [attack._escape_stage([spec]) for spec in group]
         assert flags == [stage[-1][0] for stage in alone]
         assert case_vals.tobytes() == np.concatenate([stage[0] for stage in alone]).tobytes()
 

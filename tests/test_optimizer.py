@@ -173,9 +173,9 @@ def test_the_helstrom_route_runs_on_the_probes_and_optima_only(monkeypatch):
     checked = []
     analysis_pass = optimizer._analysis_pass
 
-    def recorded(specs, spans, tol):
+    def recorded(specs, spans):
         checked.append(list(specs))
-        return analysis_pass(checked[-1], spans, tol)
+        return analysis_pass(checked[-1], spans)
 
     monkeypatch.setattr(optimizer, "_analysis_pass", recorded)
     result = maximize(restarts=2, rng=np.random.default_rng(101))

@@ -212,9 +212,11 @@ def test_projection_probabilities_sum_to_one(rng):
             assert total == pytest.approx(1.0, abs=1e-10)
 
 
-def test_project_rejects_unnormalised_ket():
-    with pytest.raises(ValueError):
-        project_qubit(ghz_state(), "A", [2, 0])
+def test_project_rejects_a_bad_ket():
+    # unnormalised, non-finite, and of the wrong dimension
+    for ket in ([2, 0], [np.nan, 0], [1, 0, 0]):
+        with pytest.raises(ValueError):
+            project_qubit(ghz_state(), "A", ket)
 
 
 @pytest.mark.parametrize("rest", [1, 2, 4, 8, 16])
@@ -226,7 +228,7 @@ def test_project_stack_gives_each_member_project_qubit_bit_for_bit(rng, rest):
         states.append(v / np.linalg.norm(v))
     states.append(np.concatenate([np.ones(rest), np.zeros(rest)]) / math.sqrt(rest))  # z- never occurs
     tensors = np.array(states).reshape(-1, 1, 1, 2, rest)
-    probs, conds = qstate.project_stack(tensors, kets)
+    probs, conds = qstate._project_stack(tensors, kets)
     for i, v in enumerate(states):
         s = qstate.StateVector(("Q", "R"), (2, rest), v)
         for b in range(3):
@@ -235,13 +237,6 @@ def test_project_stack_gives_each_member_project_qubit_bit_for_bit(rng, rest):
                 assert probs[i, b, k].tobytes() == np.float64(p).tobytes()
                 expected = np.zeros(rest, dtype=complex) if cond is None else cond.vec
                 assert conds[i, b, k].tobytes() == expected.tobytes()
-
-
-def test_project_stack_checks_every_ket():
-    tensor = ghz_state().vec.reshape(2, 4)
-    for kets in ([[1, 0], [2, 0]], [[1, 0], [np.nan, 0]], [[1, 0, 0]]):
-        with pytest.raises(ValueError):
-            qstate.project_stack(tensor, kets)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hbbqss import qmath, qstate
+from hbbqss import attack, qmath, qstate
 from hbbqss.qstate import (
     Basis,
     Outcome,
@@ -212,11 +212,24 @@ def test_projection_probabilities_sum_to_one(rng):
             assert total == pytest.approx(1.0, abs=1e-10)
 
 
-def test_project_rejects_a_bad_ket():
-    # unnormalised, non-finite, and of the wrong dimension
+def test_project_rejects_unnormalised_ket():
+    with pytest.raises(ValueError):
+        project_qubit(ghz_state(), "A", [2, 0])
+
+
+def test_project_stack_checks_every_ket():
+    # _project_stack takes its kets unchecked. project_qubit checks each ket
+    # it hands on: unnormalised, non-finite, and of the wrong dimension.
     for ket in ([2, 0], [np.nan, 0], [1, 0, 0]):
         with pytest.raises(ValueError):
             project_qubit(ghz_state(), "A", ket)
+    # The analysis hands on the protocol kets stacked once at import: finite
+    # unit kets of a qubit.
+    for kets in (attack._ALICE_KETS, attack._BOB_KETS):
+        assert kets.shape[-1] == 2
+        assert np.isfinite(kets).all()
+        norms = np.sqrt((np.abs(kets) ** 2).sum(axis=-1))
+        assert np.abs(norms - 1.0).max() <= qmath.STRUCT_TOL
 
 
 @pytest.mark.parametrize("rest", [1, 2, 4, 8, 16])

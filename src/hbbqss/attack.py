@@ -595,6 +595,15 @@ def analyze_stack(specs) -> list[AttackReport]:
     return _raise_first(_outcomes(specs, _analysis_pass))
 
 
+#: Most specs a caller stacks into one pass: the grid points of each ``sweep``
+#: pass, and the distinct search points at which ``optimizer.maximize`` closes
+#: a batch of whole restarts. On a 2-vCPU x86-64 host, ``sweep --grid 100000``
+#: took 17.3-19.0 s and peaked at 58.6 MB resident with 64, 20.5-21.3 s and
+#: 57.9 MB with 32, and 18.4 s and 64.2 MB with 128. At 64 the two restarts
+#: of ``optimize --restarts 2`` share one batch.
+STACK_BOUND = 64
+
+
 def _outcomes(specs, stage) -> list:
     """``stage(specs, spans)``'s result for each spec, or the exception
     the spec raises alone. Specs whose C+E registers, and spans where those

@@ -302,16 +302,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 #: Largest ``sweep --grid``, set by run time: the points go through stacked
-#: analyses at about 0.31 ms per point on a 2-vCPU x86-64 host, where 100000
-#: points (a c step of about 7e-6) took 31 s and peaked at 57.6 MB resident,
+#: analyses at about 0.18 ms per point on a 2-vCPU x86-64 host, where 100000
+#: points (a c step of about 7e-6) took 17-19 s and peaked at 58.6 MB resident,
 #: the CSV rows held in memory adding about 0.3 kB per point.
 MAX_GRID = 100_000
-
-#: Most grid points ``sweep`` analyses in one stacked pass. On that host no
-#: larger stack took less time per point, while the stack's temporaries
-#: raised the peak: at 10000 points 36.0 MB with 32, 36.8 with 64, 41.6 with
-#: 256 and 62.8 with 1024; at 100000 points 57.6 MB with 32, 59.0 with 64.
-SWEEP_STACK = 32
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -323,8 +317,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # a uniform grid can never contain the irrational-fraction optimum, so
     # the perfect-attack point is added explicitly
     grid = np.unique(np.append(np.linspace(0.0, optimizer.INV_SQRT2, args.grid), 0.5))
-    for start in range(0, len(grid), SWEEP_STACK):
-        points = [optimizer.AttackFamilyPoint(float(c)) for c in grid[start:start + SWEEP_STACK]]
+    bound = attack.STACK_BOUND
+    for start in range(0, len(grid), bound):
+        points = [optimizer.AttackFamilyPoint(float(c)) for c in grid[start:start + bound]]
         reports = attack.analyze_stack([point.to_spec() for point in points])
         for point, report in zip(points, reports):
             writer.writerow(
@@ -343,11 +338,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Most ``optimize --restarts``, set by run time: the first lockstep pass
-#: stacks every restart's phase probes and opening points, so time and memory
-#: grow with the count. On a 2-vCPU x86-64 host, single runs of ``--seed 42``
-#: took 3.2 s and peaked at 49.4 MB resident with 250 restarts, 11.4 s and
-#: 88.2 MB with 1000, 39.8 s and 244 MB with 4000, 50.1 s and 305 MB with 5000.
+#: Most ``optimize --restarts``, set by run time: the restarts are checked in
+#: batches of about attack.STACK_BOUND search points, so time grows with the
+#: count, and memory with the trace, 52 evaluations per restart. On a 2-vCPU
+#: x86-64 host, single runs of ``--seed 42`` took 2.2-2.7 s and peaked at
+#: 49.1 MB resident with 500 restarts, and 22.9 s and 159.4 MB with 5000.
 MAX_RESTARTS = 5_000
 
 

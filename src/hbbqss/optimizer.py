@@ -5,9 +5,10 @@ orthogonal ancilla states, the amplitude magnitudes reduce to a single
 parameter c = |a00| = |a11| (with |a01| = |a10| = sqrt(1/2 - c^2)), and the
 information is a smooth unimodal function of c. A golden-section search
 over c combined with random restarts over the amplitude phases verifies
-that the maximum is one full bit, attained at c = 1/2, from closed-form
-values that the Helstrom route checks on the phase probes and optima. Random
-family points with random orthonormal ancilla states feed the built-in checks.
+that the maximum is one full bit, attained at c = 1/2: each restart walks
+its path on closed-form values as scalar code, and batches of restarts then
+check the walks in stacked passes. Random family points with random
+orthonormal ancilla states feed the built-in checks.
 """
 
 from __future__ import annotations
@@ -15,20 +16,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
 from .attack import (
-    AttackSpec,
-    ConsistencyError,
-    SpecError,
-    _analysis_pass,
-    _closed_form,
-    _escape_stage,
-    _outcomes,
-    _raise_first,
-    _sig12,
-    mutual_information,
+    STACK_BOUND, AttackReport, AttackSpec, ConsistencyError, SpecError, _analysis_pass,
+    _closed_form, _escape_stage, _outcomes, _sig12, analyze, mutual_information,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -79,10 +74,27 @@ class AttackFamilyPoint:
         d2 = eps.shape[1]
         if d2 % 2:
             raise SpecError("ancilla states must live on C x E, an even dimension")
-        c, s = min(max(self.c, 0.0), INV_SQRT2), self.s
-        ph = np.exp(1j * np.asarray(self.phases, dtype=float))
-        a = np.array([[c * ph[0], s * ph[1]], [s * ph[2], c * ph[3]]], dtype=complex)
+        a00, a01, a10, a11 = _amplitudes(self, _phase_factors(self.phases))
+        a = np.array([[a00, a01], [a10, a11]], dtype=complex)
         return AttackSpec(d2 // 2, a, eps)
+
+
+def _phase_factors(phases) -> np.ndarray:
+    return np.exp(1j * np.asarray(phases, dtype=float))
+
+
+def _amplitudes(point: AttackFamilyPoint, factors: np.ndarray) -> tuple:
+    """a00, a01, a10, a11 of ``point`` from its phase factors: the amplitudes
+    of to_spec and the search's magnitudes both, so the two agree bit for bit."""
+    c, s = min(max(point.c, 0.0), INV_SQRT2), point.s
+    return c * factors[0], s * factors[1], s * factors[2], c * factors[3]
+
+
+def _search_value(point: AttackFamilyPoint, factors: np.ndarray) -> float:
+    """The information at ``point`` if it escapes detection: the closed form
+    at |a00| and |a10|, the float :func:`objective` returns."""
+    a00, _, a10, _ = _amplitudes(point, factors)
+    return mutual_information(_closed_form(abs(a00), abs(a10)))
 
 
 def objective(point: AttackFamilyPoint) -> float:
@@ -92,39 +104,17 @@ def objective(point: AttackFamilyPoint) -> float:
     Helstrom route of the same analysis is required to agree within
     CLOSED_FORM_TOL on every basis case.
     """
-    return _raise_first(_values([point], True))[0]
+    return _information(analyze(point.to_spec()))
 
 
-def _values(points: list[AttackFamilyPoint], checked: bool) -> list[float | Exception]:
-    """:func:`objective` of every point, or the exception it raises alone,
-    from the stacked passes of :func:`attack._outcomes`: through the full
-    analysis when ``checked``, else from the escape stage and the closed
-    form alone, the same float without the Helstrom route."""
-    stage = _checked_stage if checked else _search_stage
-    return _outcomes([p.to_spec() for p in points], stage)
-
-
-def _checked_stage(specs, spans) -> list[float]:
-    return [
-        _information(r.escape_ok, r.pe_closed_form, r.pe_numeric.values())
-        for r in _analysis_pass(specs, spans)
-    ]
-
-
-def _search_stage(specs, spans) -> list[float]:
-    return [
-        _information(escape, _closed_form(abs(s.a[0, 0]), abs(s.a[1, 0])))
-        for s, escape in zip(specs, _escape_stage(specs)[-1])
-    ]
-
-
-def _information(escape: bool, pe: float | None, numeric=()) -> float:
-    """The information read at the closed-form error probability ``pe`` of a
-    family point, which must escape detection and lie within CLOSED_FORM_TOL
-    of each Helstrom error in ``numeric``."""
-    if not escape:
+def _information(report: AttackReport) -> float:
+    """The information read at the closed-form error probability of a family
+    point with the full analysis ``report``, which must escape detection and
+    have every case's Helstrom error within CLOSED_FORM_TOL of it."""
+    if not report.escape_ok:
         raise SpecError("family point does not satisfy the detection constraints")
-    worst = max((abs(x - pe) for x in numeric), default=0.0)
+    pe = report.pe_closed_form
+    worst = max(abs(x - pe) for x in report.pe_numeric.values())
     if worst > CLOSED_FORM_TOL:
         raise ConsistencyError(
             f"closed-form error probability deviates from Helstrom by {worst:.3e}"
@@ -154,16 +144,12 @@ def maximize(
     budget and the optimum matches the known analytic maximum (one bit at
     c = 1/2) to the requested tolerance.
 
-    The restarts are independent, so they run in lockstep: every pass
-    evaluates, in one stack per route, the points each unfinished restart
-    needs next (first all phase probes and opening points, then one point
-    per restart), and a point met before on its route is not evaluated
-    again. Only the phase probes, and each restart's optimum as its last
-    step, take :func:`objective`'s Helstrom check; the optimum must keep its
-    search value. The trace, the evaluation count and the best point are
-    then replayed in restart order, and a failure raises the exception the
-    first failing restart meets first: all as when the restarts run one
-    after another, evaluating point by point.
+    Each restart first walks its search as scalar code (:func:`_walk`). The
+    walks are checked in batches of whole restarts, a batch closing once its
+    distinct search points reach ``attack.STACK_BOUND``, and each batch is
+    replayed in restart order (:func:`_replay`) before the next is walked:
+    output and errors are those of the restarts run one after another,
+    point by point.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -178,39 +164,20 @@ def maximize(
 
     phases = [(0.0, 0.0, 0.0, 0.0)]
     phases += [tuple(rng.uniform(0.0, 2.0 * math.pi, 4)) for _ in range(1, restarts)]
-    calls: list[list[tuple[AttackFamilyPoint, float]]] = [[] for _ in phases]
-    searches = [_search(lo, hi, iters, ph, log) for ph, log in zip(phases, calls)]
-    requests = {r: next(search) for r, search in enumerate(searches)}
-    memo: dict[tuple[AttackFamilyPoint, bool], float | Exception] = {}
+    best_info, best_point, trace = -1.0, None, []
     bracket_ok = True
-    failure: Exception | None = None
-    while requests:
-        new = [k for k in dict.fromkeys(k for ks in requests.values() for k in ks) if k not in memo]
-        for checked in (True, False):
-            points = [p for p, kind in new if kind is checked]
-            memo.update(zip([(p, checked) for p in points], _values(points, checked)))
-        for r in sorted(requests):
-            try:
-                requests[r] = searches[r].send([memo[k] for k in requests[r]])
-            except StopIteration as done:
-                del requests[r]
-                bracket_ok = bracket_ok and done.value
-            except (ValueError, RuntimeError) as exc:
-                # the restarts after this one never start when run in turn
-                failure = exc
-                requests = {q: ks for q, ks in requests.items() if q < r}
-                break
-    if failure is not None:
-        raise failure
-
-    best_info = -1.0
-    best_point: AttackFamilyPoint | None = None
-    trace: list[tuple[int, float]] = []
-    for evals, (point, value) in enumerate((call for log in calls for call in log), 1):
-        if value > best_info:
-            best_info = value
-            best_point = point
-        trace.append((evals, best_info))
+    batch, searched = [], {}
+    for r, ph in enumerate(phases):
+        batch.append(_walk(lo, hi, iters, ph))
+        bracket_ok = bracket_ok and batch[-1].closed
+        searched.update(dict.fromkeys(batch[-1].points))
+        if len(searched) < STACK_BOUND and r + 1 < restarts:
+            continue
+        for point, value in _replay(batch, list(searched)):
+            if value > best_info:
+                best_info, best_point = value, point
+            trace.append((len(trace) + 1, best_info))
+        batch, searched = [], {}
 
     converged = (
         bracket_ok
@@ -224,56 +191,92 @@ def maximize(
 _PROBES = (0.23, 0.45)
 
 
-def _search(lo: float, hi: float, iters: int, phases, calls: list):
-    """One restart: the phase-invariance probes, then a golden-section search
-    over c at ``phases``, ending on both bracket ends (which can host the
-    maximum when the bounds are constrained), then the check of its optimum.
+class _Walk(NamedTuple):
+    """A restart's phase probes, the points its search evaluates in order
+    and their values, its optimum (the first point of the largest value, as
+    the trace replays it) with its value, and whether its bracket closed."""
 
-    A generator: each yield lists the points the next step needs, as
-    (point, checked) for :func:`_values`, and takes back their values, or
-    the exception each raised, which it raises where evaluating point by
-    point would. The evaluations the trace counts go to
-    ``calls`` as (point, value); the return value says whether the bracket
-    closed within ``iters`` steps.
-    """
-    def record(points, values):
-        calls.extend(zip(points, _raise_first(values)))
-        return values
+    probes: list[AttackFamilyPoint]
+    points: list[AttackFamilyPoint]
+    values: list[float]
+    optimum: tuple[AttackFamilyPoint, float]
+    closed: bool
 
-    def evaluate(*cs):
-        points = [AttackFamilyPoint(c, phases) for c in cs]
-        return record(points, (yield [(p, False) for p in points]))
+
+def _walk(lo: float, hi: float, iters: int, phases) -> _Walk:
+    """One restart: a golden-section search over c at ``phases``, ending on
+    both bracket ends (which can host the maximum when the bounds are
+    constrained), each point valued by :func:`_search_value`. Valuing cannot
+    fail: the closed form lies in [0, 1/2], where mutual_information is defined."""
+    factors = _phase_factors(phases)
+    points, values = [], []
+
+    def f(c: float) -> float:
+        points.append(AttackFamilyPoint(c, phases))
+        values.append(_search_value(points[-1], factors))
+        return values[-1]
 
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    probes = [AttackFamilyPoint(c, ph) for c in _PROBES for ph in ((0.0,) * 4, phases)]
-    opening = [AttackFamilyPoint(x1, phases), AttackFamilyPoint(x2, phases)]
-    values = yield [(p, True) for p in probes] + [(p, False) for p in opening]
-    for c, base, shifted in zip(_PROBES, values[0:4:2], values[1:4:2]):
-        _raise_first((base, shifted))
-        if abs(base - shifted) > PHASE_TOL:
-            raise ConsistencyError(
-                f"objective is not phase-invariant at c={c}: {base} vs {shifted}"
-            )
-    f1, f2 = record(opening, values[4:])
+    f1, f2 = f(x1), f(x2)
     steps = 0
     while (b - a) > BRACKET_TOL and steps < iters:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2, = yield from evaluate(x2)
+            f2 = f(x2)
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1, = yield from evaluate(x1)
+            f1 = f(x1)
         steps += 1
-    yield from evaluate(a, b)
-    optimum, value = max(calls, key=lambda call: call[1])  # the first best, as replayed
-    checked, = _raise_first((yield [(optimum, True)]))
-    if checked != value:
-        raise ConsistencyError(f"search value {value!r} at c={optimum.c} checks as {checked!r}")
-    return (b - a) <= BRACKET_TOL
+    f(a)
+    f(b)
+    probes = [AttackFamilyPoint(c, ph) for c in _PROBES for ph in ((0.0,) * 4, phases)]
+    optimum = max(zip(points, values), key=itemgetter(1))
+    return _Walk(probes, points, values, optimum, (b - a) <= BRACKET_TOL)
+
+
+def _replay(batch: list[_Walk], searched: list[AttackFamilyPoint]) -> list:
+    """The evaluations (point, value) of a batch of walks with the distinct
+    search points ``searched``, in restart order, from one stacked escape
+    pass over those points and one stacked analysis pass, with
+    :func:`objective`'s Helstrom check, over the phase probes and optima.
+    Replayed in restart order, the first failure raises the error that the
+    restarts run one after another, point by point, meet first."""
+    flags = _outcomes([p.to_spec() for p in searched], lambda specs, _: _escape_stage(specs)[-1])
+    escapes = dict(zip(searched, flags))
+    probes = [p for w in batch for p in w.probes]
+    checked = list(dict.fromkeys(probes + [w.optimum[0] for w in batch]))
+    reports = dict(zip(checked, _outcomes([p.to_spec() for p in checked], _analysis_pass)))
+
+    def check(point: AttackFamilyPoint) -> float:
+        if isinstance(reports[point], Exception):
+            raise reports[point]
+        return _information(reports[point])
+
+    calls = []
+    for walk in batch:
+        for c, base, shifted in zip(_PROBES, walk.probes[0::2], walk.probes[1::2]):
+            base, shifted = check(base), check(shifted)
+            if abs(base - shifted) > PHASE_TOL:
+                raise ConsistencyError(
+                    f"objective is not phase-invariant at c={c}: {base} vs {shifted}"
+                )
+        for point in walk.points:
+            if isinstance(escapes[point], Exception):
+                raise escapes[point]
+            if not escapes[point]:
+                raise SpecError("family point does not satisfy the detection constraints")
+        calls += zip(walk.points, walk.values)
+        optimum, value = walk.optimum
+        checked_value = check(optimum)
+        if checked_value != value:
+            raise ConsistencyError(
+                f"search value {value!r} at c={optimum.c} checks as {checked_value!r}"
+            )
+    return calls
 
 
 def random_orthonormal(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:

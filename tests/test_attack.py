@@ -1067,8 +1067,9 @@ def test_a_failing_pass_runs_each_of_its_specs_alone_once(monkeypatch):
     passes.clear()
     with pytest.raises(attack.ConsistencyError, match="injected at c=0.45"):
         optimizer.maximize(restarts=2, rng=np.random.default_rng(101))
-    # the four distinct phase probes fail together, then each runs alone once
-    assert [len(specs) for specs in passes] == [4, 1, 1, 1, 1]
+    # the one batch's four distinct phase probes and two optima fail
+    # together, then each runs alone once
+    assert [len(specs) for specs in passes] == [6, 1, 1, 1, 1, 1, 1]
 
 
 def test_a_pass_that_fails_only_when_stacked_raises_its_error(monkeypatch):
@@ -1079,4 +1080,4 @@ def test_a_pass_that_fails_only_when_stacked_raises_its_error(monkeypatch):
     passes.clear()
     with pytest.raises(attack.ConsistencyError, match="the stacked pass fails"):
         optimizer.maximize(restarts=2, rng=np.random.default_rng(101))
-    assert [len(specs) for specs in passes] == [4, 1, 1, 1, 1]
+    assert [len(specs) for specs in passes] == [6, 1, 1, 1, 1, 1, 1]

@@ -422,15 +422,16 @@ def _counting_stacks(monkeypatch, owner, name="analyze_stack"):
 
 
 def test_optimize_and_sweep_analyse_their_points_in_stacked_passes(tmp_path, monkeypatch):
-    # point by point, optimize --restarts 2 makes 112 evaluations; in
-    # lockstep the four distinct phase probes get the full analysis in the
-    # first pass and the two restarts' optima in the last, and the 100
-    # distinct search points get the escape stage alone, in 49 passes
+    # point by point, optimize --restarts 2 makes 112 evaluations; the two
+    # restarts walk 100 distinct search points, the first 50 staying under
+    # STACK_BOUND, so they form one batch: one escape pass over the 100
+    # search points and one full analysis of the four distinct phase probes
+    # and the two restarts' optima
     full = _counting_stacks(monkeypatch, optimizer, "_analysis_pass")
     light = _counting_stacks(monkeypatch, optimizer, "_escape_stage")
     assert main(["optimize", "--restarts", "2", "--seed", "101", "--out", str(tmp_path / "o")]) == 0
-    assert full == [4, 2]
-    assert sum(light) == 100 and len(light) == 49
+    assert full == [6]
+    assert light == [100]
     # sweep --grid 5 analyses its 6 rows in one pass
     passes = _counting_stacks(monkeypatch, attack)
     assert main(["sweep", "--grid", "5", "--out", str(tmp_path / "s.csv")]) == 0

@@ -107,7 +107,8 @@ def test_objective_equals_the_search_value_and_agrees_with_helstrom(c, phases, a
     if ancilla_dim is not None:
         eps = random_orthonormal(np.random.default_rng(seed), 2 * ancilla_dim, 4)
     point = AttackFamilyPoint(c, phases, eps)
-    assert objective(point).hex() == optimizer._values([point], checked=False)[0].hex()
+    walked = optimizer._search_value(point, optimizer._phase_factors(point.phases))
+    assert objective(point).hex() == walked.hex()
     report = attack.analyze(point.to_spec())
     assert max(abs(report.pe_numeric[case] - report.pe_closed_form) for case in attack.CASES) <= 1e-9
 
@@ -179,18 +180,20 @@ def test_the_helstrom_route_runs_on_the_probes_and_optima_only(monkeypatch):
 
     monkeypatch.setattr(optimizer, "_analysis_pass", recorded)
     result = maximize(restarts=2, rng=np.random.default_rng(101))
-    # eight Helstrom problems per point: the first pass checks the four
-    # distinct phase probes, the last the two restarts' optima, and none of
-    # the search points goes through the route
-    assert members == [8 * 4, 8 * 2]
+    # eight Helstrom problems per point: the two restarts' 100 distinct search
+    # points stay under STACK_BOUND until the second restart closes the one
+    # batch, whose one checked pass holds the four distinct phase probes and
+    # the two restarts' optima; none of the search points goes through the
+    # route
+    assert members == [8 * 6]
     phases = tuple(np.random.default_rng(101).uniform(0.0, 2.0 * math.pi, 4))
     probes = [AttackFamilyPoint(c, ph) for c in (0.23, 0.45) for ph in ((0.0,) * 4, phases)]
-    assert sorted(spec.a.tobytes() for spec in checked[0]) == sorted(
+    assert sorted(spec.a.tobytes() for spec in checked[0][:4]) == sorted(
         {p.to_spec().a.tobytes() for p in probes}
     )
-    optima = [spec.a.tobytes() for spec in checked[1]]
+    optima = [spec.a.tobytes() for spec in checked[0][4:]]
     assert result.best_point.to_spec().a.tobytes() in optima
-    assert all(abs(abs(spec.a[0, 0]) - 0.5) <= 1e-6 for spec in checked[1])
+    assert all(abs(abs(spec.a[0, 0]) - 0.5) <= 1e-6 for spec in checked[0][4:])
 
 
 def test_maximize_validates_arguments():
@@ -201,7 +204,7 @@ def test_maximize_validates_arguments():
 
 
 # ---------------------------------------------------------------------------
-# lockstep restarts against the sequential loop
+# batched restarts against the sequential loop
 
 
 def light_information(point):
@@ -397,6 +400,96 @@ def test_a_failure_the_sequential_loop_never_reaches_leaves_the_result_unchanged
     # a search that does reach it fails on it
     with pytest.raises(attack.ConsistencyError, match="injected at c=0.65"):
         maximize(restarts=3, bounds=bounds, rng=np.random.default_rng(9))
+
+
+# ---------------------------------------------------------------------------
+# batches of restarts
+
+
+def _batches(log, restarts, bound):
+    """The restarts of each batch, and its distinct search points, from the
+    sequential loop's ``log``: a batch closes once its distinct search points
+    reach ``bound``."""
+    batches, batch, points = [], [], set()
+    for r in range(restarts):
+        batch.append(r)
+        points.update(_search_points(log, r))
+        if len(points) >= bound or r == restarts - 1:
+            batches.append((batch, points))
+            batch, points = [], set()
+    return batches
+
+
+def _record_passes(monkeypatch, name):
+    """The specs of every pass maximize() makes through ``optimizer.<name>``."""
+    passes = []
+    original = getattr(optimizer, name)
+
+    def recorded(specs, *args):
+        passes.append(list(specs))
+        return original(passes[-1], *args)
+
+    monkeypatch.setattr(optimizer, name, recorded)
+    return passes
+
+
+_BATCH_RUNS = [
+    (8, 42, {}),
+    (12, 101, {"bounds": (0.1, 0.6), "iters": 12}),
+    (12, 5, {"bounds": (0.65, INV_SQRT2), "iters": 12}),
+]
+
+
+@pytest.mark.parametrize("restarts,seed,kwargs", _BATCH_RUNS, ids=["unbounded", "inner", "upper"])
+def test_restart_batches_match_the_sequential_loop(monkeypatch, restarts, seed, kwargs):
+    log = _evaluated(restarts, seed, **kwargs)
+    batches = _batches(log, restarts, optimizer.STACK_BOUND)
+    assert len(batches) >= 3
+    passes = _record_passes(monkeypatch, "_escape_stage")
+    got = maximize(restarts=restarts, rng=np.random.default_rng(seed), **kwargs)
+    ref = sequential_maximize(restarts=restarts, rng=np.random.default_rng(seed), **kwargs)
+    assert _result_bits(got) == _result_bits(ref)
+    assert [len(specs) for specs in passes] == [len(points) for _, points in batches]
+
+
+@pytest.mark.parametrize("restarts,seed,kwargs", _BATCH_RUNS[:2], ids=["unbounded", "inner"])
+def test_restart_batches_stop_at_the_first_failing_batch(monkeypatch, restarts, seed, kwargs):
+    log = _evaluated(restarts, seed, **kwargs)
+    (first, _), (second, _), (third, _), *_ = _batches(log, restarts, optimizer.STACK_BOUND)
+    # the second batch fails on its last restart's fifth search point, the
+    # third on its first restart's first
+    _inject(monkeypatch, [_search_points(log, second[-1])[4], _search_points(log, third[0])[0]])
+    escapes = _record_passes(monkeypatch, "_escape_stage")
+    checks = _record_passes(monkeypatch, "_analysis_pass")
+    with pytest.raises(attack.ConsistencyError) as ref:
+        sequential_maximize(restarts=restarts, rng=np.random.default_rng(seed), **kwargs)
+    escapes.clear()
+    checks.clear()
+    with pytest.raises(attack.ConsistencyError) as got:
+        maximize(restarts=restarts, rng=np.random.default_rng(seed), **kwargs)
+    assert str(got.value) == str(ref.value)
+    # no pass holds a point of a later batch: its restarts' phases are
+    # drawn, but none of their search points or phase-rotated probes is met
+    later = {p.to_spec().a.tobytes() for r, p in log if r > second[-1] and any(p.phases)}
+    met = {spec.a.tobytes() for specs in escapes + checks for spec in specs}
+    assert later and not later & met
+    assert {p.to_spec().a.tobytes() for p in _search_points(log, first[0])} <= met
+
+
+@pytest.mark.parametrize("bound", [1, 20, 28, 64, 200])
+def test_restart_batches_stack_at_most_the_bound_and_one_restart(monkeypatch, bound):
+    restarts, seed, kwargs = _BATCH_RUNS[1]
+    monkeypatch.setattr(optimizer, "STACK_BOUND", bound)
+    log = _evaluated(restarts, seed, **kwargs)
+    passes = _record_passes(monkeypatch, "_escape_stage")
+    got = maximize(restarts=restarts, rng=np.random.default_rng(seed), **kwargs)
+    ref = sequential_maximize(restarts=restarts, rng=np.random.default_rng(seed), **kwargs)
+    assert _result_bits(got) == _result_bits(ref)
+    largest = max(len(set(_search_points(log, r))) for r in range(restarts))
+    sizes = [len(specs) for specs in passes]
+    assert sizes == [len(points) for _, points in _batches(log, restarts, bound)]
+    assert max(sizes) <= bound + largest
+    assert all(size >= bound for size in sizes[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -166,14 +166,14 @@ def maximize(
     phases += [tuple(rng.uniform(0.0, 2.0 * math.pi, 4)) for _ in range(1, restarts)]
     best_info, best_point, trace = -1.0, None, []
     bracket_ok = True
-    batch, searched = [], {}
+    batch, searched, reports = [], {}, {}
     for r, ph in enumerate(phases):
         batch.append(_walk(lo, hi, iters, ph))
         bracket_ok = bracket_ok and batch[-1].closed
         searched.update(dict.fromkeys(batch[-1].points))
         if len(searched) < STACK_BOUND and r + 1 < restarts:
             continue
-        for point, value in _replay(batch, list(searched)):
+        for point, value in _replay(batch, list(searched), reports):
             if value > best_info:
                 best_info, best_point = value, point
             trace.append((len(trace) + 1, best_info))
@@ -238,18 +238,20 @@ def _walk(lo: float, hi: float, iters: int, phases) -> _Walk:
     return _Walk(probes, points, values, optimum, (b - a) <= BRACKET_TOL)
 
 
-def _replay(batch: list[_Walk], searched: list[AttackFamilyPoint]) -> list:
+def _replay(batch: list[_Walk], searched: list[AttackFamilyPoint], reports: dict) -> list:
     """The evaluations (point, value) of a batch of walks with the distinct
     search points ``searched``, in restart order, from one stacked escape
     pass over those points and one stacked analysis pass, with
-    :func:`objective`'s Helstrom check, over the phase probes and optima.
+    :func:`objective`'s Helstrom check, over the phase probes and optima
+    that have no report yet in ``reports``, which it extends: the run's
+    earlier batches passed theirs, so each point is analysed once per run.
     Replayed in restart order, the first failure raises the error that the
     restarts run one after another, point by point, meet first."""
     flags = _outcomes([p.to_spec() for p in searched], lambda specs, _: _escape_stage(specs)[-1])
     escapes = dict(zip(searched, flags))
     probes = [p for w in batch for p in w.probes]
-    checked = list(dict.fromkeys(probes + [w.optimum[0] for w in batch]))
-    reports = dict(zip(checked, _outcomes([p.to_spec() for p in checked], _analysis_pass)))
+    new = [p for p in dict.fromkeys(probes + [w.optimum[0] for w in batch]) if p not in reports]
+    reports.update(zip(new, _outcomes([p.to_spec() for p in new], _analysis_pass)))
 
     def check(point: AttackFamilyPoint) -> float:
         if isinstance(reports[point], Exception):

@@ -1,11 +1,12 @@
 import hashlib
 import json
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from hbbqss import attack, cli, exploit, optimizer, qmath, qstate
+from hbbqss import attack, cli, exploit, hbb, optimizer, qmath, qstate
 from hbbqss.attack import Case
 from hbbqss.cli import main
 from _literals import GENERATED_SPECS, OUTPUT_DIGESTS, SIMULATE_DIGESTS
@@ -37,6 +38,44 @@ def test_verify_catches_a_corrupted_announcement_table(monkeypatch, capsys):
     assert main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] exploit/decoder-soundness" in out
+    assert "decoders exact" not in out
+
+
+def test_verify_catches_a_corrupted_correlation_table(monkeypatch, capsys):
+    key, alice = next(iter(hbb._ALICE.items()))
+    flipped = qstate.Sign.MINUS if alice.sign is qstate.Sign.PLUS else qstate.Sign.PLUS
+    monkeypatch.setitem(hbb._ALICE, key, qstate.Outcome(flipped, alice.basis))
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] hbb/correlation-reproduction" in out
+
+
+def test_verify_fails_a_nan_deviation(monkeypatch, capsys):
+    monkeypatch.setattr(qstate, "phase_aligned_distance", lambda u, v: math.nan)
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] exploit/circuit-state-preparation" in out
+    assert "[FAIL] exploit/decoder-transforms" in out
+
+
+def test_verify_catches_perturbed_specs_that_attack_perfectly(monkeypatch, capsys):
+    # every "perturbed" spec is the perfect attack itself
+    monkeypatch.setattr(cli, "perturbed_spec", lambda rng, delta, kind: exploit.example_spec())
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] attack/nas-necessity: 12 of 12 perturbed specs attack perfectly" in out
+    assert "degraded" not in out
+
+
+@pytest.mark.parametrize("row", cli.VERIFY_CHECKS, ids=[row[0] for row in cli.VERIFY_CHECKS])
+def test_verify_passes_a_deviation_at_its_tolerance_and_fails_one_ulp_above(
+    monkeypatch, capsys, row
+):
+    name, _, tol = row
+    for deviation, code, verdict in ((tol, 0, "PASS"), (math.nextafter(tol, math.inf), 1, "FAIL")):
+        monkeypatch.setattr(cli, "VERIFY_CHECKS", ((name, lambda: (deviation, "stub"), tol),))
+        assert main(["verify"]) == code
+        assert capsys.readouterr().out.startswith(f"[{verdict}] {name}: stub")
 
 
 # ---------------------------------------------------------------------------

@@ -492,6 +492,17 @@ def test_restart_batches_stack_at_most_the_bound_and_one_restart(monkeypatch, bo
     assert all(size >= bound for size in sizes[:-1])
 
 
+def test_restart_batches_analyse_each_checked_point_once_per_run(monkeypatch):
+    # the zero-phase probes, which every restart shares, are analysed in the
+    # first batch only; each later batch checks its two restarts' rotated
+    # probes and optima
+    checks = _record_passes(monkeypatch, "_analysis_pass")
+    maximize(restarts=8, rng=np.random.default_rng(42))
+    assert [len(specs) for specs in checks] == [6, 6, 6, 6]
+    met = [spec.a.tobytes() for specs in checks for spec in specs]
+    assert len(met) == len(set(met))
+
+
 # ---------------------------------------------------------------------------
 # scan oracle
 

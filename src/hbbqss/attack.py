@@ -10,6 +10,11 @@ constraints, the minimum-error (Helstrom) probability of reading Alice's
 bit, the resulting mutual information, and the necessary-and-sufficient
 conditions for a perfect attack. Everything here is pure analysis; session
 execution lives in :mod:`hbbqss.exploit`.
+
+The unit of analysis is a :class:`SpecStack`, many specs' amplitudes and
+ancilla states stacked and validated in one reduction per check; every
+stage reads the stacked arrays, and the one-spec functions run on a stack
+of one.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,7 +120,35 @@ class AttackSpec:
 
     ``a`` is the 2x2 complex amplitude array indexed by (Alice branch,
     Bob branch); ``eps`` holds the four ancilla states as rows ordered
-    (0,0), (0,1), (1,0), (1,1), each of dimension 2 * ancilla_dim.
+    (0,0), (0,1), (1,0), (1,1), each of dimension 2 * ancilla_dim. Its
+    checks are those of a :class:`SpecStack` of one.
+    """
+
+    ancilla_dim: int
+    a: np.ndarray
+    eps: np.ndarray
+
+    def __post_init__(self):
+        a, eps = np.asarray(self.a, dtype=complex), np.asarray(self.eps, dtype=complex)
+        stack = SpecStack(self.ancilla_dim, a[None], eps[None])
+        object.__setattr__(self, "ancilla_dim", stack.ancilla_dim)
+        object.__setattr__(self, "a", stack.a[0])
+        object.__setattr__(self, "eps", stack.eps[0])
+
+    @property
+    def joint_dim(self) -> int:
+        """Dimension of the C+E register the ancilla states live on."""
+        return 2 * self.ancilla_dim
+
+
+@dataclass(frozen=True, eq=False)
+class SpecStack:
+    """The unit of analysis: n specs of one ancilla_dim, their amplitudes
+    stacked (n, 2, 2) in ``a`` and their ancilla states (n, 4, 2 * ancilla_dim)
+    in ``eps``. Iterating yields each spec's :class:`SpecRow`.
+
+    Each check runs once over the stack, as one reduction, and raises the
+    SpecError that the first failing spec raises alone.
     """
 
     ancilla_dim: int
@@ -125,32 +159,72 @@ class AttackSpec:
         d = _ancilla_dim(self.ancilla_dim)
         if d < 1:
             raise SpecError(f"ancilla_dim must be >= 1, got {self.ancilla_dim}")
-        a = np.asarray(self.a, dtype=complex)
-        eps = np.asarray(self.eps, dtype=complex)
-        if a.shape != (2, 2):
-            raise SpecError(f"amplitude array must be 2x2, got shape {a.shape}")
-        if eps.shape != (4, 2 * d):
+        a, eps = np.asarray(self.a, dtype=complex), np.asarray(self.eps, dtype=complex)
+        if a.shape[1:] != (2, 2):
+            raise SpecError(f"amplitude array must be 2x2, got shape {a.shape[1:]}")
+        if eps.shape[1:] != (4, 2 * d):
             raise SpecError(
-                f"eps must hold 4 states of dimension {2 * d}, got shape {eps.shape}"
+                f"eps must hold 4 states of dimension {2 * d}, got shape {eps.shape[1:]}"
             )
-        if not (np.isfinite(a).all() and np.isfinite(eps).all()):
-            raise SpecError("non-finite entries in attack spec")
-        total = float((np.abs(a) ** 2).sum())
-        if abs(total - 1.0) > qmath.STRUCT_TOL:
-            raise SpecError(f"amplitude magnitudes sum to {total}, expected 1")
-        norms = np.sqrt((np.abs(eps) ** 2).sum(axis=1))
-        bad = np.flatnonzero(np.abs(norms - 1.0) > qmath.STRUCT_TOL)
-        if bad.size:
-            idx = int(bad[0])
-            raise SpecError(f"eps row {EPS_ORDER[idx]} has norm {float(norms[idx])}, expected 1")
+        if len(a) != len(eps):
+            raise SpecError(f"{len(a)} amplitude arrays for {len(eps)} ancilla state sets")
+        finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(eps).all(axis=(1, 2))
+        totals = (np.abs(a) ** 2).reshape(-1, 4).sum(axis=1)
+        norms = np.sqrt((np.abs(eps) ** 2).sum(axis=2))
+        bad_total = np.abs(totals - 1.0) > qmath.STRUCT_TOL
+        bad_norms = np.abs(norms - 1.0) > qmath.STRUCT_TOL
+        bad = ~finite | bad_total | bad_norms.any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if not finite[i]:
+                raise SpecError("non-finite entries in attack spec")
+            if bad_total[i]:
+                raise SpecError(f"amplitude magnitudes sum to {float(totals[i])}, expected 1")
+            k = int(np.argmax(bad_norms[i]))
+            raise SpecError(f"eps row {EPS_ORDER[k]} has norm {float(norms[i, k])}, expected 1")
         object.__setattr__(self, "ancilla_dim", d)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "eps", eps)
 
+    @classmethod
+    def of(cls, specs) -> "SpecStack":
+        """AttackSpecs of one ancilla_dim stacked; each was checked when built."""
+        if len({spec.ancilla_dim for spec in specs}) != 1:
+            raise SpecError("a stack needs specs of one ancilla_dim")
+        return _stack(np.array([spec.a for spec in specs]), np.array([spec.eps for spec in specs]))
+
     @property
     def joint_dim(self) -> int:
-        """Dimension of the C+E register the ancilla states live on."""
-        return 2 * self.ancilla_dim
+        return self.eps.shape[-1]
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __iter__(self):
+        return map(SpecRow, self.a, self.eps)
+
+    def take(self, rows) -> "SpecStack":
+        """The specs at ``rows``, a slice or a list of indices."""
+        return _stack(self.a[rows], self.eps[rows])
+
+
+class SpecRow(NamedTuple):
+    """A spec's row of a SpecStack, read where an AttackSpec is."""
+
+    a: np.ndarray
+    eps: np.ndarray
+
+    @property
+    def joint_dim(self) -> int:
+        return self.eps.shape[-1]
+
+
+def _stack(a: np.ndarray, eps: np.ndarray) -> SpecStack:
+    """A SpecStack of rows that were checked before: no check runs again."""
+    stack = object.__new__(SpecStack)
+    for name, value in (("ancilla_dim", eps.shape[-1] // 2), ("a", a), ("eps", eps)):
+        object.__setattr__(stack, name, value)
+    return stack
 
 
 def _ancilla_dim(d) -> int:
@@ -185,16 +259,16 @@ def kki_spec() -> AttackSpec:
 
 def global_state(spec: AttackSpec) -> StateVector:
     """The post-interaction state on registers A, B and the joint C+E."""
-    return StateVector(("A", "B", "CE"), (2, 2, spec.joint_dim), _global_vectors([spec])[0])
+    vec = _global_vectors(SpecStack.of([spec]))[0]
+    return StateVector(("A", "B", "CE"), (2, 2, spec.joint_dim), vec)
 
 
-def _global_vectors(specs) -> np.ndarray:
-    """The global state vectors of specs sharing one joint_dim, stacked
-    (k, 4 * joint_dim): block 2i + j of each holds a_ij eps_ij."""
-    a = np.array([spec.a.reshape(4) for spec in specs])  # row-major: EPS_ORDER
-    eps = np.array([spec.eps for spec in specs])
+def _global_vectors(stack: SpecStack) -> np.ndarray:
+    """The global state vectors of the stack's specs, stacked
+    (n, 4 * joint_dim): block 2i + j of each holds a_ij eps_ij."""
+    a = stack.a.reshape(-1, 4)  # row-major: EPS_ORDER
     # 0.0 + ... makes every zero entry +0, as accumulating into np.zeros does
-    vecs = (0.0 + a[:, :, None] * eps).reshape(len(specs), -1)
+    vecs = (0.0 + a[:, :, None] * stack.eps).reshape(len(a), -1)
     norms = np.sqrt((np.abs(vecs) ** 2).sum(axis=1))
     bad = np.abs(norms - 1.0) > qmath.STRUCT_TOL
     if bad.any():
@@ -249,7 +323,7 @@ class ConditionalStateTable:
 
 def conditional_states(spec: AttackSpec, case: Case) -> ConditionalStateTable:
     """Project the global state onto each (Alice, Bob) outcome pair."""
-    t = _case_tables(_global_vectors([spec]), (case,))
+    t = _case_tables(_global_vectors(SpecStack.of([spec])), (case,))
     return ConditionalStateTable(case, t.weights[0, 0], t.states[0, 0], t.occurs[0, 0])
 
 
@@ -336,19 +410,18 @@ def detection_residuals(spec: AttackSpec) -> DetectionResiduals:
     form in one stacked product (conj(C) @ gram) @ C^T: the branch weights
     on its diagonals, the same/different cross terms off them.
     """
-    return _residuals(spec, _residual_stack([spec])[0])
+    return _residuals(spec, _residual_stack(SpecStack.of([spec]))[0])
 
 
 #: The (r, s) eps row pairs of DetectionResiduals.products.
 _PRODUCT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def _residual_stack(specs) -> np.ndarray:
-    """The per-case values of :func:`detection_residuals` of specs sharing
-    one joint_dim, stacked (spec, case, 4), with every spec's bilinear forms
-    in one stacked product."""
-    a = np.array([spec.a for spec in specs])
-    eps = np.array([spec.eps for spec in specs])
+def _residual_stack(stack: SpecStack) -> np.ndarray:
+    """The per-case values of :func:`detection_residuals` of the stack's
+    specs, stacked (spec, case, 4), with every spec's bilinear forms in one
+    stacked product."""
+    a, eps = stack.a, stack.eps
     grams = eps.conj() @ np.swapaxes(eps, 1, 2)
     # Each bra entry is real or imaginary, so these array products round as
     # the products of the single scalars do, bit for bit.
@@ -366,7 +439,7 @@ def _residual_stack(specs) -> np.ndarray:
     )
 
 
-def _residuals(spec: AttackSpec, case_vals: np.ndarray) -> DetectionResiduals:
+def _residuals(spec: AttackSpec | SpecRow, case_vals: np.ndarray) -> DetectionResiduals:
     """The spec's DetectionResiduals from its per-case values (case, 4) of
     :func:`_residual_stack`, with the aggregate products and gaps."""
     avec = spec.a.reshape(4)
@@ -385,7 +458,7 @@ def escape_check(spec: AttackSpec) -> bool:
     orthogonality test on explicitly constructed conditional states. A
     disagreement is surfaced as ConsistencyError, never silently resolved.
     """
-    return _escape_stage([spec])[-1][0]
+    return _escape_stage(SpecStack.of([spec]))[-1][0]
 
 
 def rho_pair(spec: AttackSpec, case: Case) -> tuple[np.ndarray, np.ndarray]:
@@ -395,7 +468,7 @@ def rho_pair(spec: AttackSpec, case: Case) -> tuple[np.ndarray, np.ndarray]:
     outcome, weighted by the true conditional probabilities (which are
     equal whenever the detection constraints hold).
     """
-    rho, _ = _mixtures(_case_tables(_global_vectors([spec]), (case,)))
+    rho, _ = _mixtures(_case_tables(_global_vectors(SpecStack.of([spec])), (case,)))
     return rho[0, 0, 0], rho[0, 0, 1]
 
 
@@ -520,7 +593,7 @@ def mutual_information(pe: float) -> float:
     return min(1.0, max(0.0, 1.0 + xlog(pe) + xlog(1.0 - pe)))
 
 
-def nas_check(spec: AttackSpec) -> tuple[bool, dict]:
+def nas_check(spec: AttackSpec | SpecRow) -> tuple[bool, dict]:
     """Conditions for a perfect attack: mutually orthogonal ancilla states
     and every amplitude of magnitude 1/2. Returns (flag, residuals)."""
     gram = spec.eps.conj() @ spec.eps.T
@@ -536,7 +609,7 @@ def is_realizable(spec: AttackSpec) -> tuple[bool, dict]:
     Necessary and sufficient: the two Alice-branch vectors
     v_i = sum_j a_ij |j>_B eps_ij have squared norm 1/2 and are orthogonal.
     """
-    return _realizable(_global_vectors([spec])[0])
+    return _realizable(_global_vectors(SpecStack.of([spec]))[0])
 
 
 def _realizable(vec: np.ndarray) -> tuple[bool, dict]:
@@ -578,6 +651,7 @@ def analyze(spec: AttackSpec) -> AttackReport:
 def analyze_stack(specs) -> list[AttackReport]:
     """Run every check and measure on each spec and cross-validate the routes.
 
+    ``specs`` is a SpecStack, or a list of AttackSpecs, stacked by joint_dim.
     The global state is projected once into the four conditional state
     tables; the escape routes, both Helstrom errors of every case and the
     per-case spread all read them. Every conditional state lies in
@@ -592,7 +666,16 @@ def analyze_stack(specs) -> list[AttackReport]:
     alone. When a check fails, the error raised is the one the first failing
     spec raises alone, as analysing the specs in turn would raise it.
     """
-    return _raise_first(_outcomes(specs, _analysis_pass))
+    if isinstance(specs, SpecStack):
+        return _raise_first(_outcomes(specs, _analysis_pass))
+    groups: dict[int, list] = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault(spec.joint_dim, []).append((i, spec))
+    outcomes = {}
+    for group in groups.values():
+        index, members = zip(*group)
+        outcomes.update(zip(index, _outcomes(SpecStack.of(members), _analysis_pass)))
+    return _raise_first([outcomes[i] for i in range(len(outcomes))])
 
 
 #: Most specs a caller stacks into one pass: the grid points of each ``sweep``
@@ -604,34 +687,34 @@ def analyze_stack(specs) -> list[AttackReport]:
 STACK_BOUND = 64
 
 
-def _outcomes(specs, stage) -> list:
-    """``stage(specs, spans)``'s result for each spec, or the exception
-    the spec raises alone. Specs whose C+E registers, and spans where those
-    are used, share their dimensions go through ``stage`` in one pass. Only
-    a pass of several specs that raises runs them again, each once alone; if
-    all pass alone, stacking them failed and each gets the pass's error.
+def _outcomes(stack: SpecStack, stage) -> list:
+    """``stage(stack, spans)``'s result for each spec of the stack, or the
+    exception the spec raises alone. Specs whose spans, where those are
+    used, share their dimension go through ``stage`` in one pass. Only a
+    pass of several specs that raises runs them again, each once alone, as
+    a slice of one; if all pass alone, stacking them failed and each gets
+    the pass's error.
     """
-    specs = list(specs)
-    spans = [qmath.orthonormal_span(spec.eps) if spec.joint_dim > 4 else None for spec in specs]
-    groups: dict[tuple, list[int]] = {}
-    for i, (spec, span) in enumerate(zip(specs, spans)):
-        groups.setdefault((spec.joint_dim, None if span is None else span.shape[1]), []).append(i)
+    spans = [qmath.orthonormal_span(eps) if stack.joint_dim > 4 else None for eps in stack.eps]
+    groups: dict[int | None, list[int]] = {}
+    for i, span in enumerate(spans):
+        groups.setdefault(None if span is None else span.shape[1], []).append(i)
 
-    def run(members):
+    def run(sub, members):
         try:
-            return stage([specs[i] for i in members], [spans[i] for i in members])
+            return stage(sub, [spans[i] for i in members])
         except (ValueError, RuntimeError) as exc:  # every check raises one of these
             return [exc] * len(members)
 
     outcomes = {}
     for members in groups.values():
-        results = run(members)
+        results = run(stack if len(members) == len(stack) else stack.take(members), members)
         if len(members) > 1 and isinstance(results[0], Exception):
-            alone = [run([i])[0] for i in members]
+            alone = [run(stack.take(slice(i, i + 1)), [i])[0] for i in members]
             if any(isinstance(result, Exception) for result in alone):
                 results = alone
         outcomes.update(zip(members, results))
-    return [outcomes[i] for i in range(len(specs))]
+    return [outcomes[i] for i in range(len(stack))]
 
 
 def _raise_first(values):
@@ -642,11 +725,11 @@ def _raise_first(values):
     return values
 
 
-def _escape_stage(specs):
+def _escape_stage(stack: SpecStack):
     """The per-case detection residuals (spec, case, 4), global state
-    vectors, conditional state tables and escape flags of specs sharing one
-    joint_dim, all as array code over the pass: the stage of an analysis
-    pass before the Helstrom problems.
+    vectors, conditional state tables and escape flags of the stack's specs,
+    all as array code over the pass: the stage of an analysis pass before
+    the Helstrom problems.
 
     Each flag is the bilinear route's, asserted against the cross overlaps
     of the constructed states the attacker must tell apart on check rounds,
@@ -656,8 +739,8 @@ def _escape_stage(specs):
     straddle DEFAULT_TOL by round-off (within :func:`_route_tie` of each other)
     are not a disagreement.
     """
-    case_vals = _residual_stack(specs)
-    vecs = _global_vectors(specs)
+    case_vals = _residual_stack(stack)
+    vecs = _global_vectors(stack)
     tables = _case_tables(vecs)
     worst_a = case_vals.max(axis=(1, 2))
     states, occurs = tables.states, tables.occurs
@@ -677,25 +760,26 @@ def _escape_stage(specs):
     return case_vals, vecs, tables, route_a.tolist()
 
 
-def _analysis_pass(specs, spans) -> list[AttackReport]:
-    """:func:`analyze_stack` of specs sharing one joint_dim and, where
-    their Helstrom problems move to span(eps), one span dimension."""
-    case_vals, vecs, tables, escapes = _escape_stage(specs)
+def _analysis_pass(stack: SpecStack, spans) -> list[AttackReport]:
+    """:func:`analyze_stack` of a stack whose specs, where their Helstrom
+    problems move to span(eps), share one span dimension."""
+    case_vals, vecs, tables, escapes = _escape_stage(stack)
     if spans[0] is not None:
         tables = _in_basis(tables, np.stack(spans))
     errors = _helstrom_errors(*_helstrom_operators(tables))
     n = 2 * len(CASES)
     return [
-        _report(spec, _residuals(spec, vals), escape, errors[n * s:n * (s + 1)], vec)
-        for s, (spec, vals, escape, vec) in enumerate(zip(specs, case_vals, escapes, vecs))
+        _report(row, _residuals(row, vals), escape, errors[n * s:n * (s + 1)], vec)
+        for s, (row, vals, escape, vec) in enumerate(zip(stack, case_vals, escapes, vecs))
     ]
 
 
 def _report(
-    spec: AttackSpec, residuals: DetectionResiduals, escape: bool, errors, vec: np.ndarray,
+    spec: SpecRow, residuals: DetectionResiduals, escape: bool, errors, vec: np.ndarray,
 ) -> AttackReport:
-    """A spec's report from its residuals, escape flag, eight Helstrom
-    errors and global state vector, once the checks that read them pass."""
+    """A spec's report from its row of the stack, residuals, escape flag,
+    eight Helstrom errors and global state vector, once the checks that read
+    them pass."""
     pe_numeric = {case: errors[2 * i] for i, case in enumerate(CASES)}
     pe_announce = {case: errors[2 * i + 1] for i, case in enumerate(CASES)}
 

@@ -107,9 +107,8 @@ def _check_correlation_reproduction() -> tuple[float, str]:
 
 def _check_closed_form_agreement() -> tuple[float, str]:
     rng = np.random.default_rng(7)
-    reports = attack.analyze_stack(
-        [optimizer.random_family_point(rng).to_spec() for _ in range(40)]
-    )
+    points = [optimizer.random_family_point(rng) for _ in range(40)]
+    reports = attack.analyze_stack(optimizer._family_stack(points))
     worst = _worst(
         math.inf if r.pe_closed_form is None else abs(r.pe_numeric[c] - r.pe_closed_form)
         for r in reports
@@ -162,13 +161,11 @@ def _check_decoder_soundness() -> tuple[float, str]:
 
 def _check_nas_sufficiency() -> tuple[float, str]:
     rng = np.random.default_rng(11)
-    specs = [exploit.example_spec(), attack.kki_spec()]
-    specs += [optimizer.random_family_point(rng, c=0.5).to_spec() for _ in range(10)]
-    worst = _worst(
-        1.0 - r.info if r.nas_ok and r.escape_ok else math.inf
-        for r in attack.analyze_stack(specs)
-    )
-    return worst, f"max information deficit {worst:.3e} over {len(specs)} specs"
+    points = [optimizer.random_family_point(rng, c=0.5) for _ in range(10)]
+    reports = attack.analyze_stack([exploit.example_spec(), attack.kki_spec()])
+    reports += attack.analyze_stack(optimizer._family_stack(points))
+    worst = _worst(1.0 - r.info if r.nas_ok and r.escape_ok else math.inf for r in reports)
+    return worst, f"max information deficit {worst:.3e} over {len(reports)} specs"
 
 
 def _check_nas_necessity() -> tuple[float, str]:
@@ -297,9 +294,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 #: Largest ``sweep --grid``, set by run time: the points go through stacked
-#: analyses at about 0.18 ms per point on a 2-vCPU x86-64 host, where 100000
-#: points (a c step of about 7e-6) took 17-19 s and peaked at 58.6 MB resident,
-#: the CSV rows held in memory adding about 0.3 kB per point.
+#: analyses at about 0.1 ms per point on a 2-vCPU x86-64 host, where 100000
+#: points (a c step of about 7e-6) took 9.9-11.1 s and peaked at 59.6 MB
+#: resident, the CSV rows held in memory adding about 0.3 kB per point.
 MAX_GRID = 100_000
 
 
@@ -315,7 +312,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     bound = attack.STACK_BOUND
     for start in range(0, len(grid), bound):
         points = [optimizer.AttackFamilyPoint(float(c)) for c in grid[start:start + bound]]
-        reports = attack.analyze_stack([point.to_spec() for point in points])
+        reports = attack.analyze_stack(optimizer._family_stack(points))
         for point, report in zip(points, reports):
             writer.writerow(
                 [
@@ -336,8 +333,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 #: Most ``optimize --restarts``, set by run time: the restarts are checked in
 #: batches of about attack.STACK_BOUND search points, so time grows with the
 #: count, and memory with the trace, 52 evaluations per restart. On a 2-vCPU
-#: x86-64 host, single runs of ``--seed 42`` took 2.2-2.7 s and peaked at
-#: 49.1 MB resident with 500 restarts, and 22.9 s and 159.4 MB with 5000.
+#: x86-64 host, single runs of ``--seed 42`` took 1.3-1.4 s and peaked at
+#: 50.1 MB resident with 500 restarts, and 11.9-13.9 s and 168.2 MB with 5000.
 MAX_RESTARTS = 5_000
 
 

@@ -7,8 +7,11 @@ information is a smooth unimodal function of c. A golden-section search
 over c combined with random restarts over the amplitude phases verifies
 that the maximum is one full bit, attained at c = 1/2: each restart walks
 its path on closed-form values as scalar code, and batches of restarts then
-check the walks in stacked passes. Random family points with random
-orthonormal ancilla states feed the built-in checks.
+check the walks in stacked passes. Each pass reads one family stack
+(:func:`_family_stack`), the specs of many family points built as one
+validated ``attack.SpecStack`` in one array expression, so a run builds no
+AttackSpec. Random family points with random orthonormal ancilla states
+feed the built-in checks.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .attack import (
-    STACK_BOUND, AttackReport, AttackSpec, ConsistencyError, SpecError, _analysis_pass,
-    _closed_form, _escape_stage, _outcomes, _sig12, analyze, mutual_information,
+    STACK_BOUND, AttackReport, AttackSpec, ConsistencyError, SpecError, SpecStack,
+    _analysis_pass, _closed_form, _escape_stage, _outcomes, _sig12, analyze, mutual_information,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -43,7 +46,7 @@ PHASE_TOL = 1e-10
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Round-off, an amplitude magnitude, by which c and the search's upper
-#: bound may leave [0, 1/sqrt(2)]; to_spec clamps c back into it.
+#: bound may leave [0, 1/sqrt(2)]; _family_stack clamps c back into it.
 _C_SLACK = 1e-12
 
 
@@ -70,13 +73,9 @@ class AttackFamilyPoint:
         return math.sqrt(max(0.5 - self.c * self.c, 0.0))
 
     def to_spec(self) -> AttackSpec:
-        eps = np.eye(4, dtype=complex) if self.eps is None else np.asarray(self.eps, complex)
-        d2 = eps.shape[1]
-        if d2 % 2:
-            raise SpecError("ancilla states must live on C x E, an even dimension")
-        a00, a01, a10, a11 = _amplitudes(self, _phase_factors(self.phases))
-        a = np.array([[a00, a01], [a10, a11]], dtype=complex)
-        return AttackSpec(d2 // 2, a, eps)
+        """The point's spec: its row of a family stack of one."""
+        stack = _family_stack([self])
+        return AttackSpec(stack.ancilla_dim, stack.a[0], np.array(stack.eps[0]))
 
 
 def _phase_factors(phases) -> np.ndarray:
@@ -84,10 +83,44 @@ def _phase_factors(phases) -> np.ndarray:
 
 
 def _amplitudes(point: AttackFamilyPoint, factors: np.ndarray) -> tuple:
-    """a00, a01, a10, a11 of ``point`` from its phase factors: the amplitudes
-    of to_spec and the search's magnitudes both, so the two agree bit for bit."""
+    """a00, a01, a10, a11 of ``point`` from its phase factors: the search's
+    magnitudes, bit for bit the amplitudes of :func:`_family_stack`."""
     c, s = min(max(point.c, 0.0), INV_SQRT2), point.s
     return c * factors[0], s * factors[1], s * factors[2], c * factors[3]
+
+
+#: The ancilla states of a point without its own: mutually orthonormal,
+#: one read-only array that every such point's stack row shares.
+_DEFAULT_EPS = np.eye(4, dtype=complex)
+_DEFAULT_EPS.flags.writeable = False
+
+
+def _family_stack(points) -> SpecStack:
+    """The specs of ``points``, whose ancilla states share one shape, as one
+    validated stack. Their amplitudes come from one expression over arrays
+    of the points' clamped c, s and phase factors, with the IEEE operations
+    of :func:`_amplitudes` element for element, so the two agree bit for bit."""
+    cs = np.array([point.c for point in points], dtype=float)
+    # min(max(c, 0.0), INV_SQRT2), and s as AttackFamilyPoint.s computes it
+    c = np.where(cs > INV_SQRT2, INV_SQRT2, np.where(cs < 0.0, 0.0, cs))
+    s2 = 0.5 - cs * cs
+    s = np.sqrt(np.where(s2 < 0.0, 0.0, s2))
+    factors = _phase_factors([point.phases for point in points]).reshape(-1, 4)
+    mags = np.stack([c, s, s, c], axis=1)
+    # (mag + 0j) * factor, formed as the scalar complex product forms it: the
+    # array product may fuse a multiply and an add, which gives a part that
+    # underflows to zero another sign
+    a = np.empty(mags.shape, dtype=complex)
+    a.real = mags * factors.real - 0.0 * factors.imag
+    a.imag = mags * factors.imag + 0.0 * factors.real
+    a = a.reshape(-1, 2, 2)
+    if all(point.eps is None for point in points):
+        eps = np.broadcast_to(_DEFAULT_EPS, (len(points), 4, 4))
+    else:
+        eps = np.array([_DEFAULT_EPS if p.eps is None else np.asarray(p.eps, complex) for p in points])
+    if eps.shape[-1] % 2:
+        raise SpecError("ancilla states must live on C x E, an even dimension")
+    return SpecStack(eps.shape[-1] // 2, a, eps)
 
 
 def _search_value(point: AttackFamilyPoint, factors: np.ndarray) -> float:
@@ -247,11 +280,11 @@ def _replay(batch: list[_Walk], searched: list[AttackFamilyPoint], reports: dict
     earlier batches passed theirs, so each point is analysed once per run.
     Replayed in restart order, the first failure raises the error that the
     restarts run one after another, point by point, meet first."""
-    flags = _outcomes([p.to_spec() for p in searched], lambda specs, _: _escape_stage(specs)[-1])
+    flags = _outcomes(_family_stack(searched), lambda stack, _: _escape_stage(stack)[-1])
     escapes = dict(zip(searched, flags))
     probes = [p for w in batch for p in w.probes]
     new = [p for p in dict.fromkeys(probes + [w.optimum[0] for w in batch]) if p not in reports]
-    reports.update(zip(new, _outcomes([p.to_spec() for p in new], _analysis_pass)))
+    reports.update(zip(new, _outcomes(_family_stack(new), _analysis_pass)))
 
     def check(point: AttackFamilyPoint) -> float:
         if isinstance(reports[point], Exception):
@@ -281,6 +314,12 @@ def _replay(batch: list[_Walk], searched: list[AttackFamilyPoint], reports: dict
     return calls
 
 
+#: Norm of a drawn Gaussian vector's residual, against the rows drawn before
+#: it, at or below which random_orthonormal draws again rather than normalise
+#: it: the vector, of norm about sqrt(2 dim), lay too close to their span.
+_DRAW_RESIDUAL_MIN = 1e-6
+
+
 def random_orthonormal(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
     """Random orthonormal rows via Gram-Schmidt on Gaussian vectors."""
     if count > dim:
@@ -291,7 +330,7 @@ def random_orthonormal(rng: np.random.Generator, dim: int, count: int) -> np.nda
         for w in rows:
             v = v - np.vdot(w, v) * w
         n = np.sqrt((np.abs(v) ** 2).sum())
-        if n > 1e-6:
+        if n > _DRAW_RESIDUAL_MIN:
             rows.append(v / n)
     return np.array(rows)
 

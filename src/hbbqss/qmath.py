@@ -24,6 +24,18 @@ STRUCT_TOL = 1e-10
 
 _JACOBI_OFF_TOL = 1e-14
 _JACOBI_MAX_SWEEPS = 100
+#: Magnitude of an off-diagonal entry, relative to its matrix's scale (the
+#: Frobenius norm, at least 1), at or below which a Jacobi sweep skips the
+#: rotation at that pivot: the entry is already negligible.
+_JACOBI_SKIP = 1e-18
+
+#: Residual length, relative to the candidate's, at or below which the
+#: Gram-Schmidt of orthonormal_completion drops a standard basis vector: it
+#: lies in the span built so far, up to the round-off of two passes.
+_COMPLETION_DROP = 1e-6
+#: The same for orthonormal_span: a vector is dropped as dependent only when
+#: its residual is at round-off of its own length.
+_SPAN_DROP = 1e-12
 
 
 class NonHermitianError(ValueError):
@@ -146,7 +158,7 @@ def _jacobi(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None
                 break
             a, live, scale, off = a[keep], live[keep], scale[keep], off[keep]
             v = v[keep] if v is not None else None
-        skip = 1e-18 * scale
+        skip = _JACOBI_SKIP * scale
         for p in range(n - 1):
             for q in range(p + 1, n):
                 r = np.hypot(a[:, p, q].real, a[:, p, q].imag)  # bit for bit abs(a[p, q])
@@ -227,7 +239,7 @@ def orthonormal_completion(vectors: Sequence[np.ndarray]) -> np.ndarray:
         for w in basis[:i]:
             if abs(np.vdot(w, u)) > STRUCT_TOL:
                 raise ValueError("seed vectors must be mutually orthogonal")
-    _gram_schmidt(basis, np.eye(dim, dtype=complex), dim, drop_below=1e-6)
+    _gram_schmidt(basis, np.eye(dim, dtype=complex), dim, drop_below=_COMPLETION_DROP)
     if len(basis) != dim:
         raise RuntimeError("failed to complete orthonormal basis")
     return np.column_stack(basis)
@@ -238,10 +250,10 @@ def orthonormal_span(vectors) -> np.ndarray:
     array), by the two-pass Gram-Schmidt of :func:`orthonormal_completion`.
 
     A vector is dropped only when its residual against the columns before
-    it is at round-off, at most 1e-12 of its length.
+    it is at round-off, at most _SPAN_DROP of its length.
     """
     rows = as_matrix(vectors)
-    return np.column_stack(_gram_schmidt([], rows, rows.shape[1], drop_below=1e-12))
+    return np.column_stack(_gram_schmidt([], rows, rows.shape[1], drop_below=_SPAN_DROP))
 
 
 def _gram_schmidt(basis: list, candidates, dim: int, drop_below: float) -> list:

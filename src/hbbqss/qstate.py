@@ -28,6 +28,10 @@ _SQRT2_INV = 1.0 / np.sqrt(2.0)
 #: Probability below which a projection branch is considered impossible.
 ZERO_BRANCH_TOL = 1e-12
 
+#: Largest change of a state's norm (about 1) across a named gate: the
+#: round-off of one unitary product on a few-qubit state.
+_GATE_NORM_TOL = 1e-12
+
 
 class Basis(str, Enum):
     X = "x"
@@ -191,7 +195,7 @@ def apply_gate(state: StateVector, name: str, targets) -> StateVector:
             raise ValueError(f"gate {name} requires a qubit register, {t} has dim {state.dim_of(t)}")
     before = state.norm
     out = apply_operator(state, gate_matrix(name), targets)
-    if abs(out.norm - before) > 1e-12:
+    if abs(out.norm - before) > _GATE_NORM_TOL:
         raise ValueError(f"gate {name} did not preserve the norm")
     return out
 

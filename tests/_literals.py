@@ -133,3 +133,12 @@ ANALYSIS_BITS_DIGEST = "d7cf48ba53c1062c9e7259e8595da5c6fca381038aca86402bce10d8
 ANALYSIS_BITS_PLATFORM = (
     "numpy 2.4.6; scipy-openblas 0.3.31.188.0; x86_64; SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
 )
+
+# SHA-256 of the float.hex of every search value, every escape flag and
+# every checked information (phase probes and optimum) of every restart that
+# ``optimizer.maximize(restarts=8)`` walks, followed by the run's trace, best
+# c and converged flag, for the seeds 42, 7 and 1492956812
+# (``test_optimizer._walk_bits``). Every ``optimize --restarts 2``
+# run of the benchmark's seed pool writes one and the same file, so only
+# this digest sees a change to the random-phase restarts.
+WALK_DIGEST = "1a05104956d2636b2fe7cd7f4dba326ba3b5d91b166bbbf64c40db47d16a2f76"

@@ -104,6 +104,109 @@ def test_spec_accepts_a_numpy_integer_ancilla_dim():
     assert type(spec.ancilla_dim) is int and spec.ancilla_dim == 2
 
 
+def _first_error(build, items):
+    """The message of the first SpecError that building ``items`` one by one
+    with ``build`` raises, or None."""
+    for item in items:
+        try:
+            build(*item)
+        except SpecError as exc:
+            return str(exc)
+    return None
+
+
+def _stack_error(d, a, eps):
+    try:
+        attack.SpecStack(d, a, eps)
+    except SpecError as exc:
+        return str(exc)
+    return None
+
+
+def _scale_ancilla_row(a, eps, i, x):
+    k = int(x * 40) % 4
+    eps[i, k] *= 1.0 - x
+
+
+#: Corruptions of one spec of a stack, apply(a, eps, row, scale), each
+#: breaking one of AttackSpec's checks by an amount set by ``scale``.
+_CORRUPTIONS = {
+    "nan-amplitude": lambda a, eps, i, x: a.__setitem__((i, 1, 0), complex(np.nan, x)),
+    "inf-ancilla": lambda a, eps, i, x: eps.__setitem__((i, 3, 1), np.inf),
+    "amplitude-sum": lambda a, eps, i, x: a.__setitem__(i, a[i] * (1.0 + x)),
+    "ancilla-norm": _scale_ancilla_row,
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.lists(
+        st.tuples(st.integers(0, 5), st.sampled_from(sorted(_CORRUPTIONS)), st.floats(1e-6, 0.5)),
+        max_size=4,
+    ),
+    st.integers(0, 2**32 - 1),
+)
+@example(2, 4, [(2, "amplitude-sum", 0.2), (1, "ancilla-norm", 0.3), (3, "nan-amplitude", 0.1)], 0)
+@example(2, 4, [(3, "inf-ancilla", 0.1), (3, "amplitude-sum", 0.2)], 1)
+@example(1, 3, [(1, "ancilla-norm", 0.01), (1, "amplitude-sum", 1e-6)], 2)
+@example(3, 5, [(4, "ancilla-norm", 0.45), (4, "ancilla-norm", 0.1)], 3)
+def test_a_spec_stack_raises_the_error_of_its_first_bad_spec(dim, n, corruptions, seed):
+    specs = [_drawn_spec("random", dim, seed + i, 0.0) for i in range(n)]
+    a = np.array([spec.a for spec in specs])
+    eps = np.array([spec.eps for spec in specs])
+    for row, kind, scale in corruptions:
+        if row < n:
+            _CORRUPTIONS[kind](a, eps, row, scale)
+    expected = _first_error(AttackSpec, [(dim, a[i], eps[i]) for i in range(n)])
+    assert _stack_error(dim, a, eps) == expected
+    if expected is None:
+        stack = attack.SpecStack(dim, a, eps)
+        assert stack.a.tobytes() == a.tobytes() and stack.eps.tobytes() == eps.tobytes()
+
+
+@pytest.mark.parametrize(
+    "d,a,eps",
+    [
+        (2, np.full((3, 3, 2), 0.5), np.tile(np.eye(4), (3, 1, 1))),
+        (2, np.full((3, 2, 2), 0.5), np.tile(np.eye(6)[:4], (3, 1, 1))),
+        (2, np.full((3, 2, 2), 0.5), np.tile(np.eye(4)[:3], (3, 1, 1))),
+        (3, np.full((2, 2, 2), 0.5), np.tile(np.eye(4), (2, 1, 1))),
+        (0, np.full((2, 2, 2), 0.5), np.zeros((2, 4, 0))),
+        (2.0, np.full((2, 2, 2), 0.5), np.tile(np.eye(4), (2, 1, 1))),
+    ],
+    ids=["amplitude-shape", "ancilla-dimension", "ancilla-count", "ancilla-dim-mismatch",
+         "ancilla-dim-zero", "ancilla-dim-float"],
+)
+def test_a_spec_stack_of_the_wrong_shape_raises_what_its_first_spec_raises(d, a, eps):
+    expected = _first_error(AttackSpec, [(d, a[i], eps[i]) for i in range(len(a))])
+    assert expected is not None
+    assert _stack_error(d, a, eps) == expected
+
+
+def test_a_spec_stack_needs_one_ancilla_set_per_amplitude_array():
+    with pytest.raises(SpecError, match="3 amplitude arrays for 2 ancilla state sets"):
+        attack.SpecStack(2, np.full((3, 2, 2), 0.5), np.tile(np.eye(4), (2, 1, 1)))
+    with pytest.raises(SpecError, match="a stack needs specs of one ancilla_dim"):
+        attack.SpecStack.of([honest_spec(1), honest_spec(2)])
+
+
+def test_a_spec_stack_reads_row_by_row_as_its_specs():
+    specs = [honest_spec(2), exploit.example_spec(), family_spec(0.3)]
+    stack = attack.SpecStack.of(specs)
+    assert len(stack) == 3 and stack.ancilla_dim == 2 and stack.joint_dim == 4
+    for row, spec in zip(stack, specs):
+        assert row.joint_dim == spec.joint_dim
+        assert row.a.tobytes() == spec.a.tobytes() and row.eps.tobytes() == spec.eps.tobytes()
+        assert nas_check(row) == nas_check(spec)
+    sub = stack.take([2, 0])
+    assert sub.a.tobytes() == np.array([specs[2].a, specs[0].a]).tobytes()
+    assert [_report_bits(r) for r in attack.analyze_stack(stack)] == [
+        _report_bits(analyze(spec)) for spec in specs
+    ]
+
+
 def test_spec_json_roundtrip(tmp_path):
     spec = kki_spec()
     path = tmp_path / "spec.json"
@@ -957,8 +1060,11 @@ def test_stacked_pass_gives_every_spec_its_result_alone():
     assert [_report_bits(r) for r in stacked] == [_report_bits(analyze(s)) for s in specs]
     for dim in sorted({spec.joint_dim for spec in specs}):
         group = [spec for spec in specs if spec.joint_dim == dim]
-        tables = attack._case_tables(attack._global_vectors(group))
-        alone = [attack._case_tables(attack._global_vectors([spec])) for spec in group]
+        tables = attack._case_tables(attack._global_vectors(attack.SpecStack.of(group)))
+        alone = [
+            attack._case_tables(attack._global_vectors(attack.SpecStack.of([spec])))
+            for spec in group
+        ]
         assert tables.cases == CASES and all(ref.cases == CASES for ref in alone)
         for name in ("weights", "states", "occurs"):
             got = getattr(tables, name)
@@ -996,8 +1102,8 @@ def test_stacked_passes_give_each_spec_its_flag_and_report_alone(members):
     assert [_report_bits(r) for r in stacked] == [_report_bits(analyze(s)) for s in specs]
     for dim in {spec.joint_dim for spec in specs}:
         group = [spec for spec in specs if spec.joint_dim == dim]
-        case_vals, _, _, flags = attack._escape_stage(group)
-        alone = [attack._escape_stage([spec]) for spec in group]
+        case_vals, _, _, flags = attack._escape_stage(attack.SpecStack.of(group))
+        alone = [attack._escape_stage(attack.SpecStack.of([spec])) for spec in group]
         assert flags == [stage[-1][0] for stage in alone]
         assert case_vals.tobytes() == np.concatenate([stage[0] for stage in alone]).tobytes()
 
@@ -1019,7 +1125,7 @@ def test_stacked_pass_raises_what_the_first_failing_spec_raises_alone(monkeypatc
     report = attack._report
 
     def failing(spec, *args):
-        if spec is first:
+        if np.array_equal(spec.a, first.a) and np.array_equal(spec.eps, first.eps):
             raise attack.ConsistencyError("first spec fails")
         return report(spec, *args)
 

@@ -451,10 +451,9 @@ def _counting_stacks(monkeypatch, owner, name="analyze_stack"):
     passes = []
     original = getattr(attack, name)
 
-    def counted(specs, *args):
-        specs = list(specs)
-        passes.append(len(specs))
-        return original(specs, *args)
+    def counted(stack, *args):
+        passes.append(len(stack))
+        return original(stack, *args)
 
     monkeypatch.setattr(owner, name, counted)
     return passes

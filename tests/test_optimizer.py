@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _literals import WALK_DIGEST
 from hbbqss import attack, optimizer
 from hbbqss.optimizer import (
     BRACKET_TOL,
@@ -123,6 +125,96 @@ def test_objective_phase_invariance(rng):
 
 
 # ---------------------------------------------------------------------------
+# family stacks
+
+
+def _scalar_a(point):
+    """Reference: a point's amplitude array built one amplitude at a time
+    from the scalar products of _amplitudes, the search's own route."""
+    a00, a01, a10, a11 = optimizer._amplitudes(point, optimizer._phase_factors(point.phases))
+    return np.array([[a00, a01], [a10, a11]], dtype=complex)
+
+
+def _assert_rows_are_their_specs(points, stack=None):
+    stack = optimizer._family_stack(points) if stack is None else stack
+    assert len(stack) == len(points)
+    for i, point in enumerate(points):
+        ref = _scalar_a(point).tobytes()
+        assert stack.a[i].tobytes() == point.to_spec().a.tobytes() == ref
+
+
+def test_family_stacks_hold_the_specs_of_every_maximize_point(monkeypatch):
+    stacks = []
+    family_stack = optimizer._family_stack
+
+    def recorded(points):
+        stacks.append((list(points), family_stack(points)))
+        return stacks[-1][1]
+
+    monkeypatch.setattr(optimizer, "_family_stack", recorded)
+    maximize(restarts=8, rng=np.random.default_rng(42))
+    monkeypatch.undo()  # to_spec builds its stack of one through it too
+    # one escape pass and one checked pass per batch: every search point,
+    # phase probe and optimum of the run
+    assert len(stacks) == 8
+    points = [point for batch, _ in stacks for point in batch]
+    assert len(points) > 8 * 50
+    for batch, stack in stacks:
+        _assert_rows_are_their_specs(batch, stack)
+    _assert_rows_are_their_specs(points)
+
+
+_C_EDGES = (
+    0.0, -0.0, 0.5, INV_SQRT2, -5e-13, -optimizer._C_SLACK,
+    INV_SQRT2 + 5e-13, INV_SQRT2 + optimizer._C_SLACK,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(_C_EDGES),
+                  st.floats(-optimizer._C_SLACK, INV_SQRT2 + optimizer._C_SLACK)),
+        st.tuples(*[st.floats(-10.0, 10.0)] * 4),
+    ),
+    min_size=1, max_size=40,
+))
+@example([(c, (0.0, 0.0, 0.0, 0.0)) for c in _C_EDGES])
+@example([(c, (1.0, 2.5, 4.0, 5.5)) for c in _C_EDGES])
+@example([(c, (-1.0, -2.5, -4.0, -5.5)) for c in _C_EDGES])
+def test_family_stack_rows_are_bit_for_bit_the_amplitudes_of_their_points(draws):
+    _assert_rows_are_their_specs([AttackFamilyPoint(c, phases) for c, phases in draws])
+
+
+def test_family_stack_carries_each_point_s_ancilla_states():
+    rng = np.random.default_rng(8)
+    points = [random_family_point(rng) for _ in range(3)]
+    points.insert(1, AttackFamilyPoint(0.3))
+    stack = optimizer._family_stack(points)
+    assert stack.ancilla_dim == 2
+    for point, eps in zip(points, stack.eps):
+        ref = np.eye(4, dtype=complex) if point.eps is None else point.eps
+        assert eps.tobytes() == ref.tobytes() == point.to_spec().eps.tobytes()
+    _assert_rows_are_their_specs(points, stack)
+    assert len(optimizer._family_stack([])) == 0
+    odd = AttackFamilyPoint(0.3, eps=np.eye(5, dtype=complex)[:4])
+    with pytest.raises(attack.SpecError, match="an even dimension"):
+        optimizer._family_stack([odd, odd])
+
+
+def test_maximize_builds_no_attack_spec(monkeypatch):
+    built = []
+    post_init = attack.AttackSpec.__post_init__
+    monkeypatch.setattr(
+        attack.AttackSpec, "__post_init__", lambda spec: built.append(spec) or post_init(spec)
+    )
+    maximize(restarts=2, rng=np.random.default_rng(42))
+    assert built == []
+    AttackFamilyPoint(0.3).to_spec()
+    assert len(built) == 1
+
+
+# ---------------------------------------------------------------------------
 # maximisation
 
 
@@ -174,9 +266,9 @@ def test_the_helstrom_route_runs_on_the_probes_and_optima_only(monkeypatch):
     checked = []
     analysis_pass = optimizer._analysis_pass
 
-    def recorded(specs, spans):
-        checked.append(list(specs))
-        return analysis_pass(checked[-1], spans)
+    def recorded(stack, spans):
+        checked.append(list(stack))
+        return analysis_pass(stack, spans)
 
     monkeypatch.setattr(optimizer, "_analysis_pass", recorded)
     result = maximize(restarts=2, rng=np.random.default_rng(101))
@@ -202,6 +294,33 @@ def test_maximize_validates_arguments():
     with pytest.raises(ValueError):
         maximize(bounds=(0.5, 0.2))
 
+
+def _walk_bits(monkeypatch, seed, restarts=8):
+    """The float.hex of every search value of each restart that
+    maximize(restarts=8) walks at ``seed``, with the escape flag of each of
+    its search points and the checked information of each of its phase
+    probes and its optimum, each point analysed alone; then the run's trace,
+    best c and converged flag."""
+    walks = []
+    walk = optimizer._walk
+    monkeypatch.setattr(optimizer, "_walk", lambda *args: walks.append(walk(*args)) or walks[-1])
+    result = maximize(restarts=restarts, rng=np.random.default_rng(seed))
+    monkeypatch.undo()
+    assert len(walks) == restarts
+    bits = []
+    for w in walks:
+        bits += [v.hex() for v in w.values]
+        bits += [str(attack.escape_check(p.to_spec())) for p in w.points]
+        bits += [objective(p).hex() for p in w.probes + [w.optimum[0]]]
+    bits += [v.hex() for _, v in result.trace] + [result.best_point.c.hex(), str(result.converged)]
+    return bits
+
+
+def test_restart_walks_match_the_frozen_digest(monkeypatch):
+    digest = hashlib.sha256()
+    for seed in (42, 7, 1492956812):
+        digest.update("\n".join(_walk_bits(monkeypatch, seed)).encode())
+    assert digest.hexdigest() == WALK_DIGEST
 
 # ---------------------------------------------------------------------------
 # batched restarts against the sequential loop
@@ -421,13 +540,13 @@ def _batches(log, restarts, bound):
 
 
 def _record_passes(monkeypatch, name):
-    """The specs of every pass maximize() makes through ``optimizer.<name>``."""
+    """The spec rows of every pass maximize() makes through ``optimizer.<name>``."""
     passes = []
     original = getattr(optimizer, name)
 
-    def recorded(specs, *args):
-        passes.append(list(specs))
-        return original(passes[-1], *args)
+    def recorded(stack, *args):
+        passes.append(list(stack))
+        return original(stack, *args)
 
     monkeypatch.setattr(optimizer, name, recorded)
     return passes

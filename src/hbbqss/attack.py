@@ -14,7 +14,8 @@ execution lives in :mod:`hbbqss.exploit`.
 The unit of analysis is a :class:`SpecStack`, many specs' amplitudes and
 ancilla states stacked and validated in one reduction per check; every
 stage reads the stacked arrays, and the one-spec functions run on a stack
-of one.
+of one. Only this module composes the stages: a stack enters a pass through
+:func:`report_outcomes` (the full analysis) or :func:`escape_outcomes`.
 """
 
 from __future__ import annotations
@@ -277,21 +278,21 @@ def _global_vectors(stack: SpecStack) -> np.ndarray:
 
 
 #: The outcome pairs (Alice, Bob) of a case in branch order: row k of a
-#: table's arrays and of a case's coefficient stack is branch _BRANCHES[k].
-_BRANCHES = tuple((m, n) for m in _SIGNS for n in _SIGNS)
+#: table's arrays and of a case's coefficient stack is branch BRANCHES[k].
+BRANCHES = tuple((m, n) for m in _SIGNS for n in _SIGNS)
 #: The indices of the two branches of each mixture of :func:`_mixtures`:
 #: Alice +, Alice -, the same-sign set and the different-sign set.
 _MIXTURE_BRANCHES = np.array([
-    [_BRANCHES.index(branch) for branch in pair]
+    [BRANCHES.index(branch) for branch in pair]
     for pair in (*(tuple((m, n) for n in _SIGNS) for m in _SIGNS), SAME_BRANCHES, DIFF_BRANCHES)
 ])
 #: The same-sign and the different-sign branches (rows 0, 3 and 1, 2 of
-#: _BRANCHES) as slices of a table's rows.
+#: BRANCHES) as slices of a table's rows.
 _SAME_ROWS, _DIFF_ROWS = slice(0, 4, 3), slice(1, 3)
 #: The branch indices of the same-sign and different-sign member of each
 #: of CONSTRAINT_PAIRS.
 _PAIR_SAME, _PAIR_DIFF = np.array(
-    [[_BRANCHES.index(branch) for branch in pair] for pair in CONSTRAINT_PAIRS]
+    [[BRANCHES.index(branch) for branch in pair] for pair in CONSTRAINT_PAIRS]
 ).T
 
 #: The (+, -) kets of each protocol basis, stacked (2, 2).
@@ -307,7 +308,7 @@ class ConditionalStateTable:
     """Normalised attacker states conditioned on Alice's and Bob's outcomes.
 
     Row k of ``weights`` (4,), ``states`` (4, d) and ``occurs`` (4,) belongs
-    to the outcome pair _BRANCHES[k]; a branch of probability at most
+    to the outcome pair BRANCHES[k]; a branch of probability at most
     ZERO_BRANCH_TOL does not occur and holds the zero state.
     """
 
@@ -317,7 +318,7 @@ class ConditionalStateTable:
     occurs: np.ndarray
 
     def phi(self, alice: Sign, bob: Sign) -> np.ndarray | None:
-        k = _BRANCHES.index((alice, bob))
+        k = BRANCHES.index((alice, bob))
         return self.states[k] if self.occurs[k] else None
 
 
@@ -525,7 +526,7 @@ def _in_basis(tables: _CaseTables, bases: np.ndarray) -> _CaseTables:
     deviation = np.where(occurs, np.abs(np.sqrt((np.abs(states) ** 2).sum(axis=-1)) - 1.0), 0.0)
     if (deviation > qmath.STRUCT_TOL).any():
         where = np.unravel_index(np.argmax(deviation > qmath.STRUCT_TOL), deviation.shape)
-        alice, bob = _BRANCHES[where[2]]
+        alice, bob = BRANCHES[where[2]]
         raise ConsistencyError(
             f"conditional state {alice.value}{bob.value} of case {tables.cases[where[1]].key} "
             f"lost norm {deviation[where]:.3e} outside span(eps)"
@@ -645,13 +646,13 @@ class AttackReport:
 def analyze(spec: AttackSpec) -> AttackReport:
     """Run every check and measure on a spec and cross-validate the routes:
     :func:`analyze_stack` of the spec alone."""
-    return analyze_stack([spec])[0]
+    return analyze_stack(SpecStack.of([spec]))[0]
 
 
-def analyze_stack(specs) -> list[AttackReport]:
-    """Run every check and measure on each spec and cross-validate the routes.
+def analyze_stack(stack: SpecStack) -> list[AttackReport]:
+    """Run every check and measure on each spec and cross-validate the routes:
+    :func:`report_outcomes` with its first error raised.
 
-    ``specs`` is a SpecStack, or a list of AttackSpecs, stacked by joint_dim.
     The global state is projected once into the four conditional state
     tables; the escape routes, both Helstrom errors of every case and the
     per-case spread all read them. Every conditional state lies in
@@ -659,23 +660,26 @@ def analyze_stack(specs) -> list[AttackReport]:
     the Helstrom problems are solved on an orthonormal basis of that span;
     the escape routes keep the full states. The eight Helstrom problems
     (per case, Alice's outcomes and the two announcement sets) are stacked
-    and solved in one trace-norm sweep.
-
-    The specs go through every stage in the stacked passes of
-    :func:`_outcomes`, and each report is bit for bit the spec's report
-    alone. When a check fails, the error raised is the one the first failing
+    and solved in one trace-norm sweep. Each report is bit for bit the
+    spec's report alone, and the error raised is the one the first failing
     spec raises alone, as analysing the specs in turn would raise it.
     """
-    if isinstance(specs, SpecStack):
-        return _raise_first(_outcomes(specs, _analysis_pass))
-    groups: dict[int, list] = {}
-    for i, spec in enumerate(specs):
-        groups.setdefault(spec.joint_dim, []).append((i, spec))
-    outcomes = {}
-    for group in groups.values():
-        index, members = zip(*group)
-        outcomes.update(zip(index, _outcomes(SpecStack.of(members), _analysis_pass)))
-    return _raise_first([outcomes[i] for i in range(len(outcomes))])
+    reports = report_outcomes(stack)
+    for report in reports:
+        if isinstance(report, Exception):
+            raise report
+    return reports
+
+
+def report_outcomes(stack: SpecStack) -> list:
+    """Each spec's AttackReport, or the error the spec raises alone."""
+    return _outcomes(stack, _analysis_pass)
+
+
+def escape_outcomes(stack: SpecStack) -> list:
+    """Each spec's escape flag, or the error the spec raises alone, from
+    stacked passes of the escape stage: no Helstrom problem is solved."""
+    return _outcomes(stack, _escape_pass)
 
 
 #: Most specs a caller stacks into one pass: the grid points of each ``sweep``
@@ -717,14 +721,6 @@ def _outcomes(stack: SpecStack, stage) -> list:
     return [outcomes[i] for i in range(len(stack))]
 
 
-def _raise_first(values):
-    """``values``, unless one is an exception: then the first of those is raised."""
-    for value in values:
-        if isinstance(value, Exception):
-            raise value
-    return values
-
-
 def _escape_stage(stack: SpecStack):
     """The per-case detection residuals (spec, case, 4), global state
     vectors, conditional state tables and escape flags of the stack's specs,
@@ -758,6 +754,11 @@ def _escape_stage(stack: SpecStack):
             f"state-construction max {worst_b[s]:.3e}, tol {DEFAULT_TOL:.1e}"
         )
     return case_vals, vecs, tables, route_a.tolist()
+
+
+def _escape_pass(stack: SpecStack, spans) -> list[bool]:
+    """:func:`escape_outcomes` of a stack: its :func:`_escape_stage` flags."""
+    return _escape_stage(stack)[-1]
 
 
 def _analysis_pass(stack: SpecStack, spans) -> list[AttackReport]:
@@ -809,17 +810,9 @@ def _report(
         # read with its own error probability.
         info = float(np.mean([mutual_information(pe) for pe in pes]))
 
-    nas_ok, _ = nas_check(spec)
-    realizable, _ = _realizable(vec)
     return AttackReport(
-        residuals=residuals,
-        escape_ok=escape,
-        pe_numeric=pe_numeric,
-        pe_announce=pe_announce,
-        pe_closed_form=pe_cf,
-        info=info,
-        nas_ok=nas_ok,
-        realizable=realizable,
+        residuals=residuals, escape_ok=escape, pe_numeric=pe_numeric, pe_announce=pe_announce,
+        pe_closed_form=pe_cf, info=info, nas_ok=nas_check(spec)[0], realizable=_realizable(vec)[0],
     )
 
 

@@ -71,10 +71,9 @@ def resolve_spec(name_or_path: str) -> attack.AttackSpec:
 # verify
 
 # Known-good post-decoder states for the x,x case, one row per conditional
-# in _BRANCHES order, used by the circuit equivalence check: detection
+# in attack.BRANCHES order, used by the circuit equivalence check: detection
 # decoding maps the four conditionals onto these Bell-type forms,
 # information decoding onto the second set.
-_BRANCHES = tuple((m, n) for m in qstate.Sign for n in qstate.Sign)
 _R = 1.0 / math.sqrt(2.0)
 _DECODED_XX = {
     hbb.Role.CHECK: _R * np.array(
@@ -92,6 +91,9 @@ EXACT_TOL = 1e-12
 #: Information gap (bits) within which a perturbed spec that escapes
 #: detection counts as still attacking perfectly.
 _PERFECT_INFO_GAP = 1e-4
+
+#: Largest information deficit (bits) of a perfect spec below one full bit.
+_NAS_INFO_TOL = 1e-9
 
 
 def _worst(values) -> float:
@@ -131,7 +133,7 @@ def _check_decoder_transforms() -> tuple[float, str]:
     worst = _worst(
         qstate.phase_aligned_distance(exploit._decoder(role, case)[0] @ table.phi(m, n), t)
         for role, targets in _DECODED_XX.items()
-        for (m, n), t in zip(_BRANCHES, targets)
+        for (m, n), t in zip(attack.BRANCHES, targets)
     )
     return worst, f"max transform deviation {worst:.3e}"
 
@@ -142,7 +144,7 @@ def _check_decoder_soundness() -> tuple[float, str]:
     defects = []
     for case in attack.CASES:
         table = attack.conditional_states(spec, case)
-        for m, n in _BRANCHES:
+        for m, n in attack.BRANCHES:
             phi = table.phi(m, n)
             alice = qstate.Outcome(m, case.alice_basis)
             bob = qstate.Outcome(n, case.bob_basis)
@@ -162,7 +164,7 @@ def _check_decoder_soundness() -> tuple[float, str]:
 def _check_nas_sufficiency() -> tuple[float, str]:
     rng = np.random.default_rng(11)
     points = [optimizer.random_family_point(rng, c=0.5) for _ in range(10)]
-    reports = attack.analyze_stack([exploit.example_spec(), attack.kki_spec()])
+    reports = [attack.analyze(exploit.example_spec()), attack.analyze(attack.kki_spec())]
     reports += attack.analyze_stack(optimizer._family_stack(points))
     worst = _worst(1.0 - r.info if r.nas_ok and r.escape_ok else math.inf for r in reports)
     return worst, f"max information deficit {worst:.3e} over {len(reports)} specs"
@@ -176,9 +178,8 @@ def _check_nas_necessity() -> tuple[float, str]:
         for kind in ("magnitude", "rotation")
         for _ in range(2)
     ]
-    violations = sum(
-        r.escape_ok and r.info > 1.0 - _PERFECT_INFO_GAP for r in attack.analyze_stack(specs)
-    )
+    reports = attack.analyze_stack(attack.SpecStack.of(specs))
+    violations = sum(r.escape_ok and r.info > 1.0 - _PERFECT_INFO_GAP for r in reports)
     if violations:
         return float(violations), f"{violations} of {len(specs)} perturbed specs attack perfectly"
     return 0.0, f"all {len(specs)} perturbed specs degraded"
@@ -216,9 +217,9 @@ VERIFY_CHECKS = (
     ("exploit/circuit-state-preparation", _check_circuit_state_preparation, EXACT_TOL),
     ("exploit/decoder-transforms", _check_decoder_transforms, EXACT_TOL),
     ("exploit/decoder-soundness", _check_decoder_soundness, EXACT_TOL),
-    ("attack/nas-sufficiency", _check_nas_sufficiency, 1e-9),
+    ("attack/nas-sufficiency", _check_nas_sufficiency, _NAS_INFO_TOL),
     ("attack/nas-necessity", _check_nas_necessity, 0.0),
-    ("optimizer/maximum", _check_optimizer_maximum, 1e-6),
+    ("optimizer/maximum", _check_optimizer_maximum, optimizer.CONVERGENCE_TOL),
 )
 
 
@@ -393,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     opt = sub.add_parser("optimize", help="maximise the attacker information")
     opt.add_argument("--restarts", type=int, default=4)
     opt.add_argument("--iters", type=int, default=optimizer.MAX_ITERS)
-    opt.add_argument("--tol", type=float, default=1e-6)
+    opt.add_argument("--tol", type=float, default=optimizer.CONVERGENCE_TOL)
     opt.add_argument("--seed", type=int, default=_DEFAULT_SEED)
     opt.add_argument("--out", dest="out_path", default=None)
 

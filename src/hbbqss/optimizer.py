@@ -7,8 +7,9 @@ information is a smooth unimodal function of c. A golden-section search
 over c combined with random restarts over the amplitude phases verifies
 that the maximum is one full bit, attained at c = 1/2: each restart walks
 its path on closed-form values as scalar code, and batches of restarts then
-check the walks in stacked passes. Each pass reads one family stack
-(:func:`_family_stack`), the specs of many family points built as one
+check the walks through ``attack.escape_outcomes`` (search points) and
+``attack.report_outcomes`` (phase probes and optima), each over one family
+stack (:func:`_family_stack`): the specs of many family points built as one
 validated ``attack.SpecStack`` in one array expression, so a run builds no
 AttackSpec. Random family points with random orthonormal ancilla states
 feed the built-in checks.
@@ -25,8 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .attack import (
-    STACK_BOUND, AttackReport, AttackSpec, ConsistencyError, SpecError, SpecStack,
-    _analysis_pass, _closed_form, _escape_stage, _outcomes, _sig12, analyze, mutual_information,
+    STACK_BOUND, AttackReport, AttackSpec, ConsistencyError, SpecError, SpecStack, _closed_form,
+    _sig12, analyze, escape_outcomes, mutual_information, report_outcomes,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -42,6 +43,9 @@ CLOSED_FORM_TOL = 1e-9
 
 #: Largest information gap (bits) between a phase probe's two phasings.
 PHASE_TOL = 1e-10
+
+#: Default gap (bits) from one full bit within which ``maximize`` converges.
+CONVERGENCE_TOL = 1e-6
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -166,7 +170,7 @@ class OptimizationResult:
 def maximize(
     restarts: int = 4,
     iters: int = MAX_ITERS,
-    tol: float = 1e-6,
+    tol: float = CONVERGENCE_TOL,
     rng: np.random.Generator | None = None,
     bounds: tuple[float, float] = (0.0, INV_SQRT2),
 ) -> OptimizationResult:
@@ -273,18 +277,17 @@ def _walk(lo: float, hi: float, iters: int, phases) -> _Walk:
 
 def _replay(batch: list[_Walk], searched: list[AttackFamilyPoint], reports: dict) -> list:
     """The evaluations (point, value) of a batch of walks with the distinct
-    search points ``searched``, in restart order, from one stacked escape
-    pass over those points and one stacked analysis pass, with
-    :func:`objective`'s Helstrom check, over the phase probes and optima
-    that have no report yet in ``reports``, which it extends: the run's
-    earlier batches passed theirs, so each point is analysed once per run.
-    Replayed in restart order, the first failure raises the error that the
-    restarts run one after another, point by point, meet first."""
-    flags = _outcomes(_family_stack(searched), lambda stack, _: _escape_stage(stack)[-1])
-    escapes = dict(zip(searched, flags))
+    search points ``searched``, in restart order, from the escape flags of
+    those points and the reports, with :func:`objective`'s Helstrom check,
+    of the phase probes and optima that have no report yet in ``reports``,
+    which it extends: the run's earlier batches passed theirs, so each point
+    is analysed once per run. Replayed in restart order, the first failure
+    raises the error that the restarts run one after another, point by
+    point, meet first."""
+    escapes = dict(zip(searched, escape_outcomes(_family_stack(searched))))
     probes = [p for w in batch for p in w.probes]
     new = [p for p in dict.fromkeys(probes + [w.optimum[0] for w in batch]) if p not in reports]
-    reports.update(zip(new, _outcomes(_family_stack(new), _analysis_pass)))
+    reports.update(zip(new, report_outcomes(_family_stack(new))))
 
     def check(point: AttackFamilyPoint) -> float:
         if isinstance(reports[point], Exception):

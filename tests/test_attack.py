@@ -48,7 +48,7 @@ MAG_GAP = 0.14214113720780752  # |sqrt(.6) - sqrt(.4)|
 
 def entries(table):
     """(weight, state or None) of each outcome pair of a conditional state table."""
-    return {b: (float(table.weights[k]), table.phi(*b)) for k, b in enumerate(attack._BRANCHES)}
+    return {b: (float(table.weights[k]), table.phi(*b)) for k, b in enumerate(attack.BRANCHES)}
 
 
 def circuit_spec():
@@ -621,7 +621,9 @@ def _counting(monkeypatch, name):
         lambda: analyze(kki_spec()),
         lambda: optimizer.objective(optimizer.AttackFamilyPoint(0.3)),
         lambda: escape_check(kki_spec()),
-        lambda: attack.analyze_stack([family_spec(c) for c in (0.1, 0.3, 0.5)]),
+        lambda: attack.analyze_stack(
+            attack.SpecStack.of([family_spec(c) for c in (0.1, 0.3, 0.5)])
+        ),
     ],
     ids=["analyze", "objective", "escape_check", "analyze_stack"],
 )
@@ -1043,15 +1045,15 @@ def test_stacked_analysis_matches_the_one_vector_route():
 
 
 def test_stacked_pass_gives_every_spec_its_result_alone():
-    """analyze_stack over the ~200 digest specs, ancilla_dim 1-4 mixed, gives
-    every spec the report it gets alone, bit for bit, and the stacked
-    projections give every global state the conditional tables it gets
-    alone."""
+    """analyze_stack over the ~200 digest specs, one stack per ancilla_dim
+    1-4, gives every spec the report it gets alone, bit for bit, and the
+    stacked projections give every global state the conditional tables it
+    gets alone."""
     specs = _bit_specs()
-    stacked = attack.analyze_stack(specs)
-    assert [_report_bits(r) for r in stacked] == [_report_bits(analyze(s)) for s in specs]
     for dim in sorted({spec.joint_dim for spec in specs}):
         group = [spec for spec in specs if spec.joint_dim == dim]
+        stacked = attack.analyze_stack(attack.SpecStack.of(group))
+        assert [_report_bits(r) for r in stacked] == [_report_bits(analyze(s)) for s in group]
         tables = attack._case_tables(attack._global_vectors(attack.SpecStack.of(group)))
         alone = [
             attack._case_tables(attack._global_vectors(attack.SpecStack.of([spec])))
@@ -1090,20 +1092,20 @@ def _pass_member(kind, dim, seed):
 ))
 def test_stacked_passes_give_each_spec_its_flag_and_report_alone(members):
     specs = [_pass_member(*member) for member in members]
-    stacked = attack.analyze_stack(specs)
-    assert [_report_bits(r) for r in stacked] == [_report_bits(analyze(s)) for s in specs]
     for dim in {spec.joint_dim for spec in specs}:
         group = [spec for spec in specs if spec.joint_dim == dim]
+        stacked = attack.analyze_stack(attack.SpecStack.of(group))
+        assert [_report_bits(r) for r in stacked] == [_report_bits(analyze(s)) for s in group]
         case_vals, _, _, flags = attack._escape_stage(attack.SpecStack.of(group))
         alone = [attack._escape_stage(attack.SpecStack.of([spec])) for spec in group]
         assert flags == [stage[-1][0] for stage in alone]
         assert case_vals.tobytes() == np.concatenate([stage[0] for stage in alone]).tobytes()
 
 
-def _alice_plus_spec():
+def _alice_plus_spec(dim=2):
     """Alice's qubit left in |+>: her - outcome never occurs in the X basis."""
-    eps = np.eye(4, dtype=complex)[[0, 1, 0, 1]]
-    return AttackSpec(2, np.full((2, 2), 0.5, dtype=complex), eps)
+    eps = np.eye(2 * dim, dtype=complex)[[0, 1, 0, 1]]
+    return AttackSpec(dim, np.full((2, 2), 0.5, dtype=complex), eps)
 
 
 def test_stacked_pass_raises_what_the_first_failing_spec_raises_alone(monkeypatch):
@@ -1123,9 +1125,9 @@ def test_stacked_pass_raises_what_the_first_failing_spec_raises_alone(monkeypatc
 
     monkeypatch.setattr(attack, "_report", failing)
     with pytest.raises(attack.ConsistencyError, match="first spec fails"):
-        attack.analyze_stack([family_spec(0.3), first, infeasible])
+        attack.analyze_stack(attack.SpecStack.of([family_spec(0.3), first, infeasible]))
     with pytest.raises(InfeasibleError, match="never occurs in case xx"):
-        attack.analyze_stack([family_spec(0.3), infeasible, first])
+        attack.analyze_stack(attack.SpecStack.of([family_spec(0.3), infeasible, first]))
 
 
 def _counting_passes(monkeypatch, fail_stacked=False):
@@ -1150,9 +1152,10 @@ def _counting_passes(monkeypatch, fail_stacked=False):
 def test_a_failing_pass_runs_each_of_its_specs_alone_once(monkeypatch):
     passes = _counting_passes(monkeypatch)
     with pytest.raises(InfeasibleError, match="Alice outcome - never occurs in case xx"):
-        attack.analyze_stack([kki_spec(), honest_spec(2), _alice_plus_spec()])
-    # the kki spec's own pass passed, so it is not analysed again
-    assert passes == [[8], [4, 4], [4], [4]]
+        attack.analyze_stack(attack.SpecStack.of([kki_spec(), honest_spec(4), _alice_plus_spec(4)]))
+    # the kki spec's span group (span dimension 4) passed, so it is not
+    # analysed again; the other two share span dimension 2
+    assert passes == [[8], [8, 8], [8], [8]]
 
     report = attack._report
 
@@ -1173,9 +1176,83 @@ def test_a_failing_pass_runs_each_of_its_specs_alone_once(monkeypatch):
 def test_a_pass_that_fails_only_when_stacked_raises_its_error(monkeypatch):
     passes = _counting_passes(monkeypatch, fail_stacked=True)
     with pytest.raises(attack.ConsistencyError, match="the stacked pass fails"):
-        attack.analyze_stack([family_spec(0.3), family_spec(0.5)])
+        attack.analyze_stack(attack.SpecStack.of([family_spec(0.3), family_spec(0.5)]))
     assert passes == [[4, 4], [4], [4]]
     passes.clear()
     with pytest.raises(attack.ConsistencyError, match="the stacked pass fails"):
         optimizer.maximize(restarts=2, rng=np.random.default_rng(101))
     assert [len(specs) for specs in passes] == [6, 1, 1, 1, 1, 1, 1]
+
+
+def _compared(result):
+    """A route's result for one spec: a report as its bits, an error as its
+    type and message, an escape flag as it is."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    return _report_bits(result) if isinstance(result, attack.AttackReport) else result
+
+
+def _alone(run, spec):
+    """:func:`_compared` of ``run(spec)``, or of the error it raises."""
+    try:
+        return _compared(run(spec))
+    except (ValueError, RuntimeError) as exc:
+        return _compared(exc)
+
+
+def _recording(monkeypatch, name, sizes):
+    """Append to ``sizes`` the number of specs of each pass of ``attack.<name>``."""
+    original = getattr(attack, name)
+
+    def recorded(stack, spans):
+        sizes.append(len(stack))
+        return original(stack, spans)
+
+    monkeypatch.setattr(attack, name, recorded)
+
+
+def test_the_two_outcome_routes_give_each_spec_what_it_gets_alone(monkeypatch):
+    rng = np.random.default_rng(19)
+    family = [optimizer.random_family_point(rng, c, 3).to_spec() for c in (0.3, 0.45, 0.5)]
+    honest, infeasible, failing = honest_spec(3), _alice_plus_spec(3), family[1]
+    # on C+E of dimension 6 the span reduction runs: the family specs span 4
+    # dimensions, honest_spec and the Alice-plus spec 2
+    specs = [family[0], honest, infeasible, failing, family[2]]
+    stack = attack.SpecStack.of(specs)
+    assert [qmath.orthonormal_span(spec.eps).shape[1] for spec in specs] == [4, 2, 2, 4, 4]
+    report = attack._report
+
+    def report_fails(spec, *args):
+        if np.array_equal(spec.a, failing.a) and np.array_equal(spec.eps, failing.eps):
+            raise attack.ConsistencyError("injected in _report")
+        return report(spec, *args)
+
+    monkeypatch.setattr(attack, "_report", report_fails)
+    alone = [_alone(analyze, spec) for spec in specs]
+    sizes = []
+    _recording(monkeypatch, "_analysis_pass", sizes)
+    got = [_compared(result) for result in attack.report_outcomes(stack)]
+    assert got == alone
+    assert got[2] == (InfeasibleError, "Alice outcome - never occurs in case xx")
+    assert got[3] == (attack.ConsistencyError, "injected in _report")
+    assert all(isinstance(got[i], list) for i in (0, 1, 4))
+    # both span groups fail, and each of their specs then runs alone once
+    assert sizes == [3, 1, 1, 1, 2, 1, 1]
+
+    stage = attack._escape_stage
+
+    def escape_fails(sub):
+        if any(np.array_equal(row.eps, honest.eps) for row in sub):
+            raise attack.ConsistencyError("injected in the escape stage")
+        return stage(sub)
+
+    monkeypatch.setattr(attack, "_escape_stage", escape_fails)
+    alone = [_alone(escape_check, spec) for spec in specs]
+    sizes.clear()
+    _recording(monkeypatch, "_escape_pass", sizes)
+    got = [_compared(result) for result in attack.escape_outcomes(stack)]
+    assert got == alone
+    assert got[1] == (attack.ConsistencyError, "injected in the escape stage")
+    assert all(isinstance(got[i], bool) for i in (0, 2, 3, 4))
+    # the family specs' span group passed, so it is not run again
+    assert sizes == [3, 2, 1, 1]

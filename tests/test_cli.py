@@ -186,7 +186,7 @@ def test_simulate_requires_spec_only_with_spec_attacker(capsys):
 
 def test_spec_strategy_checks_realizability_once(monkeypatch):
     calls = Counter()
-    for name in ("_realizable", "global_state"):
+    for name in ("_realizable", "_global_vectors"):
         original = getattr(attack, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -198,10 +198,10 @@ def test_spec_strategy_checks_realizability_once(monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     args = cli.build_parser().parse_args(["simulate", "--attacker", "spec", "--spec", "kki"])
     assert isinstance(cli._build_strategy(args), exploit.HelstromAttack)
-    # the unitary's check and targets share one global state; the
-    # attacker's measurements read a second
+    # the unitary's check and targets and the attacker's measurements share
+    # one global state
     assert calls["_realizable"] == 1
-    assert calls["global_state"] <= 2
+    assert calls["_global_vectors"] == 1
 
 
 def test_simulate_refuses_unrealizable_spec(tmp_path, capsys):
@@ -465,8 +465,8 @@ def test_optimize_and_sweep_analyse_their_points_in_stacked_passes(tmp_path, mon
     # STACK_BOUND, so they form one batch: one escape pass over the 100
     # search points and one full analysis of the four distinct phase probes
     # and the two restarts' optima
-    full = _counting_stacks(monkeypatch, optimizer, "_analysis_pass")
-    light = _counting_stacks(monkeypatch, optimizer, "_escape_stage")
+    full = _counting_stacks(monkeypatch, attack, "_analysis_pass")
+    light = _counting_stacks(monkeypatch, attack, "_escape_pass")
     assert main(["optimize", "--restarts", "2", "--seed", "101", "--out", str(tmp_path / "o")]) == 0
     assert full == [6]
     assert light == [100]

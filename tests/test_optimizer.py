@@ -264,13 +264,13 @@ def test_the_helstrom_route_runs_on_the_probes_and_optima_only(monkeypatch):
         lambda deltas, priors: members.append(len(deltas)) or helstrom(deltas, priors),
     )
     checked = []
-    analysis_pass = optimizer._analysis_pass
+    analysis_pass = attack._analysis_pass
 
     def recorded(stack, spans):
         checked.append(list(stack))
         return analysis_pass(stack, spans)
 
-    monkeypatch.setattr(optimizer, "_analysis_pass", recorded)
+    monkeypatch.setattr(attack, "_analysis_pass", recorded)
     result = maximize(restarts=2, rng=np.random.default_rng(101))
     # eight Helstrom problems per point: the two restarts' 100 distinct search
     # points stay under STACK_BOUND until the second restart closes the one
@@ -460,7 +460,6 @@ def _inject(monkeypatch, points, shift=None):
             return stage(specs, *args)
 
         monkeypatch.setattr(attack, "_escape_stage", injected)
-        monkeypatch.setattr(optimizer, "_escape_stage", injected)
         return
     report = attack._report
 
@@ -540,15 +539,15 @@ def _batches(log, restarts, bound):
 
 
 def _record_passes(monkeypatch, name):
-    """The spec rows of every pass maximize() makes through ``optimizer.<name>``."""
+    """The spec rows of every pass maximize() makes through ``attack.<name>``."""
     passes = []
-    original = getattr(optimizer, name)
+    original = getattr(attack, name)
 
     def recorded(stack, *args):
         passes.append(list(stack))
         return original(stack, *args)
 
-    monkeypatch.setattr(optimizer, name, recorded)
+    monkeypatch.setattr(attack, name, recorded)
     return passes
 
 
@@ -564,7 +563,7 @@ def test_restart_batches_match_the_sequential_loop(monkeypatch, restarts, seed, 
     log = _evaluated(restarts, seed, **kwargs)
     batches = _batches(log, restarts, optimizer.STACK_BOUND)
     assert len(batches) >= 3
-    passes = _record_passes(monkeypatch, "_escape_stage")
+    passes = _record_passes(monkeypatch, "_escape_pass")
     got = maximize(restarts=restarts, rng=np.random.default_rng(seed), **kwargs)
     ref = sequential_maximize(restarts=restarts, rng=np.random.default_rng(seed), **kwargs)
     assert _result_bits(got) == _result_bits(ref)
@@ -578,7 +577,7 @@ def test_restart_batches_stop_at_the_first_failing_batch(monkeypatch, restarts, 
     # the second batch fails on its last restart's fifth search point, the
     # third on its first restart's first
     _inject(monkeypatch, [_search_points(log, second[-1])[4], _search_points(log, third[0])[0]])
-    escapes = _record_passes(monkeypatch, "_escape_stage")
+    escapes = _record_passes(monkeypatch, "_escape_pass")
     checks = _record_passes(monkeypatch, "_analysis_pass")
     with pytest.raises(attack.ConsistencyError) as ref:
         sequential_maximize(restarts=restarts, rng=np.random.default_rng(seed), **kwargs)
@@ -600,7 +599,7 @@ def test_restart_batches_stack_at_most_the_bound_and_one_restart(monkeypatch, bo
     restarts, seed, kwargs = _BATCH_RUNS[1]
     monkeypatch.setattr(optimizer, "STACK_BOUND", bound)
     log = _evaluated(restarts, seed, **kwargs)
-    passes = _record_passes(monkeypatch, "_escape_stage")
+    passes = _record_passes(monkeypatch, "_escape_pass")
     got = maximize(restarts=restarts, rng=np.random.default_rng(seed), **kwargs)
     ref = sequential_maximize(restarts=restarts, rng=np.random.default_rng(seed), **kwargs)
     assert _result_bits(got) == _result_bits(ref)

@@ -215,10 +215,6 @@ class SpecRow(NamedTuple):
     a: np.ndarray
     eps: np.ndarray
 
-    @property
-    def joint_dim(self) -> int:
-        return self.eps.shape[-1]
-
 
 def _stack(a: np.ndarray, eps: np.ndarray) -> SpecStack:
     """A SpecStack of rows that were checked before: no check runs again."""
@@ -673,13 +669,15 @@ def analyze_stack(stack: SpecStack) -> list[AttackReport]:
 
 def report_outcomes(stack: SpecStack) -> list:
     """Each spec's AttackReport, or the error the spec raises alone."""
-    return _outcomes(stack, _analysis_pass)
+    spans = [qmath.orthonormal_span(eps) if stack.joint_dim > 4 else None for eps in stack.eps]
+    return _outcomes(stack, _analysis_pass, spans)
 
 
 def escape_outcomes(stack: SpecStack) -> list:
     """Each spec's escape flag, or the error the spec raises alone, from
-    stacked passes of the escape stage: no Helstrom problem is solved."""
-    return _outcomes(stack, _escape_pass)
+    stacked passes of the escape stage: no Helstrom problem is solved, and
+    no span is computed, so the whole stack is one group."""
+    return _outcomes(stack, _escape_pass, [None] * len(stack))
 
 
 #: Most specs a caller stacks into one pass: the grid points of each ``sweep``
@@ -691,15 +689,15 @@ def escape_outcomes(stack: SpecStack) -> list:
 STACK_BOUND = 64
 
 
-def _outcomes(stack: SpecStack, stage) -> list:
+def _outcomes(stack: SpecStack, stage, spans: list) -> list:
     """``stage(stack, spans)``'s result for each spec of the stack, or the
-    exception the spec raises alone. Specs whose spans, where those are
-    used, share their dimension go through ``stage`` in one pass. Only a
-    pass of several specs that raises runs them again, each once alone, as
-    a slice of one; if all pass alone, stacking them failed and each gets
-    the pass's error.
+    exception the spec raises alone. ``spans`` holds each spec's span(eps)
+    basis, or None where the stage does not move to it; specs whose spans
+    share their dimension, or are all None, go through ``stage`` in one
+    pass. Only a pass of several specs that raises runs them again, each
+    once alone, as a slice of one; if all pass alone, stacking them failed
+    and each gets the pass's error.
     """
-    spans = [qmath.orthonormal_span(eps) if stack.joint_dim > 4 else None for eps in stack.eps]
     groups: dict[int | None, list[int]] = {}
     for i, span in enumerate(spans):
         groups.setdefault(None if span is None else span.shape[1], []).append(i)

@@ -8,10 +8,11 @@ key bits. A pluggable attacker strategy may replace Charlie; it intercepts
 the two transit qubits joined to a private ancilla register and is only
 queried again after the bases are public.
 
-The per-round table lookups read tables built once at import. Transcripts
-are written from per-row templates: each distinct row (all fields but
-``round_id``) is encoded once per export, and the bytes are those of
-``json.dumps(..., sort_keys=True, indent=2)`` or of a ``csv.writer`` loop.
+The per-round table lookups, sifting among them, read tables built once
+at import. Transcripts are written from per-row templates: each distinct
+row (all fields but ``round_id``) is encoded once per export, and the bytes
+are those of ``json.dumps(..., sort_keys=True, indent=2)`` or of a
+``csv.writer`` loop.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import io
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 from typing import Protocol
 
 import numpy as np
@@ -28,11 +30,13 @@ import numpy as np
 from . import qmath
 from .attack import _sig12, mutual_information
 from .qstate import (
+    MEMO_CAPACITY,
     PROTOCOL_BASES,
     Basis,
     Outcome,
     StateMemo,
     StateVector,
+    _frozen,
     ghz_state,
     measure_qubit,  # noqa: F401 - kept in this namespace for code that looks it up here
     read_only,
@@ -103,6 +107,10 @@ _REQUIRED: dict[tuple[Outcome, Outcome], Outcome] = {
     for (a, b), c in CORRELATION_TABLE.items()
 }
 _ALICE: dict[tuple[Outcome, Outcome], Outcome] = {(b, c): a for (a, b), c in _REQUIRED.items()}
+#: Whether each triple of announceable bases sifts.
+_SIFTS: dict[tuple[Basis, Basis, Basis], bool] = {
+    bases: sift(bases) for bases in product(PROTOCOL_BASES, repeat=3)
+}
 
 
 @dataclass(frozen=True)
@@ -187,9 +195,12 @@ def run_session(
     rounds otherwise. Identical seeds produce identical transcripts.
 
     The prepared state is built once, and each distinct measurement's
-    branches are computed once per session; every round still makes its
-    own generator draws in the same order, calls every strategy hook and
-    validates the intercepted state.
+    branches are computed once per session, looked up by the state's
+    identity when it is read-only and by its bytes otherwise (see
+    :class:`~hbbqss.qstate.StateMemo`). Every round still makes its own
+    generator draws in the same order and calls every strategy hook. The
+    intercepted state is validated once per distinct read-only state, the
+    first round it appears, and every round when it is writable.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
@@ -204,26 +215,30 @@ def run_session(
     guesses: list[int] = []
     checks = failures = 0
     memo = StateMemo()
+    checked: dict[int, StateVector] = {}  # validated frozen states, by identity
     prepared = ghz_state()
     if strategy is not None:
         prepared = tensor_with_ancilla(prepared, "E", strategy.ancilla_dim)
     prepared = read_only(prepared)
 
     for r in range(n_rounds):
-        alice_b = _random_basis(rng)
-        bob_b = _random_basis(rng)
+        alice_b = PROTOCOL_BASES[rng.integers(0, 2)]
+        bob_b = PROTOCOL_BASES[rng.integers(0, 2)]
 
         state = prepared
         if strategy is not None:
             state = strategy.intercept(state, rng)
-            _validate_intercepted(state, strategy)
+            if checked.get(id(state)) is not state:
+                _validate_intercepted(state, strategy)
+                if _frozen(state) and len(checked) < MEMO_CAPACITY:
+                    checked[id(state)] = state
             # Commitment point: the forged basis is fixed before the
             # strategy can see anything about Alice's or Bob's choices.
             charlie_b = strategy.announce_basis(r, rng)
             if charlie_b not in PROTOCOL_BASES:
                 raise SessionAbort(f"round {r}: forged basis {charlie_b!r} is not announceable")
         else:
-            charlie_b = _random_basis(rng)
+            charlie_b = PROTOCOL_BASES[rng.integers(0, 2)]
 
         out_a, state = memo.measure(state, "A", alice_b, rng)
         out_b, state = memo.measure(state, "B", bob_b, rng)
@@ -232,7 +247,7 @@ def run_session(
             out_c, state = memo.measure(state, "C", charlie_b, rng)
 
         bases = (alice_b, bob_b, charlie_b)
-        sifted = sift(bases)
+        sifted = _SIFTS[bases]
         announced: Outcome | None = None
         consistent: bool | None = None
         if not sifted:

@@ -246,16 +246,32 @@ def _project_stack(tensors: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, n
     return prob, np.divide(amp, scale, out=np.zeros_like(amp), where=occurs)
 
 
-def _branches(
-    state: StateVector, label: str, basis: Basis
-) -> tuple[float, StateVector | None, StateVector | None]:
-    """Both Born-rule branches of measuring one register: (p_plus, cond_plus, cond_minus)."""
+def _branches(state: StateVector, label: str, basis: Basis) -> tuple:
+    """Both Born-rule branches of measuring one register: (p_plus, (+
+    outcome, its state), (- outcome, its state)), a state None where
+    :func:`project_qubit` returns None.
+
+    The two kets are projected in one contraction, each branch bit for bit
+    as :func:`project_qubit` projects it alone.
+    """
     if abs(state.norm - 1.0) > qmath.STRUCT_TOL:
         raise ValueError(f"state norm {state.norm} deviates from 1 beyond {qmath.STRUCT_TOL}")
-    plus, minus = basis_kets(basis)
-    p_plus, cond_plus = project_qubit(state, label, plus)
-    _, cond_minus = project_qubit(state, label, minus)
-    return p_plus, cond_plus, cond_minus
+    kets = np.array(basis_kets(basis))
+    ax = state.axis(label)
+    if state.dims[ax] != 2:
+        raise ValueError(f"ket of dim 2 cannot project a register of dim {state.dims[ax]}")
+    tensor = state.vec.reshape(state.dims)
+    if ax:
+        tensor = np.moveaxis(tensor, ax, 0)
+    probs, conds = _project_stack(tensor.reshape(2, -1), kets)
+    rest_labels = state.labels[:ax] + state.labels[ax + 1:]
+    rest_dims = state.dims[:ax] + state.dims[ax + 1:]
+    plus, minus = (
+        (Outcome(sign, basis),
+         StateVector(rest_labels, rest_dims, cond) if prob > ZERO_BRANCH_TOL and rest_labels else None)
+        for sign, prob, cond in zip(Sign, probs, conds)
+    )
+    return float(probs[0]), plus, minus
 
 
 def _draw_plus(p_plus: float, rng: np.random.Generator) -> bool:
@@ -268,12 +284,10 @@ def _draw_plus(p_plus: float, rng: np.random.Generator) -> bool:
     return rng.random() < p_plus
 
 
-def _draw(branches: tuple, basis: Basis, rng: np.random.Generator) -> tuple[Outcome, StateVector | None]:
-    """The branch taken and its state."""
-    p_plus, cond_plus, cond_minus = branches
-    if _draw_plus(p_plus, rng):
-        return Outcome(Sign.PLUS, basis), cond_plus
-    return Outcome(Sign.MINUS, basis), cond_minus
+def _draw(branches: tuple, rng: np.random.Generator) -> tuple[Outcome, StateVector | None]:
+    """The branch taken, as :func:`_branches` built it: its outcome and state."""
+    p_plus, plus, minus = branches
+    return plus if _draw_plus(p_plus, rng) else minus
 
 
 def measure_qubit(
@@ -284,7 +298,7 @@ def measure_qubit(
     Deterministic for a fixed generator state; a branch of probability
     <= ZERO_BRANCH_TOL is never selected.
     """
-    return _draw(_branches(state, label, basis), basis, rng)
+    return _draw(_branches(state, label, basis), rng)
 
 
 #: Entries a :class:`StateMemo` table keeps; later misses are computed
@@ -295,6 +309,13 @@ MEMO_CAPACITY = 4096
 
 def _key(state: StateVector) -> tuple:
     return state.labels, state.dims, state.vec.dtype.str, state.vec.tobytes()
+
+
+def _frozen(state: StateVector) -> bool:
+    """Whether a state's amplitudes can no longer change: they are not
+    writeable and own their memory, so no other array writes them."""
+    flags = state.vec.flags
+    return not flags.writeable and flags.owndata
 
 
 def read_only(state: StateVector | None) -> StateVector | None:
@@ -309,39 +330,62 @@ def read_only(state: StateVector | None) -> StateVector | None:
 class StateMemo:
     """Results of pure state maps, each computed once per distinct input.
 
-    Keys hold the input's bytes, so a hit returns exactly what a fresh
-    computation would, and :meth:`measure` makes the same generator draws
-    as :func:`measure_qubit`. The states it returns are read-only. Each
-    table keeps at most ``MEMO_CAPACITY`` entries. A memo belongs to
-    one session or one strategy instance; none is shared process-wide,
-    since gate matrices are read live. A state failing the norm check is
-    never cached, so it raises on every call.
+    A frozen input (read-only amplitudes in memory of their own, as every
+    state the memo returns has) is looked up by identity first: the key
+    holds the state itself, which keeps its identity from being reused.
+    On a miss, and for every writable input, the lookup goes by the input's
+    bytes, so equal states reached by different paths share one computation
+    and a writable state that changes between calls is never mistaken for
+    what it held before. A hit returns exactly what a fresh computation
+    would, and :meth:`measure` makes the same generator draws as
+    :func:`measure_qubit`, handing out the outcome and state its entry
+    holds. The states it returns are read-only. Each table keeps at most
+    ``MEMO_CAPACITY`` entries. A memo belongs to one session or one
+    strategy instance; none is shared process-wide, since gate matrices
+    are read live. A state failing the norm check is never cached, so it
+    raises on every call.
     """
 
     def __init__(self):
         self._branches: dict[tuple, tuple] = {}
         self._maps: dict[tuple, object] = {}
+        # keyed (state, label, basis) by measure and (fn, state, args) by apply
+        self._by_identity: dict[tuple, object] = {}
 
     def measure(
         self, state: StateVector, label: str, basis: Basis, rng: np.random.Generator
     ) -> tuple[Outcome, StateVector | None]:
         """:func:`measure_qubit`, with the branches looked up."""
+        frozen = _frozen(state)
+        if frozen:
+            hit = self._by_identity.get((state, label, basis))
+            if hit is not None:
+                return _draw(hit, rng)
         key = (_key(state), label, basis)
         hit = self._branches.get(key)
         if hit is None:
-            p_plus, cond_plus, cond_minus = _branches(state, label, basis)
-            hit = (p_plus, read_only(cond_plus), read_only(cond_minus))
+            p_plus, (out_plus, cond_plus), (out_minus, cond_minus) = _branches(state, label, basis)
+            hit = (p_plus, (out_plus, read_only(cond_plus)), (out_minus, read_only(cond_minus)))
             _store(self._branches, key, hit)
-        return _draw(hit, basis, rng)
+        if frozen:
+            _store(self._by_identity, (state, label, basis), hit)
+        return _draw(hit, rng)
 
     def apply(self, fn, state: StateVector, *args):
         """``fn(state, *args)`` for a deterministic ``fn`` with hashable ``args``."""
+        frozen = _frozen(state)
+        if frozen:
+            hit = self._by_identity.get((fn, state, args))
+            if hit is not None:
+                return hit
         key = (fn, _key(state), args)
         hit = self._maps.get(key)
         if hit is None:
             hit = fn(state, *args)
             hit = read_only(hit) if isinstance(hit, StateVector) else hit
             _store(self._maps, key, hit)
+        if frozen:
+            _store(self._by_identity, (fn, state, args), hit)
         return hit
 
 

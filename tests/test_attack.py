@@ -189,7 +189,7 @@ def test_a_spec_stack_reads_row_by_row_as_its_specs():
     stack = attack.SpecStack.of(specs)
     assert len(stack) == 3 and stack.ancilla_dim == 2 and stack.joint_dim == 4
     for row, spec in zip(stack, specs):
-        assert row.joint_dim == spec.joint_dim
+        assert row.eps.shape[-1] == spec.joint_dim
         assert row.a.tobytes() == spec.a.tobytes() and row.eps.tobytes() == spec.eps.tobytes()
         assert nas_check(row) == nas_check(spec)
     sub = stack.take([2, 0])
@@ -1138,7 +1138,7 @@ def _counting_passes(monkeypatch, fail_stacked=False):
     original = attack._analysis_pass
 
     def counted(specs, *args):
-        passes.append([spec.joint_dim for spec in specs])
+        passes.append([spec.eps.shape[-1] for spec in specs])
         if fail_stacked and len(specs) > 1:
             raise attack.ConsistencyError("injected: the stacked pass fails")
         return original(specs, *args)
@@ -1254,5 +1254,33 @@ def test_the_two_outcome_routes_give_each_spec_what_it_gets_alone(monkeypatch):
     assert got == alone
     assert got[1] == (attack.ConsistencyError, "injected in the escape stage")
     assert all(isinstance(got[i], bool) for i in (0, 2, 3, 4))
-    # the family specs' span group passed, so it is not run again
-    assert sizes == [3, 2, 1, 1]
+    # the escape stage reads no span, so the whole stack is one group; it
+    # fails, and each spec then runs alone once
+    assert sizes == [5, 1, 1, 1, 1, 1]
+
+
+def test_the_escape_route_runs_a_stack_as_one_group_and_computes_no_span(monkeypatch):
+    rng = np.random.default_rng(23)
+    specs = [optimizer.random_family_point(rng, c, 3).to_spec() for c in np.linspace(0.05, 0.65, 62)]
+    honest = honest_spec(3)
+    specs[17:17] = [honest, _alice_plus_spec(3)]
+    stack = attack.SpecStack.of(specs)
+    stage = attack._escape_stage
+
+    def escape_fails(sub):
+        if any(np.array_equal(row.eps, honest.eps) for row in sub):
+            raise attack.ConsistencyError("injected in the escape stage")
+        return stage(sub)
+
+    monkeypatch.setattr(attack, "_escape_stage", escape_fails)
+    alone = [_alone(escape_check, spec) for spec in specs]
+    spans, sizes = [], []
+    original = qmath.orthonormal_span
+    monkeypatch.setattr(qmath, "orthonormal_span", lambda vectors: spans.append(1) or original(vectors))
+    _recording(monkeypatch, "_escape_pass", sizes)
+    got = [_compared(result) for result in attack.escape_outcomes(stack)]
+    assert got == alone
+    assert got[17] == (attack.ConsistencyError, "injected in the escape stage")
+    assert sum(isinstance(flag, bool) for flag in got) == 63
+    assert spans == []
+    assert sizes == [64] + [1] * 64

@@ -386,7 +386,7 @@ BUILT_IN_ATTACKERS = {
 @pytest.mark.parametrize("attacker", sorted(BUILT_IN_ATTACKERS))
 def test_state_work_per_session_does_not_grow_with_rounds(monkeypatch, attacker):
     counts = Counter()
-    for module, name in ((qstate, "project_qubit"), (qstate, "apply_operator"), (exploit, "apply_operator")):
+    for module, name in ((qstate, "_project_stack"), (qstate, "apply_operator"), (exploit, "apply_operator")):
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -400,8 +400,71 @@ def test_state_work_per_session_does_not_grow_with_rounds(monkeypatch, attacker)
         run_session(n_rounds, 0.5, strategy=BUILT_IN_ATTACKERS[attacker](), seed=17)
         per_session.append(dict(counts))
     assert per_session[0] == per_session[1]
-    assert 0 < per_session[0]["project_qubit"] <= 200
+    assert 0 < per_session[0]["_project_stack"] <= 100
     assert per_session[0].get("apply_operator", 0) <= 2
+
+
+@pytest.mark.parametrize("attacker", sorted(BUILT_IN_ATTACKERS))
+def test_intercepted_norm_reads_per_session_do_not_grow_with_rounds(monkeypatch, attacker):
+    reads, validating = Counter(), []
+    norm, validate = StateVector.norm, hbb._validate_intercepted
+
+    def counted_norm(state):
+        if validating:
+            reads["norm"] += 1
+        return norm.fget(state)
+
+    def counted_validate(*args):
+        validating.append(True)
+        try:
+            return validate(*args)
+        finally:
+            validating.pop()
+
+    monkeypatch.setattr(StateVector, "norm", property(counted_norm))
+    monkeypatch.setattr(hbb, "_validate_intercepted", counted_validate)
+    per_session = []
+    for n_rounds in (300, 3000):
+        reads.clear()
+        run_session(n_rounds, 0.5, strategy=BUILT_IN_ATTACKERS[attacker](), seed=17)
+        per_session.append(reads["norm"])
+    assert per_session[0] == per_session[1]
+    assert (per_session[0] > 0) == (attacker != "none")
+
+
+class AmplitudeRewriter(ProbeStrategy):
+    """Hands out one writable state, rewritten before each round: A in
+    |x+> on even rounds and in |x-> on odd ones, B, C and E in |0>; from
+    round ``break_from`` on, its amplitudes are scaled by 1.5."""
+
+    name = "amplitude-rewriter"
+
+    def __init__(self, break_from=None):
+        super().__init__()
+        self.state = StateVector(("A", "B", "C", "E"), (2, 2, 2, 1), np.zeros(8, dtype=complex))
+        self.break_from = break_from
+        self.intercepts = 0
+
+    def intercept(self, state, rng):
+        super().intercept(state, rng)
+        sign = 1.0 if self.intercepts % 2 == 0 else -1.0
+        scale = 1.5 if self.break_from is not None and self.intercepts >= self.break_from else 1.0
+        self.state.vec[:] = 0.0
+        self.state.vec[[0, 4]] = (scale / math.sqrt(2.0), scale * sign / math.sqrt(2.0))
+        self.intercepts += 1
+        return self.state
+
+
+def test_a_writable_intercepted_state_is_read_and_checked_afresh_every_round():
+    t = run_session(400, 0.5, strategy=AmplitudeRewriter(), seed=29)
+    x_rounds = [r for r in t.rounds if r.bases[0] is X]
+    assert x_rounds
+    for r in x_rounds:
+        assert r.outcome_a == Outcome(Sign.PLUS if r.round_id % 2 == 0 else Sign.MINUS, X)
+    breaker = AmplitudeRewriter(break_from=150)
+    with pytest.raises(SessionAbort, match="normalisation"):
+        run_session(400, 0.5, strategy=breaker, seed=29)
+    assert breaker.intercepts == 151
 
 
 class MalformedCheckStrategy(ProbeStrategy):

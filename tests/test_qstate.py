@@ -347,12 +347,13 @@ def test_memo_measure_makes_the_same_draws_as_measure_qubit():
 
 def test_memo_computes_each_branch_once(monkeypatch, rng):
     calls = []
-    original = qstate.project_qubit
-    monkeypatch.setattr(qstate, "project_qubit", lambda *a: calls.append(a[1]) or original(*a))
+    original = qstate._project_stack
+    monkeypatch.setattr(qstate, "_project_stack", lambda *a: calls.append(a[1].shape) or original(*a))
     memo = StateMemo()
     for _ in range(100):
         memo.measure(ghz_state(), "A", Basis.X, rng)
-    assert calls == ["A", "A"]
+    # both kets of the basis, projected in one call
+    assert calls == [(2, 2)]
 
 
 def test_memo_stops_storing_at_capacity_and_stays_exact(monkeypatch):

@@ -134,6 +134,12 @@ class AttackStrategy(Protocol):
     and starts in |0...0>; any other fixed initial state folds into the
     interaction. The states handed to the hooks are shared across rounds
     and read-only: a hook returns a new state rather than writing into one.
+    The ``rng`` handed to the hooks has the ``numpy.random.Generator`` API
+    and draws in one sequence with the session; hooks draw through it, not
+    through another reference to the session's generator. It is the
+    generator itself unless that runs on PCG64; then its ``random()`` and
+    ``integers(0, 2)`` are served from the session's block of raw words, bit
+    for bit, until the first other use hands every draw to the generator.
     ``announce_basis`` commits the forged basis before any other
     announcement is revealed. ``respond`` is called only on sifted rounds,
     after all bases are public: on check rounds it must return an Outcome
@@ -176,7 +182,104 @@ class SessionTranscript:
 
 
 def _random_basis(rng: np.random.Generator) -> Basis:
-    return PROTOCOL_BASES[int(rng.integers(0, 2))]
+    return PROTOCOL_BASES[rng.integers(0, 2)]
+
+
+#: Raw 64-bit words a :class:`_DrawStream` reads from its generator at a time.
+_BLOCK = 1024
+#: ``Generator.integers(0, 2)``'s two results.
+_BITS = (np.int64(0), np.int64(1))
+_ZERO, _TWO, _INT64, _FLOAT64 = 0, 2, np.int64, np.float64
+
+
+class _DrawStream:
+    """A PCG64 Generator's ``random()`` and ``integers(0, 2)``, bit for bit,
+    served from blocks of the bit generator's raw words.
+
+    PCG64 makes a double of one 64-bit word w as ``(w >> 11) * 2**-53``, and
+    ``integers(0, 2)`` is the top bit of its buffered 32-bit draw: the low
+    half of a fresh word, whose high half is kept for the next 32-bit draw
+    (the ``has_uint32`` and ``uinteger`` fields of the bit generator's
+    state). :meth:`_release` puts the generator in the state those draws
+    would have left it in, and from then on the generator serves every draw.
+    Any other use of the Generator API (another method, other arguments, the
+    ``bit_generator``) releases first. A generator drawn from directly while
+    the stream holds it cannot be reproduced: the release raises
+    :class:`SessionAbort` instead.
+    """
+
+    def __init__(self, generator: np.random.Generator):
+        self._released = False
+        self._generator = generator
+        self._bit_generator = generator.bit_generator
+        state = self._bit_generator.state
+        self._buffered = bool(state["has_uint32"])
+        self._upper = state["uinteger"]  # the high half last read, as the state keeps it
+        self._end = state["state"]
+        self._fill()
+
+    def _fill(self) -> None:
+        """Read the next block, keeping the state it starts from."""
+        bit_generator = self._bit_generator
+        start = bit_generator.state
+        if start["state"] != self._end:
+            self._release()  # raises: the generator moved behind the stream's back
+        words = bit_generator.random_raw(_BLOCK)
+        self._start, self._end = start, bit_generator.state["state"]
+        self._doubles = ((words >> 11) * (1.0 / 9007199254740992.0)).tolist()
+        self._lows = ((words >> 31) & 1).tolist()
+        self._uppers = (words >> 32).tolist()
+        self._used = 0
+
+    # The draws keep the Generator's signatures. A call is served from the
+    # block only with the arguments below, compared by identity (0 and 2 are
+    # the interpreter's shared small ints); any other call, equal or not,
+    # takes the Generator's own route.
+    def random(self, size=None, dtype=np.float64, out=None) -> float:
+        if not (size is None and dtype is _FLOAT64 and out is None):
+            return self._release().random(size, dtype, out)
+        i = self._used
+        if i == _BLOCK:
+            self._fill()
+            i = 0
+        self._used = i + 1
+        return self._doubles[i]
+
+    def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
+        if not (low is _ZERO and high is _TWO and size is None and dtype is _INT64 and endpoint is False):
+            return self._release().integers(low, high, size, dtype, endpoint)
+        if self._buffered:
+            self._buffered = False
+            return _BITS[self._upper >> 31]
+        i = self._used
+        if i == _BLOCK:
+            self._fill()
+            i = 0
+        self._used = i + 1
+        self._buffered = True
+        self._upper = self._uppers[i]
+        return _BITS[self._lows[i]]
+
+    def __getattr__(self, name: str):
+        # reached only for names the stream does not define
+        if name.startswith("__"):
+            raise AttributeError(name)
+        return getattr(self._release(), name)
+
+    def _release(self) -> np.random.Generator:
+        """The generator, in the state the draws served so far leave it in."""
+        if not self._released:
+            self._released = True
+            generator, bit_generator = self._generator, self._bit_generator
+            self.random, self.integers = generator.random, generator.integers
+            if bit_generator.state["state"] != self._end:
+                raise SessionAbort("the session's generator was drawn from other than through the hooks' rng")
+            bit_generator.state = self._start
+            bit_generator.advance(self._used)
+            state = bit_generator.state
+            state["has_uint32"], state["uinteger"] = int(self._buffered), self._upper
+            bit_generator.state = state
+        return self._generator
 
 
 def run_session(
@@ -201,6 +304,13 @@ def run_session(
     generator draws in the same order and calls every strategy hook. The
     intercepted state is validated once per distinct read-only state, the
     first round it appears, and every round when it is writable.
+
+    With a PCG64 generator, the one ``default_rng`` builds, the draws come
+    from a :class:`_DrawStream` over it: the same values in the same order,
+    made from blocks of the generator's raw words. The hooks get the stream
+    in place of the generator (see :class:`AttackStrategy`). When the
+    session ends, by return or by an exception, ``rng`` is left in the state
+    per-call draws leave it in.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
@@ -221,71 +331,78 @@ def run_session(
         prepared = tensor_with_ancilla(prepared, "E", strategy.ancilla_dim)
     prepared = read_only(prepared)
 
-    for r in range(n_rounds):
-        alice_b = PROTOCOL_BASES[rng.integers(0, 2)]
-        bob_b = PROTOCOL_BASES[rng.integers(0, 2)]
+    generator = rng
+    if type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64:
+        rng = _DrawStream(generator)
+    try:
+        for r in range(n_rounds):
+            alice_b = _random_basis(rng)
+            bob_b = _random_basis(rng)
 
-        state = prepared
-        if strategy is not None:
-            state = strategy.intercept(state, rng)
-            if checked.get(id(state)) is not state:
-                _validate_intercepted(state, strategy)
-                if _frozen(state) and len(checked) < MEMO_CAPACITY:
-                    checked[id(state)] = state
-            # Commitment point: the forged basis is fixed before the
-            # strategy can see anything about Alice's or Bob's choices.
-            charlie_b = strategy.announce_basis(r, rng)
-            if charlie_b not in PROTOCOL_BASES:
-                raise SessionAbort(f"round {r}: forged basis {charlie_b!r} is not announceable")
-        else:
-            charlie_b = PROTOCOL_BASES[rng.integers(0, 2)]
-
-        out_a, state = memo.measure(state, "A", alice_b, rng)
-        out_b, state = memo.measure(state, "B", bob_b, rng)
-        out_c = None
-        if strategy is None:
-            out_c, state = memo.measure(state, "C", charlie_b, rng)
-
-        bases = (alice_b, bob_b, charlie_b)
-        sifted = _SIFTS[bases]
-        announced: Outcome | None = None
-        consistent: bool | None = None
-        if not sifted:
-            role = Role.DISCARDED
-        else:
-            role = Role.CHECK if rng.random() < check_fraction else Role.KEY
-            ctx = RespondContext(r, role, alice_b, bob_b, charlie_b, state)
-            if role is Role.CHECK:
-                if strategy is None:
-                    announced = out_c
-                else:
-                    announced = strategy.respond(ctx, rng)
-                    if not isinstance(announced, Outcome) or announced.basis is not charlie_b:
-                        raise SessionAbort(
-                            f"round {r}: check response {announced!r} is not an outcome "
-                            f"in the announced basis {charlie_b.value}"
-                        )
-                checks += 1
-                consistent = infer_alice(out_b, announced) == out_a
-                if not consistent:
-                    failures += 1
+            state = prepared
+            if strategy is not None:
+                state = strategy.intercept(state, rng)
+                if checked.get(id(state)) is not state:
+                    _validate_intercepted(state, strategy)
+                    if _frozen(state) and len(checked) < MEMO_CAPACITY:
+                        checked[id(state)] = state
+                # Commitment point: the forged basis is fixed before the
+                # strategy can see anything about Alice's or Bob's choices.
+                charlie_b = strategy.announce_basis(r, rng)
+                if charlie_b not in PROTOCOL_BASES:
+                    raise SessionAbort(f"round {r}: forged basis {charlie_b!r} is not announceable")
             else:
-                key_alice.append(out_a.bit)
-                if strategy is None:
-                    key_reconstructed.append(infer_alice(out_b, out_c).bit)
-                else:
-                    guess = strategy.respond(ctx, rng)
-                    if guess not in (0, 1):
-                        raise SessionAbort(f"round {r}: key guess {guess!r} is not a bit")
-                    guesses.append(int(guess))
-                    # A dishonest agent who knows Alice's bit can always hand
-                    # Bob a table-consistent value, so reconstruction follows
-                    # his guess.
-                    key_reconstructed.append(int(guess))
+                charlie_b = _random_basis(rng)
 
-        rounds.append(
-            RoundRecord(r, bases, out_a, out_b, announced, sifted, role, consistent)
-        )
+            out_a, state = memo.measure(state, "A", alice_b, rng)
+            out_b, state = memo.measure(state, "B", bob_b, rng)
+            out_c = None
+            if strategy is None:
+                out_c, state = memo.measure(state, "C", charlie_b, rng)
+
+            bases = (alice_b, bob_b, charlie_b)
+            sifted = _SIFTS[bases]
+            announced: Outcome | None = None
+            consistent: bool | None = None
+            if not sifted:
+                role = Role.DISCARDED
+            else:
+                role = Role.CHECK if rng.random() < check_fraction else Role.KEY
+                ctx = RespondContext(r, role, alice_b, bob_b, charlie_b, state)
+                if role is Role.CHECK:
+                    if strategy is None:
+                        announced = out_c
+                    else:
+                        announced = strategy.respond(ctx, rng)
+                        if not isinstance(announced, Outcome) or announced.basis is not charlie_b:
+                            raise SessionAbort(
+                                f"round {r}: check response {announced!r} is not an outcome "
+                                f"in the announced basis {charlie_b.value}"
+                            )
+                    checks += 1
+                    consistent = infer_alice(out_b, announced) == out_a
+                    if not consistent:
+                        failures += 1
+                else:
+                    key_alice.append(out_a.bit)
+                    if strategy is None:
+                        key_reconstructed.append(infer_alice(out_b, out_c).bit)
+                    else:
+                        guess = strategy.respond(ctx, rng)
+                        if guess not in (0, 1):
+                            raise SessionAbort(f"round {r}: key guess {guess!r} is not a bit")
+                        guesses.append(int(guess))
+                        # A dishonest agent who knows Alice's bit can always hand
+                        # Bob a table-consistent value, so reconstruction follows
+                        # his guess.
+                        key_reconstructed.append(int(guess))
+
+            rounds.append(
+                RoundRecord(r, bases, out_a, out_b, announced, sifted, role, consistent)
+            )
+    finally:
+        if rng is not generator:
+            rng._release()
 
     return SessionTranscript(
         rounds=rounds,

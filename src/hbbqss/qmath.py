@@ -232,17 +232,23 @@ def orthonormal_completion(vectors: Sequence[np.ndarray]) -> np.ndarray:
     """
     rows = as_matrix(vectors)  # a ValueError also for vectors of different lengths
     dim = rows.shape[1]
+    _check_orthonormal(rows)
     basis = list(rows)
-    for i, u in enumerate(basis):
-        if abs(norm(u) - 1.0) > STRUCT_TOL:
-            raise ValueError(f"seed vector {i} is not normalised")
-        for w in basis[:i]:
-            if abs(np.vdot(w, u)) > STRUCT_TOL:
-                raise ValueError("seed vectors must be mutually orthogonal")
     _gram_schmidt(basis, np.eye(dim, dtype=complex), dim, drop_below=_COMPLETION_DROP)
     if len(basis) != dim:
         raise RuntimeError("failed to complete orthonormal basis")
     return np.column_stack(basis)
+
+
+def _check_orthonormal(rows: np.ndarray) -> None:
+    """Reject seed rows that are not unit vectors or not mutually
+    orthogonal, each within STRUCT_TOL."""
+    for i, u in enumerate(rows):
+        if abs(norm(u) - 1.0) > STRUCT_TOL:
+            raise ValueError(f"seed vector {i} is not normalised")
+        for w in rows[:i]:
+            if abs(np.vdot(w, u)) > STRUCT_TOL:
+                raise ValueError("seed vectors must be mutually orthogonal")
 
 
 def orthonormal_span(vectors) -> np.ndarray:

@@ -142,3 +142,30 @@ ANALYSIS_BITS_PLATFORM = (
 # run of the benchmark's seed pool writes one and the same file, so only
 # this digest sees a change to the random-phase restarts.
 WALK_DIGEST = "1a05104956d2636b2fe7cd7f4dba326ba3b5d91b166bbbf64c40db47d16a2f76"
+
+# What a session leaves in a caller's generator: ``rng.random()`` and
+# ``rng.integers(0, 2**32)`` (the latter reads a buffered high half) drawn
+# right after ``run_session(300, 0.5, strategy, rng=default_rng(21))``, per
+# attacker of ``test_hbb.BUILT_IN_ATTACKERS``, and after the circuit
+# attacker's session that ``test_hbb.AbortingCircuit`` aborts at round 37
+# with a half buffered. Equal seeds give these draws in every version.
+SESSION_NEXT_DRAWS = {
+    "none": (0.34374632157823637, 1984576161),
+    "hbb-circuit": (0.40266435887010354, 2890486193),
+    "intercept-resend": (0.8935540806357878, 1347887698),
+    "spec-kki": (0.1622023469522621, 3719545654),
+    "spec-family": (0.6369121866727558, 3769852062),
+}
+ABORTED_SESSION_NEXT_DRAWS = (0.2939430144993762, 274106230)
+
+# SHA-256 of ``transcript_to_json`` of a 300-round, check fraction 0.5
+# session with seed 21 against ``test_hbb.OffStreamProbe``, whose hooks also
+# call ``rng.normal()`` and ``rng.integers(5)``.
+OFF_STREAM_PROBE_DIGEST = "1849567e08e9f093ebfbb7cc82c987cc19b1b561e958933ba6b225d1429d2f27"
+
+# The same digest of the circuit attacker's session on
+# ``Generator(MT19937(7))``, and the generator's next draws as above.
+MT19937_SESSION = (
+    "c64996a22c9c45823272e87d3043be9968dee8433a095cabb7435260c322eb67",
+    (0.9041918892658584, 717025356),
+)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -9,6 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _literals import (
+    ABORTED_SESSION_NEXT_DRAWS,
+    MT19937_SESSION,
+    OFF_STREAM_PROBE_DIGEST,
+    SESSION_NEXT_DRAWS,
+)
 from hbbqss import attack, exploit, hbb, optimizer, qstate
 from hbbqss.hbb import (
     CSV_COLUMNS,
@@ -518,6 +525,147 @@ def test_info_rate_undefined_without_guesses():
     t = run_session(100, check_fraction=0.5, seed=2)
     with pytest.raises(ValueError):
         info_rate(t)
+
+
+# ---------------------------------------------------------------------------
+# generator draws
+
+
+def _next_draws(rng):
+    return rng.random(), int(rng.integers(0, 2**32))
+
+
+def _off_stream_call(rng, kind):
+    if kind == "normal":
+        return rng.normal()
+    if kind == "integers":
+        return rng.integers(5)
+    if kind == "random-size":
+        return tuple(rng.random(2))
+    return rng.bit_generator.random_raw()
+
+
+def _stream_and_twin_agree(seed):
+    """Draw a seeded random interleaving of ``random()`` and ``integers(0,
+    2)``, now and then starting from a buffered high half or with one other
+    call in it, from a stream and from a twin Generator; compare each draw
+    and the generator states at the end."""
+    chooser = np.random.default_rng([seed, 1])
+    stream_gen, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    if chooser.random() < 0.5:  # start with a high half buffered
+        assert stream_gen.integers(0, 2**32) == twin.integers(0, 2**32)
+    stream = hbb._DrawStream(stream_gen)
+    p_bit = chooser.random()
+    off_at = int(chooser.integers(0, 3000)) if chooser.random() < 0.3 else None
+    kind = ("normal", "integers", "random-size", "raw")[int(chooser.integers(0, 4))]
+    for i in range(int(chooser.integers(1, 3000))):  # up to about two blocks
+        if i == off_at:
+            assert _off_stream_call(stream, kind) == _off_stream_call(twin, kind)
+        if chooser.random() < p_bit:
+            got, want = stream.integers(0, 2), twin.integers(0, 2)
+        else:
+            got, want = stream.random(), twin.random()
+        assert type(got) is type(want) and got == want, f"seed {seed}, draw {i}"
+    assert stream._release() is stream_gen
+    assert stream_gen.bit_generator.state == twin.bit_generator.state, f"seed {seed}"
+    assert _next_draws(stream_gen) == _next_draws(twin)
+
+
+def test_stream_draws_match_the_generator():
+    for seed in range(300):
+        _stream_and_twin_agree(seed)
+
+
+@pytest.mark.parametrize("attacker", sorted(BUILT_IN_ATTACKERS))
+def test_session_ends_at_the_frozen_draws(attacker):
+    rng = np.random.default_rng(21)
+    run_session(300, 0.5, strategy=BUILT_IN_ATTACKERS[attacker](), rng=rng)
+    assert _next_draws(rng) == SESSION_NEXT_DRAWS[attacker]
+
+
+class AbortingCircuit(exploit.CircuitAttack):
+    """The circuit attacker, forging the unannounceable basis z at round 37."""
+
+    def announce_basis(self, round_id, rng):
+        if round_id == 37:
+            return Basis.Z
+        return super().announce_basis(round_id, rng)
+
+
+def test_aborted_session_ends_at_the_frozen_draws():
+    rng = np.random.default_rng(21)
+    with pytest.raises(SessionAbort, match="round 37"):
+        run_session(300, 0.5, strategy=AbortingCircuit(), rng=rng)
+    assert _next_draws(rng) == ABORTED_SESSION_NEXT_DRAWS
+
+
+class OffStreamProbe:
+    """An attacker whose hooks also use the Generator API beyond ``random()``
+    and ``integers(0, 2)``: ``normal()`` at round 40, ``integers(5)`` on key
+    rounds."""
+
+    name = "off-stream-probe"
+    ancilla_dim = 1
+
+    def intercept(self, state, rng):
+        return state
+
+    def announce_basis(self, round_id, rng):
+        if round_id == 40:
+            return Basis.X if rng.normal() > 0.0 else Basis.Y
+        return hbb._random_basis(rng)
+
+    def respond(self, ctx, rng):
+        if ctx.role is Role.CHECK:
+            return Outcome(Sign.PLUS if rng.random() < 0.5 else Sign.MINUS, ctx.own_basis)
+        return int(rng.integers(5)) % 2
+
+
+def test_off_stream_probe_matches_the_frozen_draws():
+    t = run_session(300, 0.5, strategy=OffStreamProbe(), seed=21)
+    assert hashlib.sha256(transcript_to_json(t).encode()).hexdigest() == OFF_STREAM_PROBE_DIGEST
+
+
+class GeneratorRecorder(exploit.CircuitAttack):
+    """The circuit attacker, keeping each rng its hooks are handed."""
+
+    def __init__(self):
+        super().__init__()
+        self.rngs = set()
+
+    def intercept(self, state, rng):
+        self.rngs.add(id(rng))
+        return super().intercept(state, rng)
+
+
+def test_mt19937_session_matches_the_frozen_draws():
+    rng = np.random.Generator(np.random.MT19937(7))
+    strategy = GeneratorRecorder()
+    t = run_session(300, 0.5, strategy=strategy, rng=rng)
+    digest, draws = MT19937_SESSION
+    assert hashlib.sha256(transcript_to_json(t).encode()).hexdigest() == digest
+    assert _next_draws(rng) == draws
+    # any bit generator but PCG64 hands the hooks the generator itself
+    assert strategy.rngs == {id(rng)}
+
+
+class SideDrawer(exploit.CircuitAttack):
+    """The circuit attacker, drawing from the session's generator directly
+    rather than through the rng its hooks are handed."""
+
+    def __init__(self, generator):
+        super().__init__()
+        self.generator = generator
+
+    def intercept(self, state, rng):
+        self.generator.random()
+        return super().intercept(state, rng)
+
+
+def test_drawing_from_the_generator_behind_the_hooks_rng_aborts():
+    rng = np.random.default_rng(4)
+    with pytest.raises(SessionAbort, match="other than through the hooks' rng"):
+        run_session(30, 0.5, strategy=SideDrawer(rng), rng=rng)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,10 @@ class Case(Enum):
     YX = (Basis.Y, Basis.X)
     YY = (Basis.Y, Basis.Y)
 
+    # Members are singletons and compare by identity, so they hash by it,
+    # at C speed, where Enum hashes the name in Python.
+    __hash__ = object.__hash__
+
     @property
     def alice_basis(self) -> Basis:
         return self.value[0]

@@ -15,7 +15,7 @@ explicit numpy random generator, so identical seeds give identical runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -59,26 +59,55 @@ def sign_from_bit(bit: int) -> Sign:
     return Sign.PLUS if bit == 0 else Sign.MINUS
 
 
-@dataclass(frozen=True)
 class Outcome:
-    """A measurement result together with the basis it was obtained in."""
+    """A measurement result together with the basis it was obtained in.
 
+    Each of the six outcomes exists once, in ``_OUTCOMES``: constructing an
+    outcome returns that instance, so outcomes compare and hash by identity
+    and cannot be changed. ``bit`` is 0 for + and 1 for -, ``label`` the
+    basis and sign, as in ``"x+"``.
+    """
+
+    __slots__ = ("sign", "basis", "bit", "label")
     sign: Sign
     basis: Basis
+    bit: int
+    label: str
 
-    @property
-    def bit(self) -> int:
-        return self.sign.bit
-
-    @property
-    def label(self) -> str:
-        return f"{self.basis.value}{self.sign.value}"
+    def __new__(cls, sign: Sign, basis: Basis) -> "Outcome":
+        return _OUTCOMES[Basis(basis)][Sign(sign).bit]
 
     @classmethod
     def from_label(cls, label: str) -> "Outcome":
         if len(label) != 2:
             raise ValueError(f"bad outcome label {label!r}")
         return cls(Sign(label[1]), Basis(label[0]))
+
+    def __repr__(self) -> str:
+        return f"Outcome(sign={self.sign!r}, basis={self.basis!r})"
+
+    def __reduce__(self):
+        return Outcome, (self.sign, self.basis)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _intern(sign: Sign, basis: Basis) -> Outcome:
+    outcome = object.__new__(Outcome)
+    fields = {"sign": sign, "basis": basis, "bit": sign.bit, "label": f"{basis.value}{sign.value}"}
+    for name, value in fields.items():
+        object.__setattr__(outcome, name, value)
+    return outcome
+
+
+#: The six outcomes, the (+, -) pair of each basis; a pair is indexed by the bit.
+_OUTCOMES: dict[Basis, tuple[Outcome, Outcome]] = {
+    basis: (_intern(Sign.PLUS, basis), _intern(Sign.MINUS, basis)) for basis in Basis
+}
 
 
 # Gate matrices. SH is composed at lookup time so the pieces stay the single
@@ -267,9 +296,9 @@ def _branches(state: StateVector, label: str, basis: Basis) -> tuple:
     rest_labels = state.labels[:ax] + state.labels[ax + 1:]
     rest_dims = state.dims[:ax] + state.dims[ax + 1:]
     plus, minus = (
-        (Outcome(sign, basis),
+        (outcome,
          StateVector(rest_labels, rest_dims, cond) if prob > ZERO_BRANCH_TOL and rest_labels else None)
-        for sign, prob, cond in zip(Sign, probs, conds)
+        for outcome, prob, cond in zip(_OUTCOMES[basis], probs, conds)
     )
     return float(probs[0]), plus, minus
 

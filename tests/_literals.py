@@ -69,8 +69,9 @@ POST_INTERACTION[0b1111] = -0.5
 
 # SHA-256 of the transcript written by ``hbbqss simulate --seed 42 --rounds
 # 2000``, per attacker (``kki`` and ``hbb_section4`` name the bundled spec of
-# ``--attacker spec``) and format. Equal seeds give these bytes in every
-# version, not only within one.
+# ``--attacker spec``; ``family-d2`` the generated spec of that name below,
+# written as ``test_cli._save_spec_12`` writes it) and format. Equal seeds
+# give these bytes in every version, not only within one.
 SIMULATE_DIGESTS = {
     ("none", "json"): "ccb3ccf8da194c3f7009e4a51d04b63c29a8341578a2be3dc1fc96ddcd26a547",
     ("none", "csv"): "921c03d7b7e3622bd0ba4da732cf8564cbf7a9c39a620f302833f4359109175b",
@@ -82,6 +83,8 @@ SIMULATE_DIGESTS = {
     ("kki", "csv"): "5ce968dc83c948d9757208a62dfedea31f870e48835266548775111c8edd5879",
     ("hbb_section4", "json"): "1072a8978de4d0a5c56d4bd22084c2ccf1d8347ee143157d562a2d5c813c22f4",
     ("hbb_section4", "csv"): "5ce968dc83c948d9757208a62dfedea31f870e48835266548775111c8edd5879",
+    ("family-d2", "json"): "5afdbe4e497a1ab4945b9c909d7c6b727c3f0b249f1e20d467189160cbb22d49",
+    ("family-d2", "csv"): "3a2d0f65d83745dbfaa662c9d752d02c83a173af2d47bb6b639162426f400fa5",
 }
 
 # Generated specs frozen below by name: (kind, ancilla_dim, seed). A

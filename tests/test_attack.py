@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 import platform
 
 import numpy as np
@@ -74,6 +75,18 @@ def unbalanced_spec():
 
 # ---------------------------------------------------------------------------
 # spec validation and serialisation
+
+
+def test_cases_hash_by_identity():
+    for case in CASES:
+        assert hash(case) == object.__hash__(case)
+        assert Case.from_bases(*case.value) is case
+        assert hash(Case.from_bases(*case.value)) == hash(case)
+        clone = pickle.loads(pickle.dumps(case))
+        assert clone is case and hash(clone) == hash(case)
+    report = analyze(kki_spec())
+    assert list(report.pe_numeric) == list(report.pe_announce) == list(CASES)
+    assert {case: i for i, case in enumerate(CASES)}[Case.YX] == 2
 
 
 def test_spec_requires_unit_total_amplitude():

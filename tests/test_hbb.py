@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -31,7 +32,7 @@ from hbbqss.hbb import (
     transcript_to_dict,
     transcript_to_json,
 )
-from hbbqss.qstate import Basis, Outcome, Sign, StateVector
+from hbbqss.qstate import PROTOCOL_BASES, Basis, Outcome, Sign, StateVector
 
 X, Y = Basis.X, Basis.Y
 
@@ -288,6 +289,56 @@ def test_probe_events_follow_the_round_order():
     assert probe.events == expected
 
 
+class HookRecorder(ProbeStrategy):
+    """The probe, keeping the rng of every hook call and each context."""
+
+    def __init__(self):
+        super().__init__()
+        self.rngs = []
+        self.contexts = []
+
+    def intercept(self, state, rng):
+        self.rngs.append(rng)
+        return super().intercept(state, rng)
+
+    def announce_basis(self, round_id, rng):
+        self.rngs.append(rng)
+        return super().announce_basis(round_id, rng)
+
+    def respond(self, ctx, rng):
+        self.rngs.append(rng)
+        self.contexts.append(ctx)
+        return super().respond(ctx, rng)
+
+
+def test_every_hook_call_gets_the_session_stream_and_an_immutable_context():
+    probe = HookRecorder()
+    t = run_session(300, check_fraction=0.5, strategy=probe, seed=11)
+    assert len(probe.rngs) == len(probe.events)
+    assert type(probe.rngs[0]) is hbb._DrawStream
+    assert all(rng is probe.rngs[0] for rng in probe.rngs)
+    sifted = [r for r in t.rounds if r.sifted]
+    assert [(c.round_id, c.role, c.alice_basis, c.bob_basis, c.own_basis) for c in probe.contexts] == [
+        (r.round_id, r.role, *r.bases) for r in sifted
+    ]
+    assert hbb.RespondContext._fields == ("round_id", "role", "alice_basis", "bob_basis", "own_basis", "state")
+    ctx = probe.contexts[0]
+    assert type(ctx) is hbb.RespondContext and hbb.RespondContext(*ctx) == ctx
+    with pytest.raises(AttributeError):
+        ctx.role = Role.KEY
+
+
+def test_round_records_are_immutable_with_their_fields_in_order():
+    t = run_session(50, check_fraction=0.5, seed=3)
+    assert hbb.RoundRecord._fields == (
+        "round_id", "bases", "outcome_a", "outcome_b", "announced_c", "sifted", "role", "consistent"
+    )
+    for r in t.rounds:
+        assert type(r) is hbb.RoundRecord and hbb.RoundRecord(*r) == r
+        with pytest.raises(AttributeError):
+            r.consistent = None
+
+
 class AncillaReader(ProbeStrategy):
     """A strategy with a three-level ancilla and no ``ancilla_state`` hook."""
 
@@ -391,6 +442,19 @@ BUILT_IN_ATTACKERS = {
 
 
 @pytest.mark.parametrize("attacker", sorted(BUILT_IN_ATTACKERS))
+def test_a_session_leaves_no_reference_cycles(attacker):
+    gc.collect()
+    gc.disable()
+    try:
+        strategy = BUILT_IN_ATTACKERS[attacker]()
+        run_session(300, 0.5, strategy, seed=3)
+        del strategy
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("attacker", sorted(BUILT_IN_ATTACKERS))
 def test_state_work_per_session_does_not_grow_with_rounds(monkeypatch, attacker):
     counts = Counter()
     for module, name in ((qstate, "_project_stack"), (qstate, "apply_operator"), (exploit, "apply_operator")):
@@ -474,6 +538,44 @@ def test_a_writable_intercepted_state_is_read_and_checked_afresh_every_round():
     assert breaker.intercepts == 151
 
 
+class Thawer(ProbeStrategy):
+    """Hands out one state of its own: read-only, with A in |x+> and B, C
+    and E in |0>, until round ``thaw_at``, where it makes the state
+    writable again, rewrites A to |x-> and scales the amplitudes by
+    ``scale``."""
+
+    name = "thawer"
+
+    def __init__(self, thaw_at, scale=1.0):
+        super().__init__()
+        self.state = StateVector(("A", "B", "C", "E"), (2, 2, 2, 1), np.zeros(8, dtype=complex))
+        self.state.vec[[0, 4]] = 1.0 / math.sqrt(2.0)
+        self.state.vec.flags.writeable = False
+        self.thaw_at, self.scale = thaw_at, scale
+        self.intercepts = 0
+
+    def intercept(self, state, rng):
+        super().intercept(state, rng)
+        if self.intercepts == self.thaw_at:
+            self.state.vec.flags.writeable = True
+            self.state.vec[4] = -self.state.vec[4]
+            self.state.vec[:] *= self.scale
+        self.intercepts += 1
+        return self.state
+
+
+def test_an_intercepted_state_made_writable_again_is_read_and_checked_afresh():
+    t = run_session(400, 0.5, strategy=Thawer(thaw_at=200), seed=29)
+    x_rounds = [r for r in t.rounds if r.bases[0] is X]
+    assert {r.round_id < 200 for r in x_rounds} == {True, False}
+    for r in x_rounds:
+        assert r.outcome_a == Outcome(Sign.PLUS if r.round_id < 200 else Sign.MINUS, X)
+    breaker = Thawer(thaw_at=150, scale=1.5)
+    with pytest.raises(SessionAbort, match="normalisation"):
+        run_session(400, 0.5, strategy=breaker, seed=29)
+    assert breaker.intercepts == 151
+
+
 class MalformedCheckStrategy(ProbeStrategy):
     name = "malformed"
 
@@ -546,10 +648,11 @@ def _off_stream_call(rng, kind):
 
 
 def _stream_and_twin_agree(seed):
-    """Draw a seeded random interleaving of ``random()`` and ``integers(0,
-    2)``, now and then starting from a buffered high half or with one other
-    call in it, from a stream and from a twin Generator; compare each draw
-    and the generator states at the end."""
+    """Draw a seeded random interleaving of ``random()``, ``integers(0, 2)``
+    and the session's ``basis()``, now and then starting from a buffered
+    high half or with one other call in it, from a stream and from a twin
+    Generator, whose basis draw is ``PROTOCOL_BASES[integers(0, 2)]``;
+    compare each draw and the generator states at the end."""
     chooser = np.random.default_rng([seed, 1])
     stream_gen, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     if chooser.random() < 0.5:  # start with a high half buffered
@@ -561,8 +664,11 @@ def _stream_and_twin_agree(seed):
     for i in range(int(chooser.integers(1, 3000))):  # up to about two blocks
         if i == off_at:
             assert _off_stream_call(stream, kind) == _off_stream_call(twin, kind)
-        if chooser.random() < p_bit:
+        u = chooser.random()
+        if u < p_bit / 2:
             got, want = stream.integers(0, 2), twin.integers(0, 2)
+        elif u < p_bit:
+            got, want = stream.basis(), PROTOCOL_BASES[twin.integers(0, 2)]
         else:
             got, want = stream.random(), twin.random()
         assert type(got) is type(want) and got == want, f"seed {seed}, draw {i}"

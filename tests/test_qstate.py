@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -118,6 +121,37 @@ def test_outcome_labels_and_bits():
     assert qstate.sign_from_bit(0) is Sign.PLUS
     with pytest.raises(ValueError):
         qstate.sign_from_bit(2)
+
+
+def test_each_outcome_exists_once():
+    outcomes = [Outcome(sign, basis) for basis in Basis for sign in Sign]
+    assert len({id(o) for o in outcomes}) == 6
+    for o in outcomes:
+        assert Outcome(o.sign, o.basis) is o
+        assert Outcome(o.sign.value, o.basis.value) is o  # as the dataclass took them
+        assert Outcome.from_label(o.label) is o
+        assert qstate._OUTCOMES[o.basis][o.bit] is o
+        assert pickle.loads(pickle.dumps(o)) is o and copy.deepcopy(o) is o
+        assert {o: 1}[Outcome(o.sign, o.basis)] == 1
+        assert repr(o) == f"Outcome(sign={o.sign!r}, basis={o.basis!r})"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            o.sign = Sign.PLUS
+    assert Outcome(Sign.PLUS, Basis.X) != Outcome(Sign.MINUS, Basis.X)
+    for sign, basis in [("?", Basis.X), (Sign.PLUS, "w"), (0, Basis.X)]:
+        with pytest.raises(ValueError):
+            Outcome(sign, basis)
+
+
+def test_measurement_hands_out_the_interned_outcomes():
+    rng = np.random.default_rng(4)
+    memo = StateMemo()
+    state = qstate.read_only(ghz_state())
+    for basis in Basis:
+        _, plus, minus = qstate._branches(state, "A", basis)
+        assert plus[0] is qstate._OUTCOMES[basis][0] and minus[0] is qstate._OUTCOMES[basis][1]
+        for _ in range(2):  # a miss, then a hit
+            outcome, _ = memo.measure(state, "B", basis, rng)
+            assert outcome is qstate._OUTCOMES[basis][outcome.bit]
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,6 @@ import functools
 import io
 import json
 import math
-import os
-import stat
 import sys
 from importlib import resources
 from pathlib import Path
@@ -264,27 +262,6 @@ def _build_strategy(args: argparse.Namespace):
     raise ValueError(f"unknown attacker {args.attacker!r}")
 
 
-def _write_output(path: Path, text: str) -> None:
-    """Leave ``path`` holding ``text``, as ``Path.write_text`` would.
-
-    A new file gets the mode ``open(path, "w")`` gives it. An existing one
-    is overwritten in place and then cut to length, which is far cheaper on
-    ext4 than truncating it on open, as ``write_text`` does; a file that is
-    not regular (``/dev/null``, a pipe) is written and not cut. Every output
-    is ASCII, so its UTF-8 bytes are its bytes in any locale.
-    """
-    data = memoryview(text.encode())
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        written = 0
-        while written < len(data):
-            written += os.write(fd, data[written:])
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, written)
-    finally:
-        os.close(fd)
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     strategy = _build_strategy(args)
     transcript = hbb.run_session(
@@ -292,9 +269,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     out = Path(args.out_path or f"transcript.{args.out_format}")
     if args.out_format == "json":
-        _write_output(out, hbb.transcript_to_json(transcript))
+        out.write_text(hbb.transcript_to_json(transcript))
     else:
-        _write_output(out, hbb.transcript_to_csv(transcript))
+        out.write_text(hbb.transcript_to_csv(transcript))
     err = transcript.check_error_rate
     err_s = "n/a" if err is None else f"{err:.4f}"
     if transcript.attacker_key_guess:
@@ -309,7 +286,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     spec = resolve_spec(args.spec_path)
     report = attack.analyze(spec)
     out = Path(args.out_path or "report.json")
-    _write_output(out, attack.report_to_json(report))
+    out.write_text(attack.report_to_json(report))
     print(
         f"escape_ok={report.escape_ok} nas_ok={report.nas_ok} "
         f"realizable={report.realizable} info={report.info:.6f} out={out}"
@@ -349,7 +326,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 ]
             )
     out = Path(args.out_path or "sweep.csv")
-    _write_output(out, buf.getvalue())
+    out.write_text(buf.getvalue())
     print(f"rows={len(grid)} out={out}")
     return 0
 
@@ -372,7 +349,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         rng=np.random.default_rng(args.seed),
     )
     out = Path(args.out_path or "optimize.json")
-    _write_output(out, optimizer.result_to_json(result))
+    out.write_text(optimizer.result_to_json(result))
     print(
         f"best_info={result.best_info:.9f} c={result.best_point.c:.6f} "
         f"converged={result.converged} out={out}"

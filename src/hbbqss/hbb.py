@@ -22,7 +22,6 @@ import io
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from itertools import product
 from typing import NamedTuple, Protocol
 
@@ -33,7 +32,6 @@ from .attack import _sig12, mutual_information
 from .qstate import (
     MEMO_CAPACITY,
     PROTOCOL_BASES,
-    ZERO_BRANCH_TOL as _TOL,
     Basis,
     Outcome,
     StateMemo,
@@ -265,24 +263,6 @@ class _DrawStream:
         self._upper = self._uppers[i]
         return _BITS[self._lows[i]]
 
-    def basis(self) -> Basis:
-        """``PROTOCOL_BASES[self.integers(0, 2)]``, the session's own basis
-        draw: :meth:`integers`' bit, indexing the bases directly. The bit is
-        drawn here as there, which saves a call on every draw."""
-        if self._released:
-            return _random_basis(self._generator)
-        if self._buffered:
-            self._buffered = False
-            return PROTOCOL_BASES[self._upper >> 31]
-        i = self._used
-        if i == _BLOCK:
-            self._fill()
-            i = 0
-        self._used = i + 1
-        self._buffered = True
-        self._upper = self._uppers[i]
-        return PROTOCOL_BASES[self._lows[i]]
-
     def __getattr__(self, name: str):
         # reached only for names the stream does not define
         if name.startswith("__"):
@@ -330,11 +310,10 @@ def run_session(
 
     With a PCG64 generator, the one ``default_rng`` builds, the draws come
     from a :class:`_DrawStream` over it: the same values in the same order,
-    made from blocks of the generator's raw words; the session's own basis
-    draws come from it as bases. The hooks get the stream in place of the
-    generator (see :class:`AttackStrategy`). When the session ends, by
-    return or by an exception, ``rng`` is left in the state per-call draws
-    leave it in.
+    made from blocks of the generator's raw words. The hooks get the stream
+    in place of the generator (see :class:`AttackStrategy`). When the
+    session ends, by return or by an exception, ``rng`` is left in the state
+    per-call draws leave it in.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
@@ -358,19 +337,10 @@ def run_session(
     generator = rng
     if type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64:
         rng = _DrawStream(generator)
-        draw_basis = rng.basis
-    else:
-        draw_basis = partial(_random_basis, rng)
-    # StateMemo.measure's lookup of a frozen state's branches by identity,
-    # inlined below with the draw of qstate._draw; a miss, or a state that
-    # is not frozen, goes to the memo.
-    branches_of = memo._by_identity.get
-    # tuple.__new__ builds a record without the Python __new__ of its NamedTuple
-    record, check, key, discarded = tuple.__new__, Role.CHECK, Role.KEY, Role.DISCARDED
     try:
         for r in range(n_rounds):
-            alice_b = draw_basis()
-            bob_b = draw_basis()
+            alice_b = _random_basis(rng)
+            bob_b = _random_basis(rng)
 
             state = prepared
             if strategy is not None:
@@ -386,44 +356,25 @@ def run_session(
                 if charlie_b not in PROTOCOL_BASES:
                     raise SessionAbort(f"round {r}: forged basis {charlie_b!r} is not announceable")
             else:
-                charlie_b = draw_basis()
+                charlie_b = _random_basis(rng)
 
-            flags = state.vec.flags
-            hit = branches_of((state, "A", alice_b)) if not flags.writeable and flags.owndata else None
-            if hit is None:
-                out_a, state = memo.measure(state, "A", alice_b, rng)
-            else:
-                p, plus, minus = hit
-                out_a, state = minus if p <= _TOL else plus if 1.0 - p <= _TOL or rng.random() < p else minus
-            # the state measured next, B and C, is one the memo made, which no hook sees
-            hit = branches_of((state, "B", bob_b))
-            if hit is None:
-                out_b, state = memo.measure(state, "B", bob_b, rng)
-            else:
-                p, plus, minus = hit
-                out_b, state = minus if p <= _TOL else plus if 1.0 - p <= _TOL or rng.random() < p else minus
+            out_a, state = memo.measure(state, "A", alice_b, rng)
+            out_b, state = memo.measure(state, "B", bob_b, rng)
             out_c = None
             if strategy is None:
-                hit = branches_of((state, "C", charlie_b))
-                if hit is None:
-                    out_c, state = memo.measure(state, "C", charlie_b, rng)
-                else:
-                    p, plus, minus = hit
-                    out_c, state = (
-                        minus if p <= _TOL else plus if 1.0 - p <= _TOL or rng.random() < p else minus
-                    )
+                out_c, state = memo.measure(state, "C", charlie_b, rng)
 
             bases = (alice_b, bob_b, charlie_b)
             sifted = _SIFTS[bases]
             announced: Outcome | None = None
             consistent: bool | None = None
             if not sifted:
-                role = discarded
+                role = Role.DISCARDED
             else:
-                role = check if rng.random() < check_fraction else key
+                role = Role.CHECK if rng.random() < check_fraction else Role.KEY
                 if strategy is not None:
-                    ctx = record(RespondContext, (r, role, alice_b, bob_b, charlie_b, state))
-                if role is check:
+                    ctx = RespondContext(r, role, alice_b, bob_b, charlie_b, state)
+                if role is Role.CHECK:
                     if strategy is None:
                         announced = out_c
                     else:
@@ -434,14 +385,13 @@ def run_session(
                                 f"in the announced basis {charlie_b.value}"
                             )
                     checks += 1
-                    # infer_alice, whose checks hold: both bases are announceable
-                    consistent = _ALICE[out_b, announced] == out_a
+                    consistent = infer_alice(out_b, announced) == out_a
                     if not consistent:
                         failures += 1
                 else:
                     key_alice.append(out_a.bit)
                     if strategy is None:
-                        key_reconstructed.append(_ALICE[out_b, out_c].bit)
+                        key_reconstructed.append(infer_alice(out_b, out_c).bit)
                     else:
                         guess = strategy.respond(ctx, rng)
                         if guess not in (0, 1):
@@ -452,7 +402,9 @@ def run_session(
                         # his guess.
                         key_reconstructed.append(int(guess))
 
-            rounds.append(record(RoundRecord, (r, bases, out_a, out_b, announced, sifted, role, consistent)))
+            rounds.append(
+                RoundRecord(r, bases, out_a, out_b, announced, sifted, role, consistent)
+            )
     finally:
         if rng is not generator:
             rng._release()

@@ -53,12 +53,6 @@ class Sign(str, Enum):
         return 0 if self is Sign.PLUS else 1
 
 
-def sign_from_bit(bit: int) -> Sign:
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    return Sign.PLUS if bit == 0 else Sign.MINUS
-
-
 class Outcome:
     """A measurement result together with the basis it was obtained in.
 

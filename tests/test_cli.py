@@ -1,8 +1,6 @@
 import hashlib
 import json
 import math
-import os
-import stat
 from collections import Counter
 
 import numpy as np
@@ -318,74 +316,6 @@ def test_numerical_failures_exit_4_with_one_line(tmp_path, monkeypatch, capsys, 
     assert main(["analyze", "--spec", str(spec), "--out", str(tmp_path / "r.json")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-
-
-#: Per command, arguments of a longer and of a shorter output.
-LONGER_AND_SHORTER = {
-    "simulate": (["--rounds", "2000"], ["--rounds", "200"]),
-    "analyze": (["--spec", "family-d4"], ["--spec", "honest"]),
-    "sweep": (["--grid", "200"], ["--grid", "5"]),
-    "optimize": (["--restarts", "4"], ["--restarts", "1"]),
-}
-
-
-def _command_argv(command: str, args: list, out, tmp_path) -> list:
-    if args[:2] == ["--spec", "family-d4"]:
-        _save_spec_12(_generated_spec(*GENERATED_SPECS["family-d4"]), tmp_path / "spec.json")
-        args = ["--spec", str(tmp_path / "spec.json")]
-    return [command, *args, "--out", str(out)]
-
-
-@pytest.mark.parametrize("command", sorted(LONGER_AND_SHORTER))
-def test_a_shorter_output_written_over_a_longer_one_leaves_its_bytes(tmp_path, command):
-    longer, shorter = LONGER_AND_SHORTER[command]
-    out, fresh = tmp_path / "out", tmp_path / "fresh"
-    assert main(_command_argv(command, longer, out, tmp_path)) == 0
-    size = out.stat().st_size
-    assert main(_command_argv(command, shorter, out, tmp_path)) == 0
-    assert main(_command_argv(command, shorter, fresh, tmp_path)) == 0
-    assert out.stat().st_size < size
-    assert out.read_bytes() == fresh.read_bytes()
-
-
-def test_an_output_is_written_whole_through_partial_writes(tmp_path, monkeypatch):
-    write = os.write
-    monkeypatch.setattr(cli.os, "write", lambda fd, data: write(fd, data[:1000]))
-    out, fresh = tmp_path / "out.json", tmp_path / "fresh.json"
-    out.write_text("x" * 200_000)
-    assert main(["simulate", "--rounds", "300", "--out", str(out)]) == 0
-    monkeypatch.undo()
-    assert main(["simulate", "--rounds", "300", "--out", str(fresh)]) == 0
-    assert out.read_bytes() == fresh.read_bytes()
-
-
-def test_a_new_output_gets_the_mode_open_gives(tmp_path):
-    umask = os.umask(0o027)
-    try:
-        with open(tmp_path / "reference", "w"):
-            pass
-        assert main(["simulate", "--rounds", "10", "--out", str(tmp_path / "t.json")]) == 0
-    finally:
-        os.umask(umask)
-    mode = stat.S_IMODE((tmp_path / "t.json").stat().st_mode)
-    assert mode == stat.S_IMODE((tmp_path / "reference").stat().st_mode) == 0o640
-
-
-@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
-@pytest.mark.parametrize("command", sorted(LONGER_AND_SHORTER))
-def test_an_output_to_dev_null_is_written_and_not_cut(tmp_path, capsys, command):
-    assert main(_command_argv(command, LONGER_AND_SHORTER[command][1], "/dev/null", tmp_path)) == 0
-    assert capsys.readouterr().err == ""
-
-
-@pytest.mark.parametrize("command", sorted(LONGER_AND_SHORTER))
-@pytest.mark.parametrize("where", ["missing-dir", "directory"])
-def test_an_unwritable_output_exits_2_with_the_error_write_text_gives(tmp_path, capsys, command, where):
-    out = tmp_path / "missing" / "out" if where == "missing-dir" else tmp_path
-    with pytest.raises(OSError) as raised:
-        out.write_text("")
-    assert main(_command_argv(command, LONGER_AND_SHORTER[command][1], out, tmp_path)) == 2
-    assert capsys.readouterr().err == f"error: {raised.value}\n"
 
 
 @pytest.mark.parametrize(

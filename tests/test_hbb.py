@@ -32,7 +32,7 @@ from hbbqss.hbb import (
     transcript_to_dict,
     transcript_to_json,
 )
-from hbbqss.qstate import PROTOCOL_BASES, Basis, Outcome, Sign, StateVector
+from hbbqss.qstate import Basis, Outcome, Sign, StateVector
 
 X, Y = Basis.X, Basis.Y
 
@@ -648,11 +648,10 @@ def _off_stream_call(rng, kind):
 
 
 def _stream_and_twin_agree(seed):
-    """Draw a seeded random interleaving of ``random()``, ``integers(0, 2)``
-    and the session's ``basis()``, now and then starting from a buffered
-    high half or with one other call in it, from a stream and from a twin
-    Generator, whose basis draw is ``PROTOCOL_BASES[integers(0, 2)]``;
-    compare each draw and the generator states at the end."""
+    """Draw a seeded random interleaving of ``random()`` and ``integers(0,
+    2)``, now and then starting from a buffered high half or with one other
+    call in it, from a stream and from a twin Generator; compare each draw
+    and the generator states at the end."""
     chooser = np.random.default_rng([seed, 1])
     stream_gen, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     if chooser.random() < 0.5:  # start with a high half buffered
@@ -664,11 +663,8 @@ def _stream_and_twin_agree(seed):
     for i in range(int(chooser.integers(1, 3000))):  # up to about two blocks
         if i == off_at:
             assert _off_stream_call(stream, kind) == _off_stream_call(twin, kind)
-        u = chooser.random()
-        if u < p_bit / 2:
+        if chooser.random() < p_bit:
             got, want = stream.integers(0, 2), twin.integers(0, 2)
-        elif u < p_bit:
-            got, want = stream.basis(), PROTOCOL_BASES[twin.integers(0, 2)]
         else:
             got, want = stream.random(), twin.random()
         assert type(got) is type(want) and got == want, f"seed {seed}, draw {i}"

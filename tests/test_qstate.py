@@ -118,9 +118,6 @@ def test_outcome_labels_and_bits():
     o = Outcome(Sign.MINUS, Basis.Y)
     assert o.label == "y-" and o.bit == 1
     assert Outcome.from_label("x+") == Outcome(Sign.PLUS, Basis.X)
-    assert qstate.sign_from_bit(0) is Sign.PLUS
-    with pytest.raises(ValueError):
-        qstate.sign_from_bit(2)
 
 
 def test_each_outcome_exists_once():

@@ -8,6 +8,15 @@ key bits. A pluggable attacker strategy may replace Charlie; it intercepts
 the two transit qubits joined to a private ancilla register and is only
 queried again after the bases are public.
 
+A session takes one of two routes, which make the same generator draws and
+write the same records (see :func:`run_session`). With a PCG64 generator
+and no strategy or a built-in attacker of :mod:`hbbqss.exploit` (exactly
+its class, hooks neither patched on the class nor set on the instance), the
+session builds once a table of everything a round can reach and scans the
+rounds over it, reading the draws from the generator's raw words; no hook
+is called. Every other session runs round by round through the hooks, and
+that route is the reference the scan is tested against.
+
 The per-round table lookups, sifting among them, read tables built once
 at import. Transcripts are written from per-row templates: each distinct
 row (all fields but ``round_id``) is encoded once per export, and the bytes
@@ -20,6 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -30,13 +40,17 @@ import numpy as np
 from . import qmath
 from .attack import _sig12, mutual_information
 from .qstate import (
+    _OUTCOMES,
     MEMO_CAPACITY,
     PROTOCOL_BASES,
+    ZERO_BRANCH_TOL,
     Basis,
     Outcome,
     StateMemo,
     StateVector,
     _frozen,
+    _measure_stack,
+    _two_way,
     ghz_state,
     measure_qubit,  # noqa: F401 - kept in this namespace for code that looks it up here
     read_only,
@@ -111,6 +125,10 @@ _ALICE: dict[tuple[Outcome, Outcome], Outcome] = {(b, c): a for (a, b), c in _RE
 _SIFTS: dict[tuple[Basis, Basis, Basis], bool] = {
     bases: sift(bases) for bases in product(PROTOCOL_BASES, repeat=3)
 }
+#: The sifting triple of bases, by Alice's and Bob's.
+_SIFTED: dict[tuple[Basis, Basis], tuple[Basis, Basis, Basis]] = {
+    bases[:2]: bases for bases, sifts in _SIFTS.items() if sifts
+}
 
 
 class RespondContext(NamedTuple):
@@ -136,12 +154,18 @@ class AttackStrategy(Protocol):
     The outcomes a hook is handed are the interned ones of
     :class:`~hbbqss.qstate.Outcome`, and the :class:`RespondContext` and the
     session's :class:`RoundRecord` rows are immutable.
-    The ``rng`` handed to the hooks has the ``numpy.random.Generator`` API
-    and draws in one sequence with the session; hooks draw through it, not
-    through another reference to the session's generator. It is the
-    generator itself unless that runs on PCG64; then its ``random()`` and
-    ``integers(0, 2)`` are served from the session's block of raw words, bit
-    for bit, until the first other use hands every draw to the generator.
+    The ``rng`` handed to the hooks draws in one sequence with the session;
+    hooks draw through it, not through another reference to the session's
+    generator. It is the generator itself unless that runs on PCG64; then it
+    is a stream object with the ``numpy.random.Generator`` methods, not a
+    Generator (``isinstance(rng, np.random.Generator)`` is False, and
+    ``np.random.default_rng(rng)`` raises ``TypeError``), whose ``random()``
+    and ``integers(0, 2)`` are served from the session's block of raw words,
+    bit for bit, until the first other use hands every draw to the
+    generator. The built-in attackers of :mod:`hbbqss.exploit` are not
+    called once per round when the session takes the scan (see
+    :func:`run_session`): the session reads their answers from tables built
+    from the same decision rules.
     ``announce_basis`` commits the forged basis before any other
     announcement is revealed. ``respond`` is called only on sifted rounds,
     after all bases are public: on check rounds it must return an Outcome
@@ -209,6 +233,10 @@ class _DrawStream:
     ``bit_generator``) releases first. A generator drawn from directly while
     the stream holds it cannot be reproduced: the release raises
     :class:`SessionAbort` instead.
+
+    The session scan of :func:`run_session` reads the word lists itself and
+    hands back the index of the next word, the buffered flag and the high
+    half it has reached.
     """
 
     def __init__(self, generator: np.random.Generator):
@@ -218,21 +246,26 @@ class _DrawStream:
         state = self._bit_generator.state
         self._buffered = bool(state["has_uint32"])
         self._upper = state["uinteger"]  # the high half last read, as the state keeps it
-        self._end = state["state"]
-        self._fill()
+        self._start, self._end = state, state["state"]
+        self._dropped = 0  # words read since ``_start`` and no longer in the lists
+        self._doubles: list[float] = []
+        self._lows: list[int] = []
+        self._uppers: list[int] = []
+        self._used = self._extend(0)
 
-    def _fill(self) -> None:
-        """Read the next block, keeping the state it starts from."""
+    def _extend(self, keep: int) -> int:
+        """Drop the words before index ``keep``, append the next block after
+        the rest, and return the new index of the first word kept: 0."""
         bit_generator = self._bit_generator
-        start = bit_generator.state
-        if start["state"] != self._end:
+        if bit_generator.state["state"] != self._end:
             self._release()  # raises: the generator moved behind the stream's back
         words = bit_generator.random_raw(_BLOCK)
-        self._start, self._end = start, bit_generator.state["state"]
-        self._doubles = ((words >> 11) * (1.0 / 9007199254740992.0)).tolist()
-        self._lows = ((words >> 31) & 1).tolist()
-        self._uppers = (words >> 32).tolist()
-        self._used = 0
+        self._end = bit_generator.state["state"]
+        self._dropped += keep
+        self._doubles = self._doubles[keep:] + ((words >> 11) * (1.0 / 9007199254740992.0)).tolist()
+        self._lows = self._lows[keep:] + ((words >> 31) & 1).tolist()
+        self._uppers = self._uppers[keep:] + (words >> 32).tolist()
+        return 0
 
     # The draws keep the Generator's signatures. A call is served from the
     # block only with the arguments below, compared by identity (0 and 2 are
@@ -243,8 +276,7 @@ class _DrawStream:
             return self._release().random(size, dtype, out)
         i = self._used
         if i == _BLOCK:
-            self._fill()
-            i = 0
+            i = self._extend(i)
         self._used = i + 1
         return self._doubles[i]
 
@@ -256,8 +288,7 @@ class _DrawStream:
             return _BITS[self._upper >> 31]
         i = self._used
         if i == _BLOCK:
-            self._fill()
-            i = 0
+            i = self._extend(i)
         self._used = i + 1
         self._buffered = True
         self._upper = self._uppers[i]
@@ -278,7 +309,7 @@ class _DrawStream:
             if bit_generator.state["state"] != self._end:
                 raise SessionAbort("the session's generator was drawn from other than through the hooks' rng")
             bit_generator.state = self._start
-            bit_generator.advance(self._used)
+            bit_generator.advance(self._dropped + self._used)
             state = bit_generator.state
             state["has_uint32"], state["uinteger"] = int(self._buffered), self._upper
             bit_generator.state = state
@@ -300,20 +331,34 @@ def run_session(
     sifted rounds become checks with probability ``check_fraction`` and key
     rounds otherwise. Identical seeds produce identical transcripts.
 
-    The prepared state is built once, and each distinct measurement's
-    branches are computed once per session, looked up by the state's
-    identity when it is read-only and by its bytes otherwise (see
-    :class:`~hbbqss.qstate.StateMemo`). Every round still makes its own
-    generator draws in the same order and calls every strategy hook. The
-    intercepted state is validated once per distinct read-only state, the
-    first round it appears, and every round when it is writable.
-
     With a PCG64 generator, the one ``default_rng`` builds, the draws come
     from a :class:`_DrawStream` over it: the same values in the same order,
-    made from blocks of the generator's raw words. The hooks get the stream
-    in place of the generator (see :class:`AttackStrategy`). When the
-    session ends, by return or by an exception, ``rng`` is left in the state
-    per-call draws leave it in.
+    made from blocks of the generator's raw words. When the session ends,
+    by return or by an exception, ``rng`` is left in the state per-call
+    draws leave it in.
+
+    A session takes one of two routes, with the same draws, records and
+    generator state at the end:
+
+    * The scan serves a PCG64 generator with no strategy or with one of
+      the three attackers of :mod:`hbbqss.exploit`, of exactly its class,
+      with the hooks the class defines (none patched on the class or set on
+      the instance). It builds, once per session, a table of everything a
+      round can reach: the intercepted states, every measurement's branches
+      and the laws of the attacker's answers. The rounds then read their
+      draws straight from the stream's words and walk the table; no hook is
+      called.
+    * Every other session runs round by round and calls every strategy
+      hook: the rounds draw through the stream (the hooks get it in place of
+      the generator, see :class:`AttackStrategy`) or, with any other bit
+      generator, through ``rng`` itself. The prepared state is built once,
+      and each distinct measurement's branches are computed once per
+      session, looked up by the state's identity when it is read-only and by
+      its bytes otherwise (see :class:`~hbbqss.qstate.StateMemo`).
+
+    The intercepted state is validated once per distinct read-only state (on
+    the scan, before the first round; round by round, the first round it
+    appears) and every round when it is writable.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
@@ -322,13 +367,6 @@ def run_session(
     if rng is None:
         rng = np.random.default_rng(seed)
 
-    rounds: list[RoundRecord] = []
-    key_alice: list[int] = []
-    key_reconstructed: list[int] = []
-    guesses: list[int] = []
-    checks = failures = 0
-    memo = StateMemo()
-    checked: dict[int, StateVector] = {}  # validated frozen states, by identity
     prepared = ghz_state()
     if strategy is not None:
         prepared = tensor_with_ancilla(prepared, "E", strategy.ancilla_dim)
@@ -337,74 +375,11 @@ def run_session(
     generator = rng
     if type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64:
         rng = _DrawStream(generator)
+    route = _scan if rng is not generator and _scannable(strategy) else _per_round
     try:
-        for r in range(n_rounds):
-            alice_b = _random_basis(rng)
-            bob_b = _random_basis(rng)
-
-            state = prepared
-            if strategy is not None:
-                state = strategy.intercept(state, rng)
-                # a state validated while frozen is validated again once writable
-                if checked.get(id(state)) is not state or not _frozen(state):
-                    _validate_intercepted(state, strategy)
-                    if _frozen(state) and len(checked) < MEMO_CAPACITY:
-                        checked[id(state)] = state
-                # Commitment point: the forged basis is fixed before the
-                # strategy can see anything about Alice's or Bob's choices.
-                charlie_b = strategy.announce_basis(r, rng)
-                if charlie_b not in PROTOCOL_BASES:
-                    raise SessionAbort(f"round {r}: forged basis {charlie_b!r} is not announceable")
-            else:
-                charlie_b = _random_basis(rng)
-
-            out_a, state = memo.measure(state, "A", alice_b, rng)
-            out_b, state = memo.measure(state, "B", bob_b, rng)
-            out_c = None
-            if strategy is None:
-                out_c, state = memo.measure(state, "C", charlie_b, rng)
-
-            bases = (alice_b, bob_b, charlie_b)
-            sifted = _SIFTS[bases]
-            announced: Outcome | None = None
-            consistent: bool | None = None
-            if not sifted:
-                role = Role.DISCARDED
-            else:
-                role = Role.CHECK if rng.random() < check_fraction else Role.KEY
-                if strategy is not None:
-                    ctx = RespondContext(r, role, alice_b, bob_b, charlie_b, state)
-                if role is Role.CHECK:
-                    if strategy is None:
-                        announced = out_c
-                    else:
-                        announced = strategy.respond(ctx, rng)
-                        if not isinstance(announced, Outcome) or announced.basis is not charlie_b:
-                            raise SessionAbort(
-                                f"round {r}: check response {announced!r} is not an outcome "
-                                f"in the announced basis {charlie_b.value}"
-                            )
-                    checks += 1
-                    consistent = infer_alice(out_b, announced) == out_a
-                    if not consistent:
-                        failures += 1
-                else:
-                    key_alice.append(out_a.bit)
-                    if strategy is None:
-                        key_reconstructed.append(infer_alice(out_b, out_c).bit)
-                    else:
-                        guess = strategy.respond(ctx, rng)
-                        if guess not in (0, 1):
-                            raise SessionAbort(f"round {r}: key guess {guess!r} is not a bit")
-                        guesses.append(int(guess))
-                        # A dishonest agent who knows Alice's bit can always hand
-                        # Bob a table-consistent value, so reconstruction follows
-                        # his guess.
-                        key_reconstructed.append(int(guess))
-
-            rounds.append(
-                RoundRecord(r, bases, out_a, out_b, announced, sifted, role, consistent)
-            )
+        rounds, key_alice, key_reconstructed, checks, failures = route(
+            n_rounds, check_fraction, strategy, prepared, rng
+        )
     finally:
         if rng is not generator:
             rng._release()
@@ -414,7 +389,8 @@ def run_session(
         check_error_rate=(failures / checks) if checks else None,
         key_alice=key_alice,
         key_reconstructed=key_reconstructed,
-        attacker_key_guess=guesses if strategy is not None else None,
+        # an attacker's key guesses are what reconstruction follows
+        attacker_key_guess=list(key_reconstructed) if strategy is not None else None,
         n_rounds=n_rounds,
         check_fraction=check_fraction,
         seed=seed,
@@ -422,7 +398,301 @@ def run_session(
     )
 
 
+def _per_round(n_rounds, check_fraction, strategy, prepared, rng) -> tuple:
+    """The rounds one by one, through the strategy's hooks: (records,
+    Alice's key, reconstructed key, check rounds, failed checks)."""
+    rounds: list[RoundRecord] = []
+    key_alice: list[int] = []
+    key_reconstructed: list[int] = []
+    checks = failures = 0
+    memo = StateMemo()
+    checked: dict[int, StateVector] = {}  # validated frozen states, by identity
+    for r in range(n_rounds):
+        alice_b = _random_basis(rng)
+        bob_b = _random_basis(rng)
+
+        state = prepared
+        if strategy is not None:
+            state = strategy.intercept(state, rng)
+            # a state validated while frozen is validated again once writable
+            if not isinstance(state, StateVector) or checked.get(id(state)) is not state or not _frozen(state):
+                _validate_intercepted(state, strategy)
+                if _frozen(state) and len(checked) < MEMO_CAPACITY:
+                    checked[id(state)] = state
+            # Commitment point: the forged basis is fixed before the
+            # strategy can see anything about Alice's or Bob's choices.
+            charlie_b = strategy.announce_basis(r, rng)
+            if charlie_b not in PROTOCOL_BASES:
+                raise SessionAbort(f"round {r}: forged basis {charlie_b!r} is not announceable")
+        else:
+            charlie_b = _random_basis(rng)
+
+        out_a, state = memo.measure(state, "A", alice_b, rng)
+        out_b, state = memo.measure(state, "B", bob_b, rng)
+        out_c = None
+        if strategy is None:
+            out_c, state = memo.measure(state, "C", charlie_b, rng)
+
+        bases = (alice_b, bob_b, charlie_b)
+        sifted = _SIFTS[bases]
+        announced: Outcome | None = None
+        consistent: bool | None = None
+        if not sifted:
+            role = Role.DISCARDED
+        else:
+            role = Role.CHECK if rng.random() < check_fraction else Role.KEY
+            if strategy is not None:
+                ctx = RespondContext(r, role, alice_b, bob_b, charlie_b, state)
+            if role is Role.CHECK:
+                if strategy is None:
+                    announced = out_c
+                else:
+                    announced = strategy.respond(ctx, rng)
+                    if not isinstance(announced, Outcome) or announced.basis is not charlie_b:
+                        raise SessionAbort(
+                            f"round {r}: check response {announced!r} is not an outcome "
+                            f"in the announced basis {charlie_b.value}"
+                        )
+                checks += 1
+                consistent = infer_alice(out_b, announced) == out_a
+                if not consistent:
+                    failures += 1
+            else:
+                key_alice.append(out_a.bit)
+                if strategy is None:
+                    key_reconstructed.append(infer_alice(out_b, out_c).bit)
+                else:
+                    guess = strategy.respond(ctx, rng)
+                    if guess not in (0, 1):
+                        raise SessionAbort(f"round {r}: key guess {guess!r} is not a bit")
+                    # A dishonest agent who knows Alice's bit can always hand
+                    # Bob a table-consistent value, so reconstruction follows
+                    # his guess.
+                    key_reconstructed.append(int(guess))
+
+        rounds.append(
+            RoundRecord(r, bases, out_a, out_b, announced, sifted, role, consistent)
+        )
+    return rounds, key_alice, key_reconstructed, checks, failures
+
+
+#: The names of the :class:`AttackStrategy` hooks.
+_HOOKS = ("intercept", "announce_basis", "respond")
+#: Strategy classes the scan runs, each with the hooks it defines; see :func:`_scanned`.
+_SCANNED: dict[type, tuple] = {}
+
+
+def _scanned(cls: type) -> type:
+    """Class decorator: sessions with an instance of ``cls`` may take the scan.
+
+    The class draws its forged basis as :func:`_random_basis` does, and its
+    ``_roots(prepared)`` states its ``intercept`` and ``respond`` as tables:
+    a tuple, one entry per bit of a probe-basis ``integers(0, 2)`` draw (a
+    single entry when ``intercept`` draws nothing), each a law (see
+    :func:`~hbbqss.qstate._sample`) over pairs (intercepted state, answers).
+    ``answers(states, bases)`` gives, for the rows of ``states`` (the C, E
+    states once A and B are measured) and each row's (Alice, Bob, own) bases
+    of a sifted round, the pair of laws of its check announcement and of its
+    key guess. The hooks are recorded as the class defines them now.
+    """
+    _SCANNED[cls] = tuple(vars(cls)[name] for name in _HOOKS)
+    return cls
+
+
+def _scannable(strategy: AttackStrategy | None) -> bool:
+    """Whether the scan may stand in for the strategy's hooks."""
+    if strategy is None:
+        return True
+    cls = type(strategy)
+    hooks = _SCANNED.get(cls)
+    return (
+        hooks is not None
+        and all(getattr(cls, name) is hook for name, hook in zip(_HOOKS, hooks))
+        and vars(strategy).keys().isdisjoint(_HOOKS)
+    )
+
+
+#: The most raw words one round of the scan reads: one for Alice's and Bob's
+#: bases, one for the probe basis and Charlie's, six doubles.
+_ROUND_WORDS = 8
+#: The (basis bit, sign bit) pairs of a measured register's branches, in the
+#: order :func:`~hbbqss.qstate._measure_stack` lays them out.
+_BRANCHES = tuple(product((0, 1), repeat=2))
+
+
+def _scan(n_rounds, check_fraction, strategy, prepared, stream: _DrawStream) -> tuple:
+    """The rounds as a walk over the session's table (see :func:`_scan_table`),
+    with :func:`_per_round`'s draws read from the stream's words."""
+    intercepts = _scan_table(strategy, prepared, check_fraction)
+    probing = len(intercepts) == 2
+    rounds: list[RoundRecord] = []
+    key_alice: list[int] = []
+    key_reconstructed: list[int] = []
+    checks = failures = 0
+    append, new, bisect = rounds.append, tuple.__new__, bisect_right
+    doubles, lows, uppers = stream._doubles, stream._lows, stream._uppers
+    i, buffered, upper = stream._used, stream._buffered, stream._upper
+    last = len(doubles) - _ROUND_WORDS
+    try:
+        for r in range(n_rounds):
+            if i > last:
+                i = stream._extend(i)
+                doubles, lows, uppers = stream._doubles, stream._lows, stream._uppers
+                last = len(doubles) - _ROUND_WORDS
+            # Alice's and Bob's bases: two integers(0, 2) draws, which read
+            # one fresh word between them and leave the buffer as it was
+            if buffered:
+                a, b = upper >> 31, lows[i]
+            else:
+                a, b = lows[i], uppers[i] >> 31
+            upper = uppers[i]
+            i += 1
+            k = 0
+            if probing:  # the probe basis
+                if buffered:
+                    k = upper >> 31
+                else:
+                    k = lows[i]
+                    upper = uppers[i]
+                    i += 1
+                buffered = not buffered
+            cuts, node, words = intercepts[k]
+            node = node[bisect(cuts, doubles[i])]
+            i += words
+            # Charlie's basis, or the forged one
+            if buffered:
+                c = upper >> 31
+            else:
+                c = lows[i]
+                upper = uppers[i]
+                i += 1
+            buffered = not buffered
+            # A, B and C measured, the role drawn, the answer drawn; a law
+            # without cuts reads no word
+            for bit in (a, b, c, 0, 0):
+                cuts, node, words = node[bit]
+                node = node[bisect(cuts, doubles[i])]
+                i += words
+            tail, key, check, failed = node
+            append(new(RoundRecord, (r, *tail)))
+            if key is not None:
+                key_alice.append(key[0])
+                key_reconstructed.append(key[1])
+            checks += check
+            failures += failed
+    finally:
+        stream._used, stream._buffered, stream._upper = i, buffered, upper
+    return rounds, key_alice, key_reconstructed, checks, failures
+
+
+def _scan_table(strategy, prepared, check_fraction) -> tuple:
+    """Everything a round of the session can reach, as nested laws.
+
+    A node is a tuple indexed by a drawn bit, whose entries are laws
+    ``(cuts, outcomes, words)``: the outcome is ``outcomes[bisect_right(cuts,
+    u)]`` for the next double ``u``, which is read (``words`` is 1) only when
+    there are cuts. The returned node is indexed by the probe-basis bit and
+    leads to the intercepted state's node; from there the nodes are indexed
+    by Alice's, Bob's and Charlie's basis bits, then by 0 for the role and 0
+    for the answer, and the walk ends at ``(the record's fields but the round
+    id, (Alice's key bit, the reconstructed one) or None, 1 on a check round,
+    1 on a failed check)``.
+
+    The registers are measured level by level, each level in one stacked
+    contraction, every branch bit for bit as the round-by-round route
+    computes it.
+    """
+    if strategy is None:
+        intercepts = (((), ((prepared, None),)),)
+    else:
+        intercepts = strategy._roots(prepared)
+    roots = [root for _, outcomes in intercepts for root in outcomes]
+    if strategy is not None:
+        for state, _ in roots:
+            _validate_intercepted(state, strategy)
+    levels = []
+    states = np.stack([state.vec for state, _ in roots])
+    occurs = np.ones(len(roots), dtype=bool)
+    for _ in range(3 if strategy is None else 2):
+        probs, conds = _measure_stack(states.reshape(len(states), 2, -1), occurs)
+        levels.append(probs.tolist())
+        occurs = (probs > ZERO_BRANCH_TOL).reshape(-1)
+        states = conds.reshape(len(occurs), -1)
+
+    # the rounds' ends below each state once A and B are measured
+    paths = list(product(range(len(roots)), _BRANCHES, _BRANCHES))
+    nodes = []
+    if strategy is None:
+        for (_, (a, sa), (b, sb)), (c, sc) in product(paths, _BRANCHES):
+            bases = (PROTOCOL_BASES[a], PROTOCOL_BASES[b], PROTOCOL_BASES[c])
+            out_a, out_b, out_c = (_OUTCOMES[basis][sign] for basis, sign in zip(bases, (sa, sb, sc)))
+            laws = (((), (out_c,)), ((), (infer_alice(out_b, out_c).bit,))) if _SIFTS[bases] else None
+            nodes.append(_round_end(bases, out_a, out_b, laws, check_fraction))
+        nodes = _branch_nodes(levels.pop(), nodes)
+    else:
+        # the attacker's answers to the states that occur, root by root
+        outcomes = [(_OUTCOMES[PROTOCOL_BASES[a]][sa], _OUTCOMES[PROTOCOL_BASES[b]][sb]) for _, (a, sa), (b, sb) in paths]
+        occurring = occurs.tolist()
+        answers: dict[int, tuple] = {}
+        for index, (_, answer_laws) in enumerate(roots):
+            live = [m for m, (root, _, _) in enumerate(paths) if root == index and occurring[m]]
+            sifted = [_SIFTED[outcomes[m][0].basis, outcomes[m][1].basis] for m in live]
+            answers.update(zip(live, answer_laws(states[live], sifted)))
+        for m, (out_a, out_b) in enumerate(outcomes):
+            ends = []
+            for charlie_b in PROTOCOL_BASES:
+                bases = (out_a.basis, out_b.basis, charlie_b)
+                laws = answers.get(m) if _SIFTS[bases] else None
+                ends.append(_law((), (_round_end(bases, out_a, out_b, laws, check_fraction),)))
+            nodes.append(tuple(ends))
+    while levels:
+        nodes = _branch_nodes(levels.pop(), nodes)
+    root_nodes = iter(nodes)
+    return tuple(_law(cuts, tuple(next(root_nodes) for _ in outcomes)) for cuts, outcomes in intercepts)
+
+
+def _law(cuts: tuple, outcomes: tuple) -> tuple:
+    """A law of :func:`~hbbqss.qstate._sample` as the scan reads it: with the
+    number of words it reads."""
+    return cuts, outcomes, 1 if cuts else 0
+
+
+def _branch_nodes(probs: list, kids: list) -> list:
+    """Each measured state's node: per basis bit, the law of the branch
+    taken, over the kids laid out as :func:`~hbbqss.qstate._measure_stack`
+    lays out the branches, four per state."""
+    return [
+        tuple(
+            _law(*_two_way(p_plus, kids[4 * m + 2 * bit], kids[4 * m + 2 * bit + 1]))
+            for bit, (p_plus, _) in enumerate(member)
+        )
+        for m, member in enumerate(probs)
+    ]
+
+
+def _round_end(bases, out_a: Outcome, out_b: Outcome, laws, check_fraction: float) -> tuple:
+    """The node of a round whose bases and whose Alice and Bob outcomes are
+    drawn: indexed by 0, the law of the role, whose outcomes are indexed by
+    0, the law of the answer. ``laws`` holds a sifted round's laws of
+    Charlie's announcement and of the reconstructed key bit; None marks a
+    discarded round."""
+    if laws is None:
+        end = ((bases, out_a, out_b, None, False, Role.DISCARDED, None), None, 0, 0)
+        return (_law((), ((_law((), (end,)),),)),)
+    (check_cuts, announcements), (key_cuts, guesses) = laws
+    checks = []
+    for announced in announcements:
+        consistent = infer_alice(out_b, announced) == out_a
+        checks.append(((bases, out_a, out_b, announced, True, Role.CHECK, consistent), None, 1, int(not consistent)))
+    keys = [((bases, out_a, out_b, None, True, Role.KEY, None), (out_a.bit, guess), 0, 0) for guess in guesses]
+    check, key = _law(check_cuts, tuple(checks)), _law(key_cuts, tuple(keys))
+    # a check round iff the role's double lies below check_fraction
+    return (_law((check_fraction,), ((check,), (key,))),)
+
+
 def _validate_intercepted(state: StateVector, strategy: AttackStrategy) -> None:
+    if not isinstance(state, StateVector):
+        raise SessionAbort(f"intercept returned {state!r}, not a StateVector")
     if state.labels != ("A", "B", "C", "E"):
         raise SessionAbort(f"intercept returned registers {state.labels}")
     if state.dims != (2, 2, 2, strategy.ancilla_dim):
@@ -504,9 +774,15 @@ def _row_texts(t: SessionTranscript, write_row) -> list[str]:
     return texts
 
 
+#: A round's row, a flat dict of str, int, bool and None, with one field a
+#: line as ``json.dumps(..., indent=2)`` lays them out inside the rounds
+#: list; without an indent the encoder runs in C.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
 def _json_row(row: dict) -> str:
-    """``row`` as ``json.dumps(..., indent=2)`` lays it out inside the rounds list."""
-    return json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    ")
+    """``row`` as ``json.dumps(..., sort_keys=True, indent=2)`` lays it out inside the rounds list."""
+    return "{\n      " + _ROW_ENCODER.encode(row)[1:-1] + "\n    }"
 
 
 def _json_list(items: list) -> str:

@@ -15,6 +15,7 @@ explicit numpy random generator, so identical seeds give identical runs.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from typing import Sequence
@@ -297,20 +298,51 @@ def _branches(state: StateVector, label: str, basis: Basis) -> tuple:
     return float(probs[0]), plus, minus
 
 
-def _draw_plus(p_plus: float, rng: np.random.Generator) -> bool:
-    """Whether a two-outcome draw with probability ``p_plus`` of + lands on
-    +; one generator draw unless a branch is impossible."""
+def _measure_stack(tensors: np.ndarray, occurs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both Born-rule branches, in x and in y, of measuring the leading
+    register (a qubit) of every state in a stack, in one contraction.
+
+    ``tensors`` (s, 2, n) holds each state's amplitudes with the measured
+    register as rows. Members where ``occurs`` is False stand in for
+    branches that cannot occur; they are projected but not checked. Returns
+    the probabilities (s, 2, 2) and the conditional states (s, 2, 2, n),
+    indexed by state, basis bit (x, y) and sign bit (+, -), each bit for bit
+    as :func:`_branches` computes it for that state alone. Like
+    :func:`_branches`, raises ValueError for a state whose norm deviates
+    from 1 beyond ``qmath.STRUCT_TOL``.
+    """
+    norms = np.sqrt((np.abs(tensors) ** 2).sum(axis=(1, 2)))
+    off = occurs & (np.abs(norms - 1.0) > qmath.STRUCT_TOL)
+    if off.any():
+        raise ValueError(f"state norm {float(norms[off][0])} deviates from 1 beyond {qmath.STRUCT_TOL}")
+    return _project_stack(tensors[:, None, None], _PROTOCOL_KETS)
+
+
+#: The (+, -) kets of x and of y, as :func:`_measure_stack` projects onto them.
+_PROTOCOL_KETS = np.array([basis_kets(basis) for basis in PROTOCOL_BASES])
+_PROTOCOL_KETS.flags.writeable = False
+
+
+def _two_way(p_plus: float, plus, minus) -> tuple:
+    """The law of a two-outcome draw with probability ``p_plus`` of
+    ``plus``: a branch of probability <= ZERO_BRANCH_TOL is never drawn,
+    and with both possible one generator draw ``u`` picks ``plus`` iff
+    ``u < p_plus``. See :func:`_sample`."""
     if p_plus <= ZERO_BRANCH_TOL:
-        return False
+        return (), (minus,)
     if 1.0 - p_plus <= ZERO_BRANCH_TOL:
-        return True
-    return rng.random() < p_plus
+        return (), (plus,)
+    return (p_plus,), (plus, minus)
 
 
-def _draw(branches: tuple, rng: np.random.Generator) -> tuple[Outcome, StateVector | None]:
-    """The branch taken, as :func:`_branches` built it: its outcome and state."""
-    p_plus, plus, minus = branches
-    return plus if _draw_plus(p_plus, rng) else minus
+def _sample(law: tuple, rng: np.random.Generator):
+    """One outcome of a law ``(cuts, outcomes)``: ``outcomes[0]`` with no
+    generator draw when there are no cuts, else ``outcomes[k]`` for the
+    number k of cuts at or below one ``rng.random()``."""
+    cuts, outcomes = law
+    if cuts:
+        return outcomes[bisect_right(cuts, rng.random())]
+    return outcomes[0]
 
 
 def measure_qubit(
@@ -321,7 +353,7 @@ def measure_qubit(
     Deterministic for a fixed generator state; a branch of probability
     <= ZERO_BRANCH_TOL is never selected.
     """
-    return _draw(_branches(state, label, basis), rng)
+    return _sample(_two_way(*_branches(state, label, basis)), rng)
 
 
 #: Entries a :class:`StateMemo` table keeps; later misses are computed
@@ -383,16 +415,16 @@ class StateMemo:
         if frozen:
             hit = self._by_identity.get((state, label, basis))
             if hit is not None:
-                return _draw(hit, rng)
+                return _sample(hit, rng)
         key = (_key(state), label, basis)
         hit = self._branches.get(key)
         if hit is None:
             p_plus, (out_plus, cond_plus), (out_minus, cond_minus) = _branches(state, label, basis)
-            hit = (p_plus, (out_plus, read_only(cond_plus)), (out_minus, read_only(cond_minus)))
+            hit = _two_way(p_plus, (out_plus, read_only(cond_plus)), (out_minus, read_only(cond_minus)))
             _store(self._branches, key, hit)
         if frozen:
             _store(self._by_identity, (state, label, basis), hit)
-        return _draw(hit, rng)
+        return _sample(hit, rng)
 
     def apply(self, fn, state: StateVector, *args):
         """``fn(state, *args)`` for a deterministic ``fn`` with hashable ``args``."""

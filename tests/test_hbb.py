@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -399,6 +400,21 @@ def test_intercept_norm_is_checked_at_the_measurement_tolerance():
     run_session(50, check_fraction=0.5, strategy=NormBreaker(3, 1.0 + 5e-11), seed=4)
 
 
+class NoStateInterceptor(ProbeStrategy):
+    """Hands back None for the intercepted state."""
+
+    name = "no-state"
+
+    def intercept(self, state, rng):
+        super().intercept(state, rng)
+        return None
+
+
+def test_intercept_returning_no_state_aborts():
+    with pytest.raises(SessionAbort, match="not a StateVector"):
+        run_session(50, check_fraction=0.5, strategy=NoStateInterceptor(), seed=4)
+
+
 class InterceptScribbler(ProbeStrategy):
     name = "intercept-scribbler"
 
@@ -771,6 +787,129 @@ def test_drawing_from_the_generator_behind_the_hooks_rng_aborts():
 
 
 # ---------------------------------------------------------------------------
+# session routes
+
+
+#: The hooks of the built-in attackers and of the probe, and the memo's
+#: measurement, which the round-by-round route calls and the scan does not.
+ROUTE_FUNCTIONS = [
+    getattr(cls, name)
+    for cls in (exploit.CircuitAttack, exploit.HelstromAttack, exploit.InterceptResend, ProbeStrategy)
+    for name in ("intercept", "announce_basis", "respond")
+] + [qstate.StateMemo.measure]
+
+
+def _route_calls(run) -> Counter:
+    """Entries into ``ROUTE_FUNCTIONS`` by name while ``run()`` runs,
+    counted by a profile function, so that no attribute is changed."""
+    names = {f.__code__: f.__name__ for f in ROUTE_FUNCTIONS}
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            calls[names[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+@pytest.mark.parametrize("attacker", sorted(BUILT_IN_ATTACKERS))
+def test_built_in_sessions_on_pcg64_take_the_scan(attacker):
+    strategy = BUILT_IN_ATTACKERS[attacker]()
+    assert _route_calls(lambda: run_session(300, 0.5, strategy, seed=5)) == Counter()
+
+
+def _patched_class(monkeypatch):
+    """The Helstrom attacker with ``respond`` wrapped on the class, as a tracer wraps it."""
+    respond = exploit.HelstromAttack.respond
+    monkeypatch.setattr(exploit.HelstromAttack, "respond", lambda self, ctx, rng: respond(self, ctx, rng))
+    return exploit.HelstromAttack(attack.kki_spec()), np.random.default_rng(5)
+
+
+def _instance_hook(monkeypatch):
+    """Intercept-resend with its ``announce_basis`` set on the instance."""
+    strategy = exploit.InterceptResend()
+    strategy.announce_basis = strategy.announce_basis
+    return strategy, np.random.default_rng(5)
+
+
+def _scribbler(monkeypatch):
+    strategy = RespondScribbler()
+    strategy.scribble = False
+    return strategy, np.random.default_rng(5)
+
+
+PER_ROUND_SESSIONS = {
+    "subclass": _scribbler,
+    "patched-class": _patched_class,
+    "instance-hook": _instance_hook,
+    "probe": lambda monkeypatch: (ProbeStrategy(), np.random.default_rng(5)),
+    "mt19937": lambda monkeypatch: (exploit.CircuitAttack(), np.random.Generator(np.random.MT19937(5))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PER_ROUND_SESSIONS))
+def test_other_sessions_take_the_per_round_route(monkeypatch, case):
+    strategy, rng = PER_ROUND_SESSIONS[case](monkeypatch)
+    transcripts = []
+    calls = _route_calls(lambda: transcripts.append(run_session(300, 0.5, strategy, rng=rng)))
+    sifted = sum(1 for r in transcripts[0].rounds if r.sifted)
+    assert calls["intercept"] == calls["announce_basis"] == 300
+    assert calls["respond"] == sifted > 0
+
+
+class PlainGenerator(np.random.Generator):
+    """A Generator of another type: a session draws through its own methods
+    and runs round by round."""
+
+
+class Delegate:
+    """A strategy handing every hook call to another: a session with it runs
+    round by round."""
+
+    def __init__(self, inner):
+        self.inner, self.name, self.ancilla_dim = inner, inner.name, inner.ancilla_dim
+
+    def intercept(self, state, rng):
+        return self.inner.intercept(state, rng)
+
+    def announce_basis(self, round_id, rng):
+        return self.inner.announce_basis(round_id, rng)
+
+    def respond(self, ctx, rng):
+        return self.inner.respond(ctx, rng)
+
+
+@pytest.mark.parametrize("attacker", sorted(BUILT_IN_ATTACKERS))
+def test_scan_writes_the_per_round_bytes(attacker):
+    # 1500 rounds read more than one block of words; a third of the
+    # sessions start with a high half-word buffered
+    for seed in range(200):
+        check_fraction = (0.0, 0.3, 0.5, 1.0)[seed % 4]
+        n_rounds = (1, 2, 300, 1500)[seed // 4 % 4]
+        scanned = np.random.default_rng(seed)
+        if seed % 3 == 0:
+            scanned.integers(0, 2**32)
+        strategy = BUILT_IN_ATTACKERS[attacker]()
+        if strategy is None:  # no strategy to wrap: the generator's type decides
+            reference, rng = None, PlainGenerator(np.random.PCG64())
+        else:
+            reference, rng = Delegate(BUILT_IN_ATTACKERS[attacker]()), np.random.default_rng()
+        rng.bit_generator.state = scanned.bit_generator.state
+        t = run_session(n_rounds, check_fraction, strategy, rng=scanned)
+        t_ref = run_session(n_rounds, check_fraction, reference, rng=rng)
+        where = f"seed {seed}, {n_rounds} rounds, check fraction {check_fraction}"
+        assert transcript_to_json(t) == transcript_to_json(t_ref), where
+        assert transcript_to_csv(t) == transcript_to_csv(t_ref), where
+        assert _next_draws(scanned) == _next_draws(rng), where
+
+
+# ---------------------------------------------------------------------------
 # export formats
 
 
@@ -812,7 +951,7 @@ def _reference_csv(t) -> str:
     return buf.getvalue()
 
 
-EXPORT_ATTACKERS = ("none", "hbb-circuit", "intercept-resend", "spec-kki")
+EXPORT_ATTACKERS = ("none", "hbb-circuit", "intercept-resend", "spec-kki", "spec-family")
 
 
 # check_fraction 1 leaves every key list empty, 0 leaves check_error_rate None,
@@ -831,6 +970,7 @@ EXPORT_ATTACKERS = ("none", "hbb-circuit", "intercept-resend", "spec-kki")
 @example("intercept-resend", 60, 0.0, 7, False)
 @example("spec-kki", 60, 1.0, 8, True)
 @example("spec-kki", 1, 0.0, 9, False)
+@example("spec-family", 60, 0.5, 10, True)
 def test_template_export_matches_the_reference_encoders(attacker, n_rounds, check_fraction, seed, explicit_rng):
     strategy = BUILT_IN_ATTACKERS[attacker]()
     if explicit_rng:

@@ -15,7 +15,8 @@ The unit of analysis is a :class:`SpecStack`, many specs' amplitudes and
 ancilla states stacked and validated in one reduction per check; every
 stage reads the stacked arrays, and the one-spec functions run on a stack
 of one. Only this module composes the stages: a stack enters a pass through
-:func:`report_outcomes` (the full analysis) or :func:`escape_outcomes`.
+:func:`report_outcomes` (the full analysis) or :func:`escape_outcomes` (the
+escape flags alone, from the bilinear residuals).
 """
 
 from __future__ import annotations
@@ -674,31 +675,31 @@ def analyze_stack(stack: SpecStack) -> list[AttackReport]:
 def report_outcomes(stack: SpecStack) -> list:
     """Each spec's AttackReport, or the error the spec raises alone."""
     spans = [qmath.orthonormal_span(eps) if stack.joint_dim > 4 else None for eps in stack.eps]
-    return _outcomes(stack, _analysis_pass, spans)
+    return _outcomes(stack, spans)
 
 
-def escape_outcomes(stack: SpecStack) -> list:
-    """Each spec's escape flag, or the error the spec raises alone, from
-    stacked passes of the escape stage: no Helstrom problem is solved, and
-    no span is computed, so the whole stack is one group."""
-    return _outcomes(stack, _escape_pass, [None] * len(stack))
+def escape_outcomes(stack: SpecStack) -> list[bool]:
+    """Each spec's escape flag, :func:`_escape_stage`'s: its largest detection
+    residual (:func:`_residual_stack`) is at most DEFAULT_TOL. No state is
+    built and nothing can raise; the constructed-state route that cross-checks
+    the flag runs in :func:`report_outcomes` passes and the property tests."""
+    return (_residual_stack(stack).max(axis=(1, 2)) <= DEFAULT_TOL).tolist()
 
 
 #: Most specs a caller stacks into one pass: the grid points of each ``sweep``
 #: pass, and the distinct search points at which ``optimizer.maximize`` closes
-#: a batch of whole restarts. On a 2-vCPU x86-64 host, ``sweep --grid 100000``
-#: took 17.3-19.0 s and peaked at 58.6 MB resident with 64, 20.5-21.3 s and
-#: 57.9 MB with 32, and 18.4 s and 64.2 MB with 128. At 64 the two restarts
-#: of ``optimize --restarts 2`` share one batch.
+#: a batch of whole restarts. At 64 the two restarts of ``optimize --restarts
+#: 2`` share one batch; the run times and peak memory that chose it are in
+#: CHANGES.md.
 STACK_BOUND = 64
 
 
-def _outcomes(stack: SpecStack, stage, spans: list) -> list:
-    """``stage(stack, spans)``'s result for each spec of the stack, or the
+def _outcomes(stack: SpecStack, spans: list) -> list:
+    """:func:`_analysis_pass`'s report for each spec of the stack, or the
     exception the spec raises alone. ``spans`` holds each spec's span(eps)
-    basis, or None where the stage does not move to it; specs whose spans
-    share their dimension, or are all None, go through ``stage`` in one
-    pass. Only a pass of several specs that raises runs them again, each
+    basis, or None where the pass keeps the full C+E register; specs whose
+    spans share their dimension, or are all None, go through the pass
+    together. Only a pass of several specs that raises runs them again, each
     once alone, as a slice of one; if all pass alone, stacking them failed
     and each gets the pass's error.
     """
@@ -708,7 +709,7 @@ def _outcomes(stack: SpecStack, stage, spans: list) -> list:
 
     def run(sub, members):
         try:
-            return stage(sub, [spans[i] for i in members])
+            return _analysis_pass(sub, [spans[i] for i in members])
         except (ValueError, RuntimeError) as exc:  # every check raises one of these
             return [exc] * len(members)
 
@@ -756,11 +757,6 @@ def _escape_stage(stack: SpecStack):
             f"state-construction max {worst_b[s]:.3e}, tol {DEFAULT_TOL:.1e}"
         )
     return case_vals, vecs, tables, route_a.tolist()
-
-
-def _escape_pass(stack: SpecStack, spans) -> list[bool]:
-    """:func:`escape_outcomes` of a stack: its :func:`_escape_stage` flags."""
-    return _escape_stage(stack)[-1]
 
 
 def _analysis_pass(stack: SpecStack, spans) -> list[AttackReport]:

@@ -333,9 +333,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 #: Most ``optimize --restarts``, set by run time: the restarts are checked in
 #: batches of about attack.STACK_BOUND search points, so time grows with the
-#: count, and memory with the trace, 52 evaluations per restart. On a 2-vCPU
-#: x86-64 host, single runs of ``--seed 42`` took 1.3-1.4 s and peaked at
-#: 50.1 MB resident with 500 restarts, and 11.9-13.9 s and 168.2 MB with 5000.
+#: count, and memory with the trace, 52 evaluations per restart. The run
+#: times and peak memory that set it are in CHANGES.md.
 MAX_RESTARTS = 5_000
 
 

@@ -1180,10 +1180,16 @@ def test_a_failing_pass_runs_each_of_its_specs_alone_once(monkeypatch):
     monkeypatch.setattr(attack, "_report", failing)
     passes.clear()
     with pytest.raises(attack.ConsistencyError, match="injected at c=0.45"):
-        optimizer.maximize(restarts=2, rng=np.random.default_rng(101))
-    # the one batch's four distinct phase probes and two optima fail
-    # together, then each runs alone once
-    assert [len(specs) for specs in passes] == [6, 1, 1, 1, 1, 1, 1]
+        analyze(optimizer.AttackFamilyPoint(0.45).to_spec())
+    # a failing stack of family points fails together, then each runs alone once
+    points = [optimizer.AttackFamilyPoint(c) for c in (0.2, 0.45, 0.6)]
+    outcomes = attack.report_outcomes(optimizer._family_stack(points))
+    assert [isinstance(outcome, Exception) for outcome in outcomes] == [False, True, False]
+    assert passes == [[4], [4, 4, 4], [4], [4], [4]]
+    # maximize() makes no analysis pass, so the fault never reaches it
+    passes.clear()
+    clean = optimizer.maximize(restarts=2, rng=np.random.default_rng(101))
+    assert clean.converged and passes == []
 
 
 def test_a_pass_that_fails_only_when_stacked_raises_its_error(monkeypatch):
@@ -1192,9 +1198,9 @@ def test_a_pass_that_fails_only_when_stacked_raises_its_error(monkeypatch):
         attack.analyze_stack(attack.SpecStack.of([family_spec(0.3), family_spec(0.5)]))
     assert passes == [[4, 4], [4], [4]]
     passes.clear()
-    with pytest.raises(attack.ConsistencyError, match="the stacked pass fails"):
-        optimizer.maximize(restarts=2, rng=np.random.default_rng(101))
-    assert [len(specs) for specs in passes] == [6, 1, 1, 1, 1, 1, 1]
+    # maximize() makes no analysis pass, so the fault never reaches it
+    assert optimizer.maximize(restarts=2, rng=np.random.default_rng(101)).converged
+    assert passes == []
 
 
 def _compared(result):
@@ -1252,24 +1258,38 @@ def test_the_two_outcome_routes_give_each_spec_what_it_gets_alone(monkeypatch):
     # both span groups fail, and each of their specs then runs alone once
     assert sizes == [3, 1, 1, 1, 2, 1, 1]
 
+    # the escape route is the residual route alone: each spec gets the flag
+    # escape_check gives it alone, which both routes agree on; a fault in
+    # the constructed-state stage never reaches the route
+    alone = [_alone(escape_check, spec) for spec in specs]
+    _inject_escape_stage_fault(monkeypatch, honest)
+    sizes.clear()
+    _recording_residuals(monkeypatch, sizes)
+    got = attack.escape_outcomes(stack)
+    assert got == alone
+    assert all(isinstance(flag, bool) for flag in got)
+    assert sizes == [5]
+
+
+def _inject_escape_stage_fault(monkeypatch, spec):
+    """Make the escape stage, with its constructed-state route, raise on
+    every stack that holds ``spec``'s ancilla states."""
     stage = attack._escape_stage
 
     def escape_fails(sub):
-        if any(np.array_equal(row.eps, honest.eps) for row in sub):
+        if any(np.array_equal(row.eps, spec.eps) for row in sub):
             raise attack.ConsistencyError("injected in the escape stage")
         return stage(sub)
 
     monkeypatch.setattr(attack, "_escape_stage", escape_fails)
-    alone = [_alone(escape_check, spec) for spec in specs]
-    sizes.clear()
-    _recording(monkeypatch, "_escape_pass", sizes)
-    got = [_compared(result) for result in attack.escape_outcomes(stack)]
-    assert got == alone
-    assert got[1] == (attack.ConsistencyError, "injected in the escape stage")
-    assert all(isinstance(got[i], bool) for i in (0, 2, 3, 4))
-    # the escape stage reads no span, so the whole stack is one group; it
-    # fails, and each spec then runs alone once
-    assert sizes == [5, 1, 1, 1, 1, 1]
+
+
+def _recording_residuals(monkeypatch, sizes):
+    """Append to ``sizes`` the number of specs of each residual pass."""
+    residual_stack = attack._residual_stack
+    monkeypatch.setattr(
+        attack, "_residual_stack", lambda stack: sizes.append(len(stack)) or residual_stack(stack)
+    )
 
 
 def test_the_escape_route_runs_a_stack_as_one_group_and_computes_no_span(monkeypatch):
@@ -1278,22 +1298,14 @@ def test_the_escape_route_runs_a_stack_as_one_group_and_computes_no_span(monkeyp
     honest = honest_spec(3)
     specs[17:17] = [honest, _alice_plus_spec(3)]
     stack = attack.SpecStack.of(specs)
-    stage = attack._escape_stage
-
-    def escape_fails(sub):
-        if any(np.array_equal(row.eps, honest.eps) for row in sub):
-            raise attack.ConsistencyError("injected in the escape stage")
-        return stage(sub)
-
-    monkeypatch.setattr(attack, "_escape_stage", escape_fails)
     alone = [_alone(escape_check, spec) for spec in specs]
+    _inject_escape_stage_fault(monkeypatch, honest)
     spans, sizes = [], []
     original = qmath.orthonormal_span
     monkeypatch.setattr(qmath, "orthonormal_span", lambda vectors: spans.append(1) or original(vectors))
-    _recording(monkeypatch, "_escape_pass", sizes)
-    got = [_compared(result) for result in attack.escape_outcomes(stack)]
+    _recording_residuals(monkeypatch, sizes)
+    got = attack.escape_outcomes(stack)
     assert got == alone
-    assert got[17] == (attack.ConsistencyError, "injected in the escape stage")
-    assert sum(isinstance(flag, bool) for flag in got) == 63
+    assert sum(got) == 63 and not got[18]  # Alice's + spec does not escape
     assert spans == []
-    assert sizes == [64] + [1] * 64
+    assert sizes == [64]

@@ -423,19 +423,28 @@ def test_optimize_rejects_restarts_out_of_range(tmp_path, capsys, monkeypatch, r
     assert not out.exists()
 
 
-def test_optimize_exits_4_when_its_search_values_are_off_by_1e8(tmp_path, monkeypatch, capsys):
-    # only the search points read the closed form through this binding; the
-    # check of each restart's optimum reads the full analysis
+def test_search_values_off_by_1e8_change_optimize_and_break_the_objective_identity(
+    tmp_path, monkeypatch
+):
+    # optimize reads every value through this binding, so the fault moves
+    # its output without a failure; the property test that search values
+    # equal objective() bit for bit catches it at the optimum
+    clean = tmp_path / "clean.json"
+    assert main(["optimize", "--restarts", "2", "--seed", "11", "--out", str(clean)]) == 0
     monkeypatch.setattr(optimizer, "_closed_form", lambda c, s: attack._closed_form(c, s) + 1e-8)
     out = tmp_path / "o.json"
-    assert main(["optimize", "--restarts", "2", "--seed", "11", "--out", str(out)]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("error: numerical check failed: search value ") and err.count("\n") == 1
-    assert " checks as " in err
-    assert not out.exists()
+    assert main(["optimize", "--restarts", "2", "--seed", "11", "--out", str(out)]) == 0
+    assert out.read_bytes() != clean.read_bytes()
+    best = optimizer.maximize(restarts=2, rng=np.random.default_rng(11)).best_point
+    factors = optimizer._phase_factors(best.phases)
+    assert optimizer._search_value(best, factors) != optimizer.objective(best)
 
 
-def test_optimize_exits_4_when_helstrom_is_off_by_1e8(tmp_path, monkeypatch, capsys):
+def test_a_helstrom_route_off_by_1e8_fails_verify_and_leaves_optimize_unchanged(
+    tmp_path, monkeypatch, capsys
+):
+    clean = tmp_path / "clean.json"
+    assert main(["optimize", "--restarts", "2", "--seed", "11", "--out", str(clean)]) == 0
     original = attack._helstrom_errors
 
     def off(deltas, priors):
@@ -443,16 +452,18 @@ def test_optimize_exits_4_when_helstrom_is_off_by_1e8(tmp_path, monkeypatch, cap
 
     monkeypatch.setattr(attack, "_helstrom_errors", off)
     out = tmp_path / "o.json"
-    assert main(["optimize", "--restarts", "2", "--seed", "11", "--out", str(out)]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("error: numerical check failed: closed-form error probability "
-                          "deviates from Helstrom") and err.count("\n") == 1
-    assert not out.exists()
+    assert main(["optimize", "--restarts", "2", "--seed", "11", "--out", str(out)]) == 0
+    assert out.read_bytes() == clean.read_bytes()
+    capsys.readouterr()
+    assert main(["verify"]) == 1
+    assert "[FAIL] attack/closed-form-agreement: max closed-form vs Helstrom deviation 1.0" in (
+        capsys.readouterr().out
+    )
 
 
 def _counting_stacks(monkeypatch, owner, name="analyze_stack"):
     passes = []
-    original = getattr(attack, name)
+    original = getattr(owner, name)
 
     def counted(stack, *args):
         passes.append(len(stack))
@@ -466,13 +477,12 @@ def test_optimize_and_sweep_analyse_their_points_in_stacked_passes(tmp_path, mon
     # point by point, optimize --restarts 2 makes 112 evaluations; the two
     # restarts walk 100 distinct search points, the first 50 staying under
     # STACK_BOUND, so they form one batch: one escape pass over the 100
-    # search points and one full analysis of the four distinct phase probes
-    # and the two restarts' optima
+    # search points and the four distinct phase probes, and no full analysis
     full = _counting_stacks(monkeypatch, attack, "_analysis_pass")
-    light = _counting_stacks(monkeypatch, attack, "_escape_pass")
+    light = _counting_stacks(monkeypatch, optimizer, "escape_outcomes")
     assert main(["optimize", "--restarts", "2", "--seed", "101", "--out", str(tmp_path / "o")]) == 0
-    assert full == [6]
-    assert light == [100]
+    assert full == []
+    assert light == [104]
     # sweep --grid 5 analyses its 6 rows in one pass
     passes = _counting_stacks(monkeypatch, attack)
     assert main(["sweep", "--grid", "5", "--out", str(tmp_path / "s.csv")]) == 0

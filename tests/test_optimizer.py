@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _literals import WALK_DIGEST
-from hbbqss import attack, optimizer
+from hbbqss import attack, optimizer, qmath
 from hbbqss.optimizer import (
     BRACKET_TOL,
     INV_SQRT2,
@@ -125,6 +127,99 @@ def test_objective_phase_invariance(rng):
 
 
 # ---------------------------------------------------------------------------
+# the cross-checks maximize() leaves out: the constructed-state escape route
+# and the Helstrom route against the closed form
+
+
+def _drawn_points(draws, ancilla_dim, seed, log_angle):
+    """Family points of ``draws`` (c, phases), each with random orthonormal
+    ancilla states of ``ancilla_dim`` (two, each used twice, where C+E
+    holds fewer than four); with ``log_angle``, each point's first ancilla
+    state is turned towards its second by 10**log_angle, near the escape set."""
+    rng = np.random.default_rng(seed)
+    n = min(4, 2 * ancilla_dim)
+    points = []
+    for c, phases in draws:
+        eps = random_orthonormal(rng, 2 * ancilla_dim, n)[[0, 1, 2 % n, 3 % n]]
+        if log_angle is not None:
+            angle = 10.0**log_angle
+            eps[0] = math.cos(angle) * eps[0] + math.sin(angle) * eps[1]
+        points.append(AttackFamilyPoint(c, phases, eps))
+    return points
+
+
+_DRAWN_FAMILIES = (
+    st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from((*optimizer._PROBES, 0.5, 0.0, INV_SQRT2)),
+                      st.floats(0.0, INV_SQRT2)),
+            st.tuples(*[st.floats(0.0, 2.0 * math.pi)] * 4),
+        ),
+        min_size=1, max_size=8,
+    ),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.none(), st.floats(-8.0, -3.0)),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(*_DRAWN_FAMILIES)
+def test_the_escape_route_gives_the_flags_both_routes_agree_on(draws, ancilla_dim, seed, log_angle):
+    stack = optimizer._family_stack(_drawn_points(draws, ancilla_dim, seed, log_angle))
+    # the escape stage raises ConsistencyError where the constructed-state
+    # route disagrees with the residuals beyond round-off
+    assert attack.escape_outcomes(stack) == attack._escape_stage(stack)[-1]
+
+
+def _assert_helstrom_meets_the_closed_form(stack):
+    """Each case's Helstrom error of each escaping spec of ``stack`` lies
+    within CLOSED_FORM_TOL of its closed-form error."""
+    for report in attack.analyze_stack(stack):
+        if report.escape_ok:
+            worst = max(abs(pe - report.pe_closed_form) for pe in report.pe_numeric.values())
+            assert worst <= optimizer.CLOSED_FORM_TOL
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(*_DRAWN_FAMILIES)
+def test_helstrom_errors_meet_the_closed_form_on_escaping_points(draws, ancilla_dim, seed, log_angle):
+    _assert_helstrom_meets_the_closed_form(
+        optimizer._family_stack(_drawn_points(draws, ancilla_dim, seed, log_angle))
+    )
+
+
+def test_the_closed_form_property_catches_a_helstrom_route_off_by_1e8(monkeypatch):
+    stack = optimizer._family_stack(_drawn_points([(0.3, (0.1, 0.2, 0.3, 0.4))], 2, 5, None))
+    _assert_helstrom_meets_the_closed_form(stack)
+    original = attack._helstrom_errors
+
+    def off(deltas, priors):
+        return [pe + 1e-8 if i % 2 == 0 else pe for i, pe in enumerate(original(deltas, priors))]
+
+    monkeypatch.setattr(attack, "_helstrom_errors", off)
+    with pytest.raises(AssertionError):
+        _assert_helstrom_meets_the_closed_form(stack)
+
+
+_BOUNDS = ((0.0, INV_SQRT2), (0.1, 0.6), (0.65, INV_SQRT2))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.sampled_from(_BOUNDS))
+def test_search_values_are_the_objective_at_the_probes_and_optima(seed, restarts, bounds):
+    walks = []
+    walk = optimizer._walk
+    with mock.patch.object(optimizer, "_walk", lambda *args: walks.append(walk(*args)) or walks[-1]):
+        maximize(restarts=restarts, bounds=bounds, rng=np.random.default_rng(seed))
+    assert len(walks) == restarts
+    for w in walks:
+        for point in w.probes + [w.optimum[0]]:
+            value = optimizer._search_value(point, optimizer._phase_factors(point.phases))
+            assert value.hex() == objective(point).hex()
+
+
+# ---------------------------------------------------------------------------
 # family stacks
 
 
@@ -154,9 +249,9 @@ def test_family_stacks_hold_the_specs_of_every_maximize_point(monkeypatch):
     monkeypatch.setattr(optimizer, "_family_stack", recorded)
     maximize(restarts=8, rng=np.random.default_rng(42))
     monkeypatch.undo()  # to_spec builds its stack of one through it too
-    # one escape pass and one checked pass per batch: every search point,
-    # phase probe and optimum of the run
-    assert len(stacks) == 8
+    # one escape pass per batch: every search point and phase probe of the
+    # run (each optimum is a search point)
+    assert len(stacks) == 4
     points = [point for batch, _ in stacks for point in batch]
     assert len(points) > 8 * 50
     for batch, stack in stacks:
@@ -256,36 +351,44 @@ def test_maximize_converges_where_the_closed_form_rounds_below_zero():
     assert result.best_info == pytest.approx(1.0, abs=1e-6)
 
 
-def test_the_helstrom_route_runs_on_the_probes_and_optima_only(monkeypatch):
-    members = []
-    helstrom = attack._helstrom_errors
+#: The stages of the Helstrom route and of the constructed-state escape
+#: route, as (module, name): maximize() reads neither.
+_CROSS_CHECK_STAGES = (
+    (attack, "report_outcomes"), (attack, "_analysis_pass"), (attack, "_helstrom_errors"),
+    (attack, "_escape_stage"), (attack, "_case_tables"), (attack, "_global_vectors"),
+    (qmath, "trace_norm_stack"), (qmath, "cross_overlaps"),
+)
+
+
+def test_maximize_runs_no_helstrom_route(monkeypatch):
+    called = []
+    for module, name in _CROSS_CHECK_STAGES:
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name,
+            lambda *args, name=name, original=original: called.append(name) or original(*args),
+        )
+    passes = []
+    residual_stack = attack._residual_stack
     monkeypatch.setattr(
-        attack, "_helstrom_errors",
-        lambda deltas, priors: members.append(len(deltas)) or helstrom(deltas, priors),
+        attack, "_residual_stack", lambda stack: passes.append(list(stack)) or residual_stack(stack)
     )
-    checked = []
-    analysis_pass = attack._analysis_pass
-
-    def recorded(stack, spans):
-        checked.append(list(stack))
-        return analysis_pass(stack, spans)
-
-    monkeypatch.setattr(attack, "_analysis_pass", recorded)
     result = maximize(restarts=2, rng=np.random.default_rng(101))
-    # eight Helstrom problems per point: the two restarts' 100 distinct search
-    # points stay under STACK_BOUND until the second restart closes the one
-    # batch, whose one checked pass holds the four distinct phase probes and
-    # the two restarts' optima; none of the search points goes through the
-    # route
-    assert members == [8 * 6]
+    assert called == []
+    # the two restarts' 100 distinct search points stay under STACK_BOUND
+    # until the second restart closes the one batch, whose one escape pass
+    # also holds the four distinct phase probes
     phases = tuple(np.random.default_rng(101).uniform(0.0, 2.0 * math.pi, 4))
     probes = [AttackFamilyPoint(c, ph) for c in (0.23, 0.45) for ph in ((0.0,) * 4, phases)]
-    assert sorted(spec.a.tobytes() for spec in checked[0][:4]) == sorted(
-        {p.to_spec().a.tobytes() for p in probes}
-    )
-    optima = [spec.a.tobytes() for spec in checked[0][4:]]
-    assert result.best_point.to_spec().a.tobytes() in optima
-    assert all(abs(abs(spec.a[0, 0]) - 0.5) <= 1e-6 for spec in checked[0][4:])
+    assert [len(rows) for rows in passes] == [104]
+    met = {row.a.tobytes() for row in passes[0]}
+    assert {p.to_spec().a.tobytes() for p in probes} <= met
+    assert result.best_point.to_spec().a.tobytes() in met
+    maximize(restarts=8, rng=np.random.default_rng(42))
+    assert called == []
+    # the patched stages are the ones objective() runs
+    objective(AttackFamilyPoint(0.3))
+    assert set(called) == {name for _, name in _CROSS_CHECK_STAGES}
 
 
 def test_maximize_validates_arguments():
@@ -326,22 +429,28 @@ def test_restart_walks_match_the_frozen_digest(monkeypatch):
 # batched restarts against the sequential loop
 
 
+#: Injected faults: the amount by which the value at a family point is off,
+#: in light_information and in maximize()'s search value alike (_inject).
+_SHIFTS = {}
+
+
 def light_information(point):
-    """Reference for the value maximize() reads at a search point: the
-    escape check and the closed form, without the Helstrom route."""
+    """Reference for the value maximize() reads at a point: the escape check
+    of both routes and the closed form, without the Helstrom route."""
     spec = point.to_spec()
     if not attack.escape_check(spec):
         raise attack.SpecError("family point does not satisfy the detection constraints")
-    return attack.mutual_information(attack._closed_form(abs(spec.a[0, 0]), abs(spec.a[1, 0])))
+    pe = attack._closed_form(abs(spec.a[0, 0]), abs(spec.a[1, 0]))
+    return attack.mutual_information(pe) + _SHIFTS.get(point, 0.0)
 
 
 def sequential_maximize(restarts=4, iters=MAX_ITERS, tol=1e-6, rng=None,
                         bounds=(0.0, INV_SQRT2), evaluated=None):
     """Reference: the restarts one after another, every point evaluated
-    alone when the search reaches it: the phase probes, and each restart's
-    optimum at its end, by objective(); every other point by
-    light_information(). ``evaluated`` collects (restart, point) of every
-    evaluation, phase probes and optima included."""
+    alone by light_information() when the search reaches it: the phase
+    probes, the search points, and each restart's optimum at its end, which
+    must keep its search value. ``evaluated`` collects (restart, point) of
+    every evaluation, phase probes and optima included."""
     lo, hi = bounds
     rng = rng if rng is not None else np.random.default_rng(0)
     evaluated = evaluated if evaluated is not None else []
@@ -351,9 +460,9 @@ def sequential_maximize(restarts=4, iters=MAX_ITERS, tol=1e-6, rng=None,
     trace = []
     bracket_ok = True
 
-    def evaluate(point, checked=False):
+    def evaluate(point):
         evaluated.append((restart, point))
-        return objective(point) if checked else light_information(point)
+        return light_information(point)
 
     def f(c, phases):
         nonlocal evals, best_info, best_point
@@ -371,8 +480,8 @@ def sequential_maximize(restarts=4, iters=MAX_ITERS, tol=1e-6, rng=None,
         phases = (0.0, 0.0, 0.0, 0.0) if restart == 0 else tuple(rng.uniform(0.0, 2.0 * math.pi, 4))
         restart_calls = []
         for c in (0.23, 0.45):
-            base = evaluate(AttackFamilyPoint(c), checked=True)
-            shifted = evaluate(AttackFamilyPoint(c, tuple(phases)), checked=True)
+            base = evaluate(AttackFamilyPoint(c))
+            shifted = evaluate(AttackFamilyPoint(c, tuple(phases)))
             if abs(base - shifted) > 1e-10:
                 raise attack.ConsistencyError(
                     f"objective is not phase-invariant at c={c}: {base} vs {shifted}"
@@ -400,7 +509,7 @@ def sequential_maximize(restarts=4, iters=MAX_ITERS, tol=1e-6, rng=None,
         for point, v in restart_calls:
             if v > value:
                 optimum, value = point, v
-        checked = evaluate(optimum, checked=True)
+        checked = evaluate(optimum)
         if checked != value:
             raise attack.ConsistencyError(
                 f"search value {value!r} at c={optimum.c} checks as {checked!r}"
@@ -439,40 +548,33 @@ def test_lockstep_restarts_match_the_sequential_loop_on_constrained_runs(bounds,
     assert _result_bits(got) == _result_bits(ref)
 
 
-def _inject(monkeypatch, points, shift=None):
-    """Make the escape stage, which both routes run, raise ConsistencyError
-    on each given family point; or, with ``shift``, make the full analysis
-    of each read an information off by that much, with its Helstrom errors
-    shifted alike. Only phase probes and optima reach the full analysis."""
-    targets = [(point, point.to_spec().a) for point in points]
+def _inject(monkeypatch, points=(), shifts=None):
+    """Make each family point of ``points`` fail to escape detection in both
+    escape routes: every spec built of it gets its first ancilla state in
+    place of its second. With ``shifts``, a {point: amount} of phase probes,
+    make the value at each point off by its amount, in maximize()'s search
+    value and in light_information alike."""
+    targets = set(points)
+    family_stack = optimizer._family_stack
 
-    def target(spec):
-        return next((point for point, a in targets if np.array_equal(spec.a, a)), None)
+    def colliding(family):
+        stack = family_stack(family)
+        rows = [i for i, point in enumerate(family) if point in targets]
+        if not rows:
+            return stack
+        eps = np.array(stack.eps)
+        eps[rows, 1] = eps[rows, 0]
+        return attack.SpecStack(stack.ancilla_dim, stack.a, eps)
 
-    if shift is None:
-        stage = attack._escape_stage
-
-        def injected(specs, *args):
-            for spec in specs:
-                point = target(spec)
-                if point is not None:
-                    raise attack.ConsistencyError(f"injected at c={point.c!r}")
-            return stage(specs, *args)
-
-        monkeypatch.setattr(attack, "_escape_stage", injected)
-        return
-    report = attack._report
-
-    def shifted(spec, *args):
-        r = report(spec, *args)
-        if target(spec) is None:
-            return r
-        return dataclasses.replace(
-            r, pe_closed_form=r.pe_closed_form + shift,
-            pe_numeric={c: pe + shift for c, pe in r.pe_numeric.items()},
+    monkeypatch.setattr(optimizer, "_family_stack", colliding)
+    if shifts:
+        for point, shift in shifts.items():
+            monkeypatch.setitem(_SHIFTS, point, shift)
+        search_value = optimizer._search_value
+        monkeypatch.setattr(
+            optimizer, "_search_value",
+            lambda point, factors: search_value(point, factors) + _SHIFTS.get(point, 0.0),
         )
-
-    monkeypatch.setattr(attack, "_report", shifted)
 
 
 def _evaluated(restarts, seed, **kwargs):
@@ -481,28 +583,40 @@ def _evaluated(restarts, seed, **kwargs):
     return log
 
 
+def _probes(log, restart):
+    """A restart's phase probes: zero-phase and rotated at c = 0.23, then at 0.45."""
+    return [point for r, point in log if r == restart][:4]
+
+
 def _search_points(log, restart):
     """The points a restart's golden-section search evaluates, in order."""
     return [point for r, point in log if r == restart][4:]
 
 
 @pytest.mark.parametrize(
-    "pick,shift",
+    "pick,error",
     [
-        (lambda log: [_search_points(log, 1)[9]], None),
-        (lambda log: [AttackFamilyPoint(0.45)], None),  # restart 0's second probe pair
-        (lambda log: [_search_points(log, 0)[29], _search_points(log, 1)[0]], None),
-        (lambda log: [[p for r, p in log if r == 1][1]], 1e-6),  # restart 1's shifted probe
+        (lambda log: ([_search_points(log, 1)[9]], {}), attack.SpecError),
+        # restart 0's second probe pair
+        (lambda log: ([AttackFamilyPoint(0.45)], {}), attack.SpecError),
+        (lambda log: ([_search_points(log, 0)[29], _search_points(log, 1)[0]], {}),
+         attack.SpecError),
+        (lambda log: ([], {_probes(log, 1)[1]: 1e-6}), attack.ConsistencyError),
+        (lambda log: ([_search_points(log, 0)[29]], {_probes(log, 1)[3]: 1e-6}),
+         attack.SpecError),
+        (lambda log: ([_search_points(log, 1)[0]], {_probes(log, 1)[3]: 1e-6}),
+         attack.ConsistencyError),
+        (lambda log: ([_probes(log, 1)[3]], {_probes(log, 1)[1]: 1e-6}), attack.ConsistencyError),
     ],
     ids=["restart-1-search", "restart-0-probe", "restart-0-late-restart-1-early",
-         "restart-1-phase-variant"],
+         "restart-1-phase-variant", "restart-0-search-before-restart-1-probe",
+         "restart-1-probe-before-its-search", "restart-1-probe-pair-before-the-next"],
 )
-def test_lockstep_raises_the_error_the_sequential_loop_meets_first(monkeypatch, pick, shift):
-    targets = pick(_evaluated(3, 9))
-    _inject(monkeypatch, targets, shift)
-    with pytest.raises(attack.ConsistencyError) as ref:
+def test_lockstep_raises_the_error_the_sequential_loop_meets_first(monkeypatch, pick, error):
+    _inject(monkeypatch, *pick(_evaluated(3, 9)))
+    with pytest.raises(error) as ref:
         sequential_maximize(restarts=3, rng=np.random.default_rng(9))
-    with pytest.raises(attack.ConsistencyError) as got:
+    with pytest.raises(error) as got:
         maximize(restarts=3, rng=np.random.default_rng(9))
     assert str(got.value) == str(ref.value)
 
@@ -516,7 +630,7 @@ def test_a_failure_the_sequential_loop_never_reaches_leaves_the_result_unchanged
     _inject(monkeypatch, [never])
     assert _result_bits(maximize(restarts=3, rng=np.random.default_rng(9))) == clean
     # a search that does reach it fails on it
-    with pytest.raises(attack.ConsistencyError, match="injected at c=0.65"):
+    with pytest.raises(attack.SpecError, match="does not satisfy the detection constraints"):
         maximize(restarts=3, bounds=bounds, rng=np.random.default_rng(9))
 
 
@@ -525,29 +639,31 @@ def test_a_failure_the_sequential_loop_never_reaches_leaves_the_result_unchanged
 
 
 def _batches(log, restarts, bound):
-    """The restarts of each batch, and its distinct search points, from the
-    sequential loop's ``log``: a batch closes once its distinct search points
-    reach ``bound``."""
-    batches, batch, points = [], [], set()
+    """The restarts of each batch, its distinct search points, and all its
+    distinct points (search points and phase probes), from the sequential
+    loop's ``log``: a batch closes once its distinct search points reach
+    ``bound``."""
+    batches, batch, searched, points = [], [], set(), set()
     for r in range(restarts):
         batch.append(r)
-        points.update(_search_points(log, r))
-        if len(points) >= bound or r == restarts - 1:
-            batches.append((batch, points))
-            batch, points = [], set()
+        searched.update(_search_points(log, r))
+        points.update(point for r2, point in log if r2 == r)
+        if len(searched) >= bound or r == restarts - 1:
+            batches.append((batch, searched, points))
+            batch, searched, points = [], set(), set()
     return batches
 
 
-def _record_passes(monkeypatch, name):
-    """The spec rows of every pass maximize() makes through ``attack.<name>``."""
+def _record_passes(monkeypatch):
+    """The spec rows of every escape pass maximize() makes."""
     passes = []
-    original = getattr(attack, name)
+    original = optimizer.escape_outcomes
 
-    def recorded(stack, *args):
+    def recorded(stack):
         passes.append(list(stack))
-        return original(stack, *args)
+        return original(stack)
 
-    monkeypatch.setattr(attack, name, recorded)
+    monkeypatch.setattr(optimizer, "escape_outcomes", recorded)
     return passes
 
 
@@ -563,33 +679,31 @@ def test_restart_batches_match_the_sequential_loop(monkeypatch, restarts, seed, 
     log = _evaluated(restarts, seed, **kwargs)
     batches = _batches(log, restarts, optimizer.STACK_BOUND)
     assert len(batches) >= 3
-    passes = _record_passes(monkeypatch, "_escape_pass")
+    passes = _record_passes(monkeypatch)
     got = maximize(restarts=restarts, rng=np.random.default_rng(seed), **kwargs)
     ref = sequential_maximize(restarts=restarts, rng=np.random.default_rng(seed), **kwargs)
     assert _result_bits(got) == _result_bits(ref)
-    assert [len(specs) for specs in passes] == [len(points) for _, points in batches]
+    assert [len(specs) for specs in passes] == [len(points) for _, _, points in batches]
 
 
 @pytest.mark.parametrize("restarts,seed,kwargs", _BATCH_RUNS[:2], ids=["unbounded", "inner"])
 def test_restart_batches_stop_at_the_first_failing_batch(monkeypatch, restarts, seed, kwargs):
     log = _evaluated(restarts, seed, **kwargs)
-    (first, _), (second, _), (third, _), *_ = _batches(log, restarts, optimizer.STACK_BOUND)
+    (first, _, _), (second, _, _), (third, _, _), *_ = _batches(log, restarts, optimizer.STACK_BOUND)
     # the second batch fails on its last restart's fifth search point, the
     # third on its first restart's first
     _inject(monkeypatch, [_search_points(log, second[-1])[4], _search_points(log, third[0])[0]])
-    escapes = _record_passes(monkeypatch, "_escape_pass")
-    checks = _record_passes(monkeypatch, "_analysis_pass")
-    with pytest.raises(attack.ConsistencyError) as ref:
+    passes = _record_passes(monkeypatch)
+    with pytest.raises(attack.SpecError) as ref:
         sequential_maximize(restarts=restarts, rng=np.random.default_rng(seed), **kwargs)
-    escapes.clear()
-    checks.clear()
-    with pytest.raises(attack.ConsistencyError) as got:
+    with pytest.raises(attack.SpecError) as got:
         maximize(restarts=restarts, rng=np.random.default_rng(seed), **kwargs)
     assert str(got.value) == str(ref.value)
+    assert len(passes) == 2
     # no pass holds a point of a later batch: its restarts' phases are
     # drawn, but none of their search points or phase-rotated probes is met
     later = {p.to_spec().a.tobytes() for r, p in log if r > second[-1] and any(p.phases)}
-    met = {spec.a.tobytes() for specs in escapes + checks for spec in specs}
+    met = {spec.a.tobytes() for specs in passes for spec in specs}
     assert later and not later & met
     assert {p.to_spec().a.tobytes() for p in _search_points(log, first[0])} <= met
 
@@ -599,26 +713,30 @@ def test_restart_batches_stack_at_most_the_bound_and_one_restart(monkeypatch, bo
     restarts, seed, kwargs = _BATCH_RUNS[1]
     monkeypatch.setattr(optimizer, "STACK_BOUND", bound)
     log = _evaluated(restarts, seed, **kwargs)
-    passes = _record_passes(monkeypatch, "_escape_pass")
+    passes = _record_passes(monkeypatch)
     got = maximize(restarts=restarts, rng=np.random.default_rng(seed), **kwargs)
     ref = sequential_maximize(restarts=restarts, rng=np.random.default_rng(seed), **kwargs)
     assert _result_bits(got) == _result_bits(ref)
+    batches = _batches(log, restarts, bound)
+    assert [len(specs) for specs in passes] == [len(points) for _, _, points in batches]
     largest = max(len(set(_search_points(log, r))) for r in range(restarts))
-    sizes = [len(specs) for specs in passes]
-    assert sizes == [len(points) for _, points in _batches(log, restarts, bound)]
-    assert max(sizes) <= bound + largest
-    assert all(size >= bound for size in sizes[:-1])
+    searched = [len(points) for _, points, _ in batches]
+    assert max(searched) <= bound + largest
+    assert all(size >= bound for size in searched[:-1])
 
 
-def test_restart_batches_analyse_each_checked_point_once_per_run(monkeypatch):
-    # the zero-phase probes, which every restart shares, are analysed in the
-    # first batch only; each later batch checks its two restarts' rotated
-    # probes and optima
-    checks = _record_passes(monkeypatch, "_analysis_pass")
+def test_restart_batches_check_the_shared_probes_in_every_batch(monkeypatch):
+    # each batch's one escape pass holds its search points, the two
+    # zero-phase probes that every restart shares, and its two restarts'
+    # rotated probes; no full analysis runs
+    passes = _record_passes(monkeypatch)
     maximize(restarts=8, rng=np.random.default_rng(42))
-    assert [len(specs) for specs in checks] == [6, 6, 6, 6]
-    met = [spec.a.tobytes() for specs in checks for spec in specs]
-    assert len(met) == len(set(met))
+    shared = {AttackFamilyPoint(c).to_spec().a.tobytes() for c in (0.23, 0.45)}
+    assert len(passes) == 4
+    for specs in passes:
+        met = [spec.a.tobytes() for spec in specs]
+        assert len(met) == len(set(met))
+        assert shared <= set(met)
 
 
 # ---------------------------------------------------------------------------
@@ -684,6 +802,21 @@ def test_random_feasible_search_never_beats_the_manifold(rng):
     assert best <= 1.0 + 1e-12
     assert best <= 1.0 + 1e-6
     assert best_spec is not None
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 5])
+def test_result_json_is_what_json_dumps_writes(restarts):
+    odd = OptimizationResult(
+        0.25, AttackFamilyPoint(0.3, (1.0, 2.0, 3.0, 4.0)),
+        [(1, 0.0), (2, 5e-324), (3, 1e-300), (10**6, 0.123456789012345), (10**7, 1.0)],
+    )
+    results = [odd, dataclasses.replace(odd, trace=[])]
+    for seed in (0, 7, 42, 101, 1492956812):
+        result = maximize(restarts=restarts, rng=np.random.default_rng(seed))
+        results += [result, dataclasses.replace(result, trace=[])]
+    for result in results:
+        expected = json.dumps(result_to_dict(result), sort_keys=True, indent=2) + "\n"
+        assert optimizer.result_to_json(result) == expected
 
 
 def test_result_serialisation():

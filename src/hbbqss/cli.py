@@ -107,10 +107,15 @@ def _check_correlation_reproduction() -> tuple[float, str]:
     return float(mismatches), f"{mismatches} correlation-table mismatches over {t.n_rounds} rounds"
 
 
+def _stack_of(points) -> attack.SpecStack:
+    """The family stack of ``points``, each with its own ancilla states."""
+    return optimizer.family_stack(*zip(*((p.c, p.phases, p.eps) for p in points)))
+
+
 def _check_closed_form_agreement() -> tuple[float, str]:
     rng = np.random.default_rng(7)
     points = [optimizer.random_family_point(rng) for _ in range(40)]
-    reports = attack.analyze_stack(optimizer._family_stack(points))
+    reports = attack.analyze_stack(_stack_of(points))
     worst = _worst(
         math.inf if r.pe_closed_form is None else abs(r.pe_numeric[c] - r.pe_closed_form)
         for r in reports
@@ -165,7 +170,7 @@ def _check_nas_sufficiency() -> tuple[float, str]:
     rng = np.random.default_rng(11)
     points = [optimizer.random_family_point(rng, c=0.5) for _ in range(10)]
     reports = [attack.analyze(exploit.example_spec()), attack.analyze(attack.kki_spec())]
-    reports += attack.analyze_stack(optimizer._family_stack(points))
+    reports += attack.analyze_stack(_stack_of(points))
     worst = _worst(1.0 - r.info if r.nas_ok and r.escape_ok else math.inf for r in reports)
     return worst, f"max information deficit {worst:.3e} over {len(reports)} specs"
 
@@ -295,9 +300,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 #: Largest ``sweep --grid``, set by run time: the points go through stacked
-#: analyses at about 0.1 ms per point on a 2-vCPU x86-64 host, where 100000
-#: points (a c step of about 7e-6) took 9.9-11.1 s and peaked at 59.6 MB
-#: resident, the CSV rows held in memory adding about 0.3 kB per point.
+#: analyses, and the CSV rows are held in memory. The run times and peak
+#: memory that set it are in CHANGES.md.
 MAX_GRID = 100_000
 
 
@@ -312,13 +316,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid = np.unique(np.append(np.linspace(0.0, optimizer.INV_SQRT2, args.grid), 0.5))
     bound = attack.STACK_BOUND
     for start in range(0, len(grid), bound):
-        points = [optimizer.AttackFamilyPoint(float(c)) for c in grid[start:start + bound]]
-        reports = attack.analyze_stack(optimizer._family_stack(points))
-        for point, report in zip(points, reports):
+        cs = grid[start:start + bound].tolist()
+        stack = optimizer.family_stack(cs, (0.0, 0.0, 0.0, 0.0))  # so s = |a01| exactly
+        for c, s, report in zip(cs, np.abs(stack.a[:, 0, 1]).tolist(), attack.analyze_stack(stack)):
             writer.writerow(
                 [
-                    f"{point.c:.12g}",
-                    f"{point.s:.12g}",
+                    f"{c:.12g}",
+                    f"{s:.12g}",
                     f"{report.pe_closed_form:.12g}",
                     f"{max(report.pe_numeric.values()):.12g}",
                     f"{report.info:.12g}",

@@ -5,15 +5,17 @@ orthogonal ancilla states, the amplitude magnitudes reduce to a single
 parameter c = |a00| = |a11| (with |a01| = |a10| = sqrt(1/2 - c^2)), and the
 information is a smooth unimodal function of c. A golden-section search
 over c combined with random restarts over the amplitude phases verifies
-that the maximum is one full bit, attained at c = 1/2: each restart walks
-its path on closed-form values as scalar code, and batches of restarts then
+that the maximum is one full bit, attained at c = 1/2. The search carries a
+point as plain numbers, its c and its restart's phases: each restart walks
+its path on closed-form values as float code, and batches of restarts then
 check the walks through one ``attack.escape_outcomes`` pass each, over one
-family stack (:func:`_family_stack`): the specs of many family points built
-as one validated ``attack.SpecStack`` in one array expression, so a run
-builds no AttackSpec. A search reads only the detection residuals and the
-closed form; the Helstrom route that cross-checks the closed form runs in
-:func:`objective`, ``verify`` and the property tests. Random family points
-with random orthonormal ancilla states feed the built-in checks.
+family stack (:func:`family_stack`: the specs of many (c, phases) rows as
+one validated ``attack.SpecStack``, built from arrays). A run builds no
+AttackSpec, and one :class:`AttackFamilyPoint`, its result's. A search reads
+only the detection residuals and the closed form; the Helstrom route that
+cross-checks the closed form runs in :func:`objective`, ``verify`` and the
+property tests. Random family points with random orthonormal ancilla states
+feed the built-in checks.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
+from itertools import accumulate, count
 from typing import NamedTuple
 
 import numpy as np
@@ -51,7 +53,7 @@ CONVERGENCE_TOL = 1e-6
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Round-off, an amplitude magnitude, by which c and the search's upper
-#: bound may leave [0, 1/sqrt(2)]; _family_stack clamps c back into it.
+#: bound may leave [0, 1/sqrt(2)]; family_stack clamps c back into it.
 _C_SLACK = 1e-12
 
 
@@ -79,19 +81,12 @@ class AttackFamilyPoint:
 
     def to_spec(self) -> AttackSpec:
         """The point's spec: its row of a family stack of one."""
-        stack = _family_stack([self])
+        stack = family_stack([self.c], self.phases, None if self.eps is None else [self.eps])
         return AttackSpec(stack.ancilla_dim, stack.a[0], np.array(stack.eps[0]))
 
 
 def _phase_factors(phases) -> np.ndarray:
     return np.exp(1j * np.asarray(phases, dtype=float))
-
-
-def _amplitudes(point: AttackFamilyPoint, factors: np.ndarray) -> tuple:
-    """a00, a01, a10, a11 of ``point`` from its phase factors: the search's
-    magnitudes, bit for bit the amplitudes of :func:`_family_stack`."""
-    c, s = min(max(point.c, 0.0), INV_SQRT2), point.s
-    return c * factors[0], s * factors[1], s * factors[2], c * factors[3]
 
 
 #: The ancilla states of a point without its own: mutually orthonormal,
@@ -100,39 +95,41 @@ _DEFAULT_EPS = np.eye(4, dtype=complex)
 _DEFAULT_EPS.flags.writeable = False
 
 
-def _family_stack(points) -> SpecStack:
-    """The specs of ``points``, whose ancilla states share one shape, as one
-    validated stack. Their amplitudes come from one expression over arrays
-    of the points' clamped c, s and phase factors, with the IEEE operations
-    of :func:`_amplitudes` element for element, so the two agree bit for bit."""
-    cs = np.array([point.c for point in points], dtype=float)
-    # min(max(c, 0.0), INV_SQRT2), and s as AttackFamilyPoint.s computes it
+def family_stack(cs, phases, eps=None) -> SpecStack:
+    """The specs of the family points of magnitudes ``cs`` (n,) and phases
+    ``phases`` ((n, 4), or one quadruple for all) as one validated stack;
+    ``eps`` (n, 4, 2 * ancilla_dim) holds their ancilla states, None the
+    mutually orthonormal default. c is clamped into [0, 1/sqrt(2)], s taken
+    from the unclamped c as :attr:`AttackFamilyPoint.s` takes it, and each
+    amplitude is (magnitude + 0j) times its phase factor as the scalar
+    complex product forms it: the magnitudes :func:`_search_value` reads."""
+    cs = np.asarray(cs, dtype=float)
     c = np.where(cs > INV_SQRT2, INV_SQRT2, np.where(cs < 0.0, 0.0, cs))
     s2 = 0.5 - cs * cs
     s = np.sqrt(np.where(s2 < 0.0, 0.0, s2))
-    factors = _phase_factors([point.phases for point in points]).reshape(-1, 4)
+    factors = np.broadcast_to(_phase_factors(phases), (len(cs), 4))
     mags = np.stack([c, s, s, c], axis=1)
-    # (mag + 0j) * factor, formed as the scalar complex product forms it: the
-    # array product may fuse a multiply and an add, which gives a part that
-    # underflows to zero another sign
+    # the array product may fuse a multiply and an add, which gives a part
+    # that underflows to zero another sign, so the parts are formed apart
     a = np.empty(mags.shape, dtype=complex)
     a.real = mags * factors.real - 0.0 * factors.imag
     a.imag = mags * factors.imag + 0.0 * factors.real
-    a = a.reshape(-1, 2, 2)
-    if all(point.eps is None for point in points):
-        eps = np.broadcast_to(_DEFAULT_EPS, (len(points), 4, 4))
-    else:
-        eps = np.array([_DEFAULT_EPS if p.eps is None else np.asarray(p.eps, complex) for p in points])
+    if eps is None:
+        eps = np.broadcast_to(_DEFAULT_EPS, (len(cs), 4, 4))
+    eps = np.asarray(eps, dtype=complex)
     if eps.shape[-1] % 2:
         raise SpecError("ancilla states must live on C x E, an even dimension")
-    return SpecStack(eps.shape[-1] // 2, a, eps)
+    return SpecStack(eps.shape[-1] // 2, a.reshape(-1, 2, 2), eps)
 
 
-def _search_value(point: AttackFamilyPoint, factors: np.ndarray) -> float:
-    """The information at ``point`` if it escapes detection: the closed form
-    at |a00| and |a10|, the float :func:`objective` returns."""
-    a00, _, a10, _ = _amplitudes(point, factors)
-    return mutual_information(_closed_form(abs(a00), abs(a10)))
+def _search_value(c: float, factors: list[complex]) -> float:
+    """The information at the family point (c, phases), ``factors`` the
+    phase factors as Python complex, if it escapes detection: the closed
+    form at |a00| and |a10|, the float :func:`objective` returns. Float
+    code, with :func:`family_stack`'s IEEE operations."""
+    s = math.sqrt(max(0.5 - c * c, 0.0))
+    c = min(max(c, 0.0), INV_SQRT2)
+    return mutual_information(_closed_form(abs(c * factors[0]), abs(s * factors[2])))
 
 
 def objective(point: AttackFamilyPoint) -> float:
@@ -176,13 +173,15 @@ def maximize(
     budget and the optimum matches the known analytic maximum (one bit at
     c = 1/2) to the requested tolerance.
 
-    Each restart first walks its search as scalar code (:func:`_walk`). The
+    Each restart first walks its search as float code (:func:`_walk`). The
     walks are checked in batches of whole restarts, a batch closing once its
     distinct search points reach ``attack.STACK_BOUND``, and each batch is
     replayed in restart order (:func:`_replay`) before the next is walked:
     output and errors are those of the restarts run one after another,
     point by point. Every value is the closed form at a point whose detection
-    residuals vanish; no Helstrom problem is solved.
+    residuals vanish; no Helstrom problem is solved. The search carries each
+    point as its c and its restart's phases, and builds an
+    :class:`AttackFamilyPoint` only for the result.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -195,23 +194,25 @@ def maximize(
         raise ValueError(f"bounds must satisfy 0 <= lo < hi <= 1/sqrt(2), got {bounds}")
     rng = rng if rng is not None else np.random.default_rng(0)
 
-    phases = [(0.0, 0.0, 0.0, 0.0)]
-    phases += [tuple(rng.uniform(0.0, 2.0 * math.pi, 4)) for _ in range(1, restarts)]
-    best_info, best_point, trace = -1.0, None, []
+    phases = [_NO_PHASES]
+    phases += [tuple(rng.uniform(0.0, 2.0 * math.pi, 4).tolist()) for _ in range(1, restarts)]
+    best_info, best, trace = -1.0, None, []
     bracket_ok = True
-    batch, searched = [], {}
+    batch, rows = [], {}
     for r, ph in enumerate(phases):
         batch.append(_walk(lo, hi, iters, ph))
         bracket_ok = bracket_ok and batch[-1].closed
-        searched.update(dict.fromkeys(batch[-1].points))
-        if len(searched) < STACK_BOUND and r + 1 < restarts:
+        if _number(rows, batch[-1].cs, ph) < STACK_BOUND and r + 1 < restarts:
             continue
-        for point, value in _replay(batch, list(searched)):
-            if value > best_info:
-                best_info, best_point = value, point
-            trace.append((len(trace) + 1, best_info))
-        batch, searched = [], {}
+        _replay(batch, rows)
+        for walk in batch:
+            best = walk if walk.values[walk.optimum] > best_info else best
+            running = list(accumulate(walk.values, max, initial=best_info))
+            trace += zip(count(len(trace) + 1), running[1:])
+            best_info = running[-1]
+        batch, rows = [], {}
 
+    best_point = AttackFamilyPoint(best.cs[best.optimum], best.phases)
     converged = (
         bracket_ok
         and abs(best_info - 1.0) <= tol
@@ -223,17 +224,23 @@ def maximize(
 #: The values of c at which each restart asserts the objective phase-invariant.
 _PROBES = (0.23, 0.45)
 
+#: The phases of the first restart, and of each phase probe's reference point.
+_NO_PHASES = (0.0, 0.0, 0.0, 0.0)
+_NO_PHASE_FACTORS = _phase_factors(_NO_PHASES).tolist()
+
 
 class _Walk(NamedTuple):
-    """A restart's phase probes, the points its search evaluates in order
-    and their values, its optimum (the first point of the largest value, as
-    the trace replays it) with its value, and whether its bracket closed."""
+    """A restart's phases, the c of each point its search evaluates in order
+    and their values, the index of its optimum (the first point of the
+    largest value, as the trace replays it), whether its bracket closed,
+    and its phase probes as (c, value at no phases, value at its phases)."""
 
-    probes: list[AttackFamilyPoint]
-    points: list[AttackFamilyPoint]
+    phases: tuple[float, float, float, float]
+    cs: list[float]
     values: list[float]
-    optimum: tuple[AttackFamilyPoint, float]
+    optimum: int
     closed: bool
+    probes: list[tuple[float, float, float]]
 
 
 def _walk(lo: float, hi: float, iters: int, phases) -> _Walk:
@@ -241,12 +248,12 @@ def _walk(lo: float, hi: float, iters: int, phases) -> _Walk:
     both bracket ends (which can host the maximum when the bounds are
     constrained), each point valued by :func:`_search_value`. Valuing cannot
     fail: the closed form lies in [0, 1/2], where mutual_information is defined."""
-    factors = _phase_factors(phases)
-    points, values = [], []
+    factors = _phase_factors(phases).tolist()
+    cs, values = [], []
 
     def f(c: float) -> float:
-        points.append(AttackFamilyPoint(c, phases))
-        values.append(_search_value(points[-1], factors))
+        cs.append(c)
+        values.append(_search_value(c, factors))
         return values[-1]
 
     a, b = lo, hi
@@ -266,42 +273,51 @@ def _walk(lo: float, hi: float, iters: int, phases) -> _Walk:
         steps += 1
     f(a)
     f(b)
-    probes = [AttackFamilyPoint(c, ph) for c in _PROBES for ph in ((0.0,) * 4, phases)]
-    optimum = max(zip(points, values), key=itemgetter(1))
-    return _Walk(probes, points, values, optimum, (b - a) <= BRACKET_TOL)
+    probes = [(c, _search_value(c, _NO_PHASE_FACTORS), _search_value(c, factors)) for c in _PROBES]
+    return _Walk(phases, cs, values, values.index(max(values)), (b - a) <= BRACKET_TOL, probes)
 
 
-def _replay(batch: list[_Walk], searched: list[AttackFamilyPoint]) -> list:
-    """The evaluations (point, value) of a batch of walks with the distinct
-    search points ``searched``, in restart order, from one escape pass over
-    the batch's distinct points: its search points and phase probes (each
-    optimum is a search point). A point that escapes is valued by
-    :func:`_search_value`, the float :func:`objective` returns there.
-    Replayed in restart order, the first failure raises the error that the
-    restarts run one after another, point by point, meet first."""
-    points = list(dict.fromkeys(searched + [p for w in batch for p in w.probes]))
-    escapes = dict(zip(points, escape_outcomes(_family_stack(points))))
+def _number(rows: dict, cs, phases) -> int:
+    """Number the points (c, phases) of ``cs`` that have no row in ``rows``
+    yet, in order: rows[phases][c] is a point's row. Returns the row count."""
+    n = sum(map(len, rows.values()))
+    seen = rows.setdefault(phases, {})
+    seen.update(zip([c for c in dict.fromkeys(cs) if c not in seen], count(n)))
+    return sum(map(len, rows.values()))
 
-    def check(point: AttackFamilyPoint) -> None:
-        if not escapes[point]:
+
+def _replay(batch: list[_Walk], rows: dict) -> None:
+    """Check a batch of walks in restart order, from one escape pass over one
+    family stack of the batch's distinct points as :func:`_number` numbers
+    them in ``rows``: its search points, then its phase probes (each optimum
+    is a search point). Per restart, each probe and its no-phase reference
+    must escape and agree within PHASE_TOL, then each search point must
+    escape, keeping its walked value. The first failure raises the error
+    that the restarts run one after another, point by point, meet first."""
+    for walk in batch:
+        for c, _, _ in walk.probes:
+            _number(rows, (c,), _NO_PHASES)
+            n = _number(rows, (c,), walk.phases)
+    cs, which = np.empty(n), np.empty(n, dtype=int)
+    for k, seen in enumerate(rows.values()):  # the rows at each phases
+        at = list(seen.values())
+        cs[at], which[at] = list(seen), k
+    escapes = escape_outcomes(family_stack(cs, np.array(list(rows))[which]))
+
+    def check(cs, phases) -> None:
+        seen = rows[phases]
+        if not all([escapes[seen[c]] for c in cs]):
             raise SpecError("family point does not satisfy the detection constraints")
 
-    def value(probe: AttackFamilyPoint) -> float:
-        check(probe)
-        return _search_value(probe, _phase_factors(probe.phases))
-
-    calls = []
     for walk in batch:
-        for c, base, shifted in zip(_PROBES, walk.probes[0::2], walk.probes[1::2]):
-            base, shifted = value(base), value(shifted)
+        for c, base, shifted in walk.probes:
+            check((c,), _NO_PHASES)
+            check((c,), walk.phases)
             if abs(base - shifted) > PHASE_TOL:
                 raise ConsistencyError(
                     f"objective is not phase-invariant at c={c}: {base} vs {shifted}"
                 )
-        for point in walk.points:
-            check(point)
-        calls += zip(walk.points, walk.values)
-    return calls
+        check(walk.cs, walk.phases)
 
 
 #: Norm of a drawn Gaussian vector's residual, against the rows drawn before
@@ -349,17 +365,22 @@ def result_to_dict(result: OptimizationResult) -> dict:
     }
 
 
-#: A trace entry [i, v] as json.dumps(..., indent=2) lays it out in the trace.
-_TRACE_ENTRY = "\n    [\n      %d,\n      %r\n    ]"
+#: A trace entry [i, v], v as its repr, as json.dumps(..., indent=2) lays it out.
+_TRACE_ENTRY = "\n    [\n      %d,\n      %s\n    ]"
 
 
 def result_to_json(result: OptimizationResult) -> str:
     """:func:`result_to_dict` as ``json.dumps(..., sort_keys=True, indent=2)``
     writes it, byte for byte. json's indenting encoder is Python code, so it
     writes all but the trace, which sorts last; each trace entry, an int and
-    a finite float, is written from its layout with the reprs json uses."""
+    a finite float, is written from its layout with the reprs json uses,
+    once per run of one float object (the running best until it rises)."""
     head = json.dumps(result_to_dict(replace(result, trace=[])), sort_keys=True, indent=2)
     if not result.trace:
         return head + "\n"
-    entries = ",".join(_TRACE_ENTRY % (i, _sig12(v)) for i, v in result.trace)
-    return head.removesuffix("[]\n}") + "[" + entries + "\n  ]\n}\n"
+    entries, last, text = [], None, ""
+    for i, v in result.trace:
+        if v is not last:
+            last, text = v, repr(_sig12(v))
+        entries.append(_TRACE_ENTRY % (i, text))
+    return head.removesuffix("[]\n}") + "[" + ",".join(entries) + "\n  ]\n}\n"

@@ -14,8 +14,6 @@ All functions are pure and safe for concurrent use.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 #: Structural tolerance for Hermiticity / unitarity / normalisation checks,
@@ -29,12 +27,9 @@ _JACOBI_MAX_SWEEPS = 100
 #: rotation at that pivot: the entry is already negligible.
 _JACOBI_SKIP = 1e-18
 
-#: Residual length, relative to the candidate's, at or below which the
-#: Gram-Schmidt of orthonormal_completion drops a standard basis vector: it
-#: lies in the span built so far, up to the round-off of two passes.
-_COMPLETION_DROP = 1e-6
-#: The same for orthonormal_span: a vector is dropped as dependent only when
-#: its residual is at round-off of its own length.
+#: Residual length, relative to the vector's, at or below which the
+#: Gram-Schmidt of orthonormal_span drops a vector as dependent: its
+#: residual is at round-off of its own length.
 _SPAN_DROP = 1e-12
 
 
@@ -223,23 +218,6 @@ def cross_overlaps(set1, set2) -> np.ndarray:
     return np.abs(v1.conj() @ np.swapaxes(v2, -1, -2))
 
 
-def orthonormal_completion(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Extend orthonormal columns to a full orthonormal basis of C^dim, dim
-    the vectors' common length.
-
-    Uses two-pass Gram-Schmidt against the standard basis; the given
-    vectors occupy the leading columns of the returned dim x dim matrix.
-    """
-    rows = as_matrix(vectors)  # a ValueError also for vectors of different lengths
-    dim = rows.shape[1]
-    _check_orthonormal(rows)
-    basis = list(rows)
-    _gram_schmidt(basis, np.eye(dim, dtype=complex), dim, drop_below=_COMPLETION_DROP)
-    if len(basis) != dim:
-        raise RuntimeError("failed to complete orthonormal basis")
-    return np.column_stack(basis)
-
-
 def _check_orthonormal(rows: np.ndarray) -> None:
     """Reject seed rows that are not unit vectors or not mutually
     orthogonal, each within STRUCT_TOL."""
@@ -253,27 +231,24 @@ def _check_orthonormal(rows: np.ndarray) -> None:
 
 def orthonormal_span(vectors) -> np.ndarray:
     """Orthonormal columns spanning the given vectors (the rows of a 2-D
-    array), by the two-pass Gram-Schmidt of :func:`orthonormal_completion`.
+    array), by two-pass Gram-Schmidt over the rows in order: each row's
+    residual against the columns before it, projected out twice for
+    numerical stability, is normalised into the next column.
 
-    A vector is dropped only when its residual against the columns before
-    it is at round-off, at most _SPAN_DROP of its length.
+    A vector is dropped only when its residual is at round-off, at most
+    _SPAN_DROP of its length; at most as many columns as the vectors'
+    dimension are kept.
     """
     rows = as_matrix(vectors)
-    return np.column_stack(_gram_schmidt([], rows, rows.shape[1], drop_below=_SPAN_DROP))
-
-
-def _gram_schmidt(basis: list, candidates, dim: int, drop_below: float) -> list:
-    """Append to the orthonormal ``basis`` the normalised residual of each
-    candidate longer than ``drop_below`` times the candidate, up to ``dim``
-    vectors."""
-    for cand in candidates:
-        if len(basis) == dim:
+    basis: list[np.ndarray] = []
+    for cand in rows:
+        if len(basis) == rows.shape[1]:
             break
         length0 = norm(cand)
-        for _ in range(2):  # two passes for numerical stability
+        for _ in range(2):
             for w in basis:
                 cand = cand - np.vdot(w, cand) * w
         length = norm(cand)
-        if length > drop_below * length0:
+        if length > _SPAN_DROP * length0:
             basis.append(cand / length)
-    return basis
+    return np.column_stack(basis)

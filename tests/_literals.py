@@ -104,8 +104,9 @@ GENERATED_SPECS = {
 }
 
 # SHA-256 of the report ``hbbqss analyze`` writes for each bundled and
-# generated spec, of the files written by ``sweep --grid 41`` and
-# ``optimize --restarts 4 --seed 42``, and of ``verify``'s stdout.
+# generated spec, of the files written by ``sweep --grid 41``, ``sweep --grid
+# 5000`` (79 stacked passes of ``attack.STACK_BOUND`` points) and ``optimize
+# --restarts 4 --seed 42``, and of ``verify``'s stdout.
 OUTPUT_DIGESTS = {
     "analyze honest": "0c197b7e970d257ee9a53da46f3ac772eb92f4d3ab463b5afcf7bb923d35a646",
     "analyze hbb_section4": "48bb9a00c690f4c644000a546440ce74e8993abcefa1c315789833d7f6d32fb0",
@@ -120,6 +121,7 @@ OUTPUT_DIGESTS = {
     "analyze random-d3": "6cfe1628235b464bd420a86f6d56c871052afba3e4355d4be5ac27cd187d1234",
     "analyze random-d4": "2a5e72217af5842ccda909b8d88d70463dd1fb58e88a6c37d30f8f5c5dca5d06",
     "sweep --grid 41": "592427f03e1f57fa70bc1cbbb2875e0b7afce12ee3cb83e1fd50926ccaa61225",
+    "sweep --grid 5000": "27689d13de89a75bc50e8ce00e6b6f81b382710c1313a5607e0bcc4b529f074d",
     "optimize --restarts 4 --seed 42": "19b7f97de0e88631cbf089f53b258e3ddd325efb18269b4defa365233527137c",
     "verify": "d7a31622dc0e844afb28164383fcaa7768ba89f5fa17c5b990dffc64fcdb5f4d",
 }

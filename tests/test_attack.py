@@ -1182,8 +1182,7 @@ def test_a_failing_pass_runs_each_of_its_specs_alone_once(monkeypatch):
     with pytest.raises(attack.ConsistencyError, match="injected at c=0.45"):
         analyze(optimizer.AttackFamilyPoint(0.45).to_spec())
     # a failing stack of family points fails together, then each runs alone once
-    points = [optimizer.AttackFamilyPoint(c) for c in (0.2, 0.45, 0.6)]
-    outcomes = attack.report_outcomes(optimizer._family_stack(points))
+    outcomes = attack.report_outcomes(optimizer.family_stack([0.2, 0.45, 0.6], (0.0,) * 4))
     assert [isinstance(outcome, Exception) for outcome in outcomes] == [False, True, False]
     assert passes == [[4], [4, 4, 4], [4], [4], [4]]
     # maximize() makes no analysis pass, so the fault never reaches it

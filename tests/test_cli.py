@@ -436,8 +436,8 @@ def test_search_values_off_by_1e8_change_optimize_and_break_the_objective_identi
     assert main(["optimize", "--restarts", "2", "--seed", "11", "--out", str(out)]) == 0
     assert out.read_bytes() != clean.read_bytes()
     best = optimizer.maximize(restarts=2, rng=np.random.default_rng(11)).best_point
-    factors = optimizer._phase_factors(best.phases)
-    assert optimizer._search_value(best, factors) != optimizer.objective(best)
+    factors = optimizer._phase_factors(best.phases).tolist()
+    assert optimizer._search_value(best.c, factors) != optimizer.objective(best)
 
 
 def test_a_helstrom_route_off_by_1e8_fails_verify_and_leaves_optimize_unchanged(

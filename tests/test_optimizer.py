@@ -111,7 +111,7 @@ def test_objective_equals_the_search_value_and_agrees_with_helstrom(c, phases, a
     if ancilla_dim is not None:
         eps = random_orthonormal(np.random.default_rng(seed), 2 * ancilla_dim, 4)
     point = AttackFamilyPoint(c, phases, eps)
-    walked = optimizer._search_value(point, optimizer._phase_factors(point.phases))
+    walked = optimizer._search_value(c, optimizer._phase_factors(phases).tolist())
     assert objective(point).hex() == walked.hex()
     report = attack.analyze(point.to_spec())
     assert max(abs(report.pe_numeric[case] - report.pe_closed_form) for case in attack.CASES) <= 1e-9
@@ -129,6 +129,13 @@ def test_objective_phase_invariance(rng):
 # ---------------------------------------------------------------------------
 # the cross-checks maximize() leaves out: the constructed-state escape route
 # and the Helstrom route against the closed form
+
+
+def _stack_of(points):
+    """The family stack of ``points``, each with its own ancilla states."""
+    return optimizer.family_stack(
+        [p.c for p in points], [p.phases for p in points], [p.eps for p in points]
+    )
 
 
 def _drawn_points(draws, ancilla_dim, seed, log_angle):
@@ -166,7 +173,7 @@ _DRAWN_FAMILIES = (
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(*_DRAWN_FAMILIES)
 def test_the_escape_route_gives_the_flags_both_routes_agree_on(draws, ancilla_dim, seed, log_angle):
-    stack = optimizer._family_stack(_drawn_points(draws, ancilla_dim, seed, log_angle))
+    stack = _stack_of(_drawn_points(draws, ancilla_dim, seed, log_angle))
     # the escape stage raises ConsistencyError where the constructed-state
     # route disagrees with the residuals beyond round-off
     assert attack.escape_outcomes(stack) == attack._escape_stage(stack)[-1]
@@ -174,9 +181,13 @@ def test_the_escape_route_gives_the_flags_both_routes_agree_on(draws, ancilla_di
 
 def _assert_helstrom_meets_the_closed_form(stack):
     """Each case's Helstrom error of each escaping spec of ``stack`` lies
-    within CLOSED_FORM_TOL of its closed-form error."""
-    for report in attack.analyze_stack(stack):
-        if report.escape_ok:
+    within CLOSED_FORM_TOL of its closed-form error. A spec whose analysis
+    raises must not escape, and raise InfeasibleError: an Alice outcome
+    never occurs (as where draws of ancilla_dim 1 repeat two states)."""
+    for escapes, report in zip(attack.escape_outcomes(stack), attack.report_outcomes(stack)):
+        if isinstance(report, Exception):
+            assert isinstance(report, attack.InfeasibleError) and not escapes
+        elif report.escape_ok:
             worst = max(abs(pe - report.pe_closed_form) for pe in report.pe_numeric.values())
             assert worst <= optimizer.CLOSED_FORM_TOL
 
@@ -185,12 +196,12 @@ def _assert_helstrom_meets_the_closed_form(stack):
 @given(*_DRAWN_FAMILIES)
 def test_helstrom_errors_meet_the_closed_form_on_escaping_points(draws, ancilla_dim, seed, log_angle):
     _assert_helstrom_meets_the_closed_form(
-        optimizer._family_stack(_drawn_points(draws, ancilla_dim, seed, log_angle))
+        _stack_of(_drawn_points(draws, ancilla_dim, seed, log_angle))
     )
 
 
 def test_the_closed_form_property_catches_a_helstrom_route_off_by_1e8(monkeypatch):
-    stack = optimizer._family_stack(_drawn_points([(0.3, (0.1, 0.2, 0.3, 0.4))], 2, 5, None))
+    stack = _stack_of(_drawn_points([(0.3, (0.1, 0.2, 0.3, 0.4))], 2, 5, None))
     _assert_helstrom_meets_the_closed_form(stack)
     original = attack._helstrom_errors
 
@@ -214,49 +225,86 @@ def test_search_values_are_the_objective_at_the_probes_and_optima(seed, restarts
         maximize(restarts=restarts, bounds=bounds, rng=np.random.default_rng(seed))
     assert len(walks) == restarts
     for w in walks:
-        for point in w.probes + [w.optimum[0]]:
-            value = optimizer._search_value(point, optimizer._phase_factors(point.phases))
-            assert value.hex() == objective(point).hex()
+        # each phase probe's value at no phases and at the restart's phases,
+        # and the optimum's value, as the walk recorded them
+        for c, base, shifted in w.probes:
+            assert base.hex() == objective(AttackFamilyPoint(c)).hex()
+            assert shifted.hex() == objective(AttackFamilyPoint(c, w.phases)).hex()
+        optimum = AttackFamilyPoint(w.cs[w.optimum], w.phases)
+        assert w.values[w.optimum].hex() == objective(optimum).hex()
+        assert w.values[w.optimum] == max(w.values) and max(w.values) not in w.values[:w.optimum]
 
 
 # ---------------------------------------------------------------------------
 # family stacks
 
 
-def _scalar_a(point):
-    """Reference: a point's amplitude array built one amplitude at a time
-    from the scalar products of _amplitudes, the search's own route."""
-    a00, a01, a10, a11 = optimizer._amplitudes(point, optimizer._phase_factors(point.phases))
-    return np.array([[a00, a01], [a10, a11]], dtype=complex)
+def _old_amplitudes(point, factors):
+    """Reference: a00, a01, a10, a11 of ``point`` from its phase factors,
+    one point at a time, as the search took them from point objects."""
+    c, s = min(max(point.c, 0.0), INV_SQRT2), point.s
+    return c * factors[0], s * factors[1], s * factors[2], c * factors[3]
 
 
-def _assert_rows_are_their_specs(points, stack=None):
-    stack = optimizer._family_stack(points) if stack is None else stack
+def _old_family_stack(points):
+    """Reference: the amplitudes (n, 2, 2) and ancilla states (n, 4, 4) of
+    the stack that the builder over point objects, which family_stack
+    replaces, made of ``points``."""
+    cs = np.array([point.c for point in points], dtype=float)
+    c = np.where(cs > INV_SQRT2, INV_SQRT2, np.where(cs < 0.0, 0.0, cs))
+    s2 = 0.5 - cs * cs
+    s = np.sqrt(np.where(s2 < 0.0, 0.0, s2))
+    factors = np.exp(1j * np.array([point.phases for point in points], dtype=float)).reshape(-1, 4)
+    mags = np.stack([c, s, s, c], axis=1)
+    a = np.empty(mags.shape, dtype=complex)
+    a.real = mags * factors.real - 0.0 * factors.imag
+    a.imag = mags * factors.imag + 0.0 * factors.real
+    eye = np.eye(4, dtype=complex)
+    eps = np.array([eye if p.eps is None else np.asarray(p.eps, complex) for p in points])
+    return a.reshape(-1, 2, 2), eps
+
+
+def _assert_rows_are_their_specs(points, stack):
+    """Each row of ``stack`` is bit for bit the old builder's row of its
+    point, the old scalar amplitudes, and the point's spec; and the walk's
+    float value at the point is the closed form at the row's magnitudes."""
     assert len(stack) == len(points)
+    a, eps = _old_family_stack(points)
+    assert stack.a.tobytes() == a.tobytes()
+    assert np.ascontiguousarray(stack.eps).tobytes() == eps.tobytes()
     for i, point in enumerate(points):
-        ref = _scalar_a(point).tobytes()
-        assert stack.a[i].tobytes() == point.to_spec().a.tobytes() == ref
+        scalar = _old_amplitudes(point, np.exp(1j * np.asarray(point.phases, dtype=float)))
+        spec = point.to_spec()
+        assert stack.a[i].tobytes() == spec.a.tobytes() == np.array(scalar).tobytes()
+        assert stack.eps[i].tobytes() == spec.eps.tobytes()
+        walked = optimizer._search_value(point.c, optimizer._phase_factors(point.phases).tolist())
+        pe = attack._closed_form(abs(stack.a[i, 0, 0]), abs(stack.a[i, 1, 0]))
+        assert walked.hex() == attack.mutual_information(pe).hex()
 
 
 def test_family_stacks_hold_the_specs_of_every_maximize_point(monkeypatch):
     stacks = []
-    family_stack = optimizer._family_stack
+    build = optimizer.family_stack
 
-    def recorded(points):
-        stacks.append((list(points), family_stack(points)))
-        return stacks[-1][1]
+    def recorded(cs, phases, eps=None):
+        stacks.append((cs, phases, eps, build(cs, phases, eps)))
+        return stacks[-1][-1]
 
-    monkeypatch.setattr(optimizer, "_family_stack", recorded)
+    monkeypatch.setattr(optimizer, "family_stack", recorded)
     maximize(restarts=8, rng=np.random.default_rng(42))
     monkeypatch.undo()  # to_spec builds its stack of one through it too
     # one escape pass per batch: every search point and phase probe of the
-    # run (each optimum is a search point)
+    # run (each optimum is a search point), each row with its own phases
     assert len(stacks) == 4
-    points = [point for batch, _ in stacks for point in batch]
-    assert len(points) > 8 * 50
-    for batch, stack in stacks:
+    points = []
+    for cs, phases, eps, stack in stacks:
+        assert eps is None
+        batch = [AttackFamilyPoint(c, tuple(ph)) for c, ph in zip(cs, np.asarray(phases).tolist())]
         _assert_rows_are_their_specs(batch, stack)
-    _assert_rows_are_their_specs(points)
+        points += batch
+    assert len(points) > 8 * 50
+    cs, phases = [p.c for p in points], [p.phases for p in points]
+    _assert_rows_are_their_specs(points, optimizer.family_stack(cs, phases))
 
 
 _C_EDGES = (
@@ -265,36 +313,59 @@ _C_EDGES = (
 )
 
 
+# c over [-1e-12, 1/sqrt(2) + 1e-12], the clamp edges included; random
+# phases; and no ancilla states, or random orthonormal ones of a drawn
+# ancilla_dim, one (ancilla_dim, seed) per stack
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.lists(
-    st.tuples(
-        st.one_of(st.sampled_from(_C_EDGES),
-                  st.floats(-optimizer._C_SLACK, INV_SQRT2 + optimizer._C_SLACK)),
-        st.tuples(*[st.floats(-10.0, 10.0)] * 4),
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from(_C_EDGES),
+                      st.floats(-optimizer._C_SLACK, INV_SQRT2 + optimizer._C_SLACK)),
+            st.tuples(*[st.floats(-10.0, 10.0)] * 4),
+        ),
+        min_size=1, max_size=40,
     ),
-    min_size=1, max_size=40,
-))
-@example([(c, (0.0, 0.0, 0.0, 0.0)) for c in _C_EDGES])
-@example([(c, (1.0, 2.5, 4.0, 5.5)) for c in _C_EDGES])
-@example([(c, (-1.0, -2.5, -4.0, -5.5)) for c in _C_EDGES])
-def test_family_stack_rows_are_bit_for_bit_the_amplitudes_of_their_points(draws):
-    _assert_rows_are_their_specs([AttackFamilyPoint(c, phases) for c, phases in draws])
+    st.one_of(st.none(), st.tuples(st.integers(2, 4), st.integers(0, 2**32 - 1))),
+)
+@example([(c, (0.0, 0.0, 0.0, 0.0)) for c in _C_EDGES], None)
+@example([(c, (1.0, 2.5, 4.0, 5.5)) for c in _C_EDGES], None)
+@example([(c, (-1.0, -2.5, -4.0, -5.5)) for c in _C_EDGES], (2, 0))
+def test_family_stack_rows_are_bit_for_bit_the_amplitudes_of_their_points(draws, drawn_eps):
+    cs, phases = [c for c, _ in draws], [ph for _, ph in draws]
+    eps = None
+    if drawn_eps is not None:
+        ancilla_dim, seed = drawn_eps
+        rng = np.random.default_rng(seed)
+        eps = np.array([random_orthonormal(rng, 2 * ancilla_dim, 4) for _ in draws])
+    points = [
+        AttackFamilyPoint(c, ph, None if eps is None else eps[i]) for i, (c, ph) in enumerate(draws)
+    ]
+    stack = optimizer.family_stack(cs, phases, eps)
+    _assert_rows_are_their_specs(points, stack)
+    # one quadruple stands for every row
+    shared = optimizer.family_stack(cs, phases[0], eps)
+    assert shared.a.tobytes() == optimizer.family_stack(cs, [phases[0]] * len(cs), eps).a.tobytes()
 
 
 def test_family_stack_carries_each_point_s_ancilla_states():
     rng = np.random.default_rng(8)
     points = [random_family_point(rng) for _ in range(3)]
     points.insert(1, AttackFamilyPoint(0.3))
-    stack = optimizer._family_stack(points)
+    eps = [np.eye(4, dtype=complex) if p.eps is None else p.eps for p in points]
+    stack = optimizer.family_stack([p.c for p in points], [p.phases for p in points], eps)
     assert stack.ancilla_dim == 2
-    for point, eps in zip(points, stack.eps):
+    for point, row in zip(points, stack.eps):
         ref = np.eye(4, dtype=complex) if point.eps is None else point.eps
-        assert eps.tobytes() == ref.tobytes() == point.to_spec().eps.tobytes()
+        assert row.tobytes() == ref.tobytes() == point.to_spec().eps.tobytes()
     _assert_rows_are_their_specs(points, stack)
-    assert len(optimizer._family_stack([])) == 0
-    odd = AttackFamilyPoint(0.3, eps=np.eye(5, dtype=complex)[:4])
+    # without ancilla states every row holds the default, np.eye(4)
+    plain = optimizer.family_stack([0.1, 0.3], (0.0,) * 4)
+    assert plain.eps.tobytes() == np.array([np.eye(4)] * 2, dtype=complex).tobytes()
+    assert len(optimizer.family_stack([], (0.0,) * 4)) == 0
+    odd = np.eye(5, dtype=complex)[:4]
     with pytest.raises(attack.SpecError, match="an even dimension"):
-        optimizer._family_stack([odd, odd])
+        optimizer.family_stack([0.3, 0.3], (0.0,) * 4, [odd, odd])
 
 
 def test_maximize_builds_no_attack_spec(monkeypatch):
@@ -391,6 +462,25 @@ def test_maximize_runs_no_helstrom_route(monkeypatch):
     assert set(called) == {name for _, name in _CROSS_CHECK_STAGES}
 
 
+def test_maximize_builds_one_point_hashes_none_and_makes_one_escape_pass(monkeypatch):
+    # the rows the restarts meet one after another, each once in order of
+    # first occurrence: both restarts' search points, then their phase probes
+    log = _evaluated(2, 42)
+    points = [p for r in range(2) for p in _search_points(log, r)]
+    points += [p for r in range(2) for p in _probes(log, r)]
+    rows = [AttackFamilyPoint(c, ph).to_spec().a.tobytes() for c, ph in dict.fromkeys(map(_key, points))]
+    assert len(rows) == 104
+    built, hashed = [], []
+    post_init, point_hash = AttackFamilyPoint.__post_init__, AttackFamilyPoint.__hash__
+    monkeypatch.setattr(AttackFamilyPoint, "__post_init__", lambda p: built.append(p) or post_init(p))
+    monkeypatch.setattr(AttackFamilyPoint, "__hash__", lambda p: hashed.append(p) or point_hash(p))
+    passes = _record_passes(monkeypatch)
+    result = maximize(restarts=2, rng=np.random.default_rng(42))
+    assert len(built) == 1 and built[0] is result.best_point
+    assert hashed == []
+    assert [[row.a.tobytes() for row in specs] for specs in passes] == [rows]
+
+
 def test_maximize_validates_arguments():
     with pytest.raises(ValueError):
         maximize(restarts=0)
@@ -413,8 +503,11 @@ def _walk_bits(monkeypatch, seed, restarts=8):
     bits = []
     for w in walks:
         bits += [v.hex() for v in w.values]
-        bits += [str(attack.escape_check(p.to_spec())) for p in w.points]
-        bits += [objective(p).hex() for p in w.probes + [w.optimum[0]]]
+        bits += [str(attack.escape_check(AttackFamilyPoint(c, w.phases).to_spec())) for c in w.cs]
+        # the phase probes, zero-phase and rotated at each c, then the optimum
+        checked = [AttackFamilyPoint(c, ph) for c, _, _ in w.probes for ph in ((0.0,) * 4, w.phases)]
+        checked.append(AttackFamilyPoint(w.cs[w.optimum], w.phases))
+        bits += [objective(p).hex() for p in checked]
     bits += [v.hex() for _, v in result.trace] + [result.best_point.c.hex(), str(result.converged)]
     return bits
 
@@ -429,9 +522,15 @@ def test_restart_walks_match_the_frozen_digest(monkeypatch):
 # batched restarts against the sequential loop
 
 
-#: Injected faults: the amount by which the value at a family point is off,
-#: in light_information and in maximize()'s search value alike (_inject).
+#: Injected faults: the amount by which the value at a family point, keyed
+#: by (c, phases), is off, in light_information and in the probe values of
+#: maximize()'s walks alike (_inject).
 _SHIFTS = {}
+
+
+def _key(point):
+    """A family point as the search carries it: its c and phases."""
+    return point.c, point.phases
 
 
 def light_information(point):
@@ -441,7 +540,7 @@ def light_information(point):
     if not attack.escape_check(spec):
         raise attack.SpecError("family point does not satisfy the detection constraints")
     pe = attack._closed_form(abs(spec.a[0, 0]), abs(spec.a[1, 0]))
-    return attack.mutual_information(pe) + _SHIFTS.get(point, 0.0)
+    return attack.mutual_information(pe) + _SHIFTS.get(_key(point), 0.0)
 
 
 def sequential_maximize(restarts=4, iters=MAX_ITERS, tol=1e-6, rng=None,
@@ -550,31 +649,40 @@ def test_lockstep_restarts_match_the_sequential_loop_on_constrained_runs(bounds,
 
 def _inject(monkeypatch, points=(), shifts=None):
     """Make each family point of ``points`` fail to escape detection in both
-    escape routes: every spec built of it gets its first ancilla state in
-    place of its second. With ``shifts``, a {point: amount} of phase probes,
-    make the value at each point off by its amount, in maximize()'s search
-    value and in light_information alike."""
-    targets = set(points)
-    family_stack = optimizer._family_stack
+    escape routes: every family stack row (c, phases) that is one of them
+    gets its first ancilla state in place of its second. With ``shifts``, a
+    {point: amount} of phase probes, make the value at each point off by its
+    amount, in the probe values of maximize()'s walks and in
+    light_information alike. Both faults are keyed by (c, phases)."""
+    targets = {_key(point) for point in points}
+    build = optimizer.family_stack
 
-    def colliding(family):
-        stack = family_stack(family)
-        rows = [i for i, point in enumerate(family) if point in targets]
+    def colliding(cs, phases, eps=None):
+        stack = build(cs, phases, eps)
+        rows_phases = np.broadcast_to(np.asarray(phases, dtype=float), (len(stack), 4)).tolist()
+        keys = zip(np.asarray(cs, dtype=float).tolist(), map(tuple, rows_phases))
+        rows = [i for i, key in enumerate(keys) if key in targets]
         if not rows:
             return stack
         eps = np.array(stack.eps)
         eps[rows, 1] = eps[rows, 0]
         return attack.SpecStack(stack.ancilla_dim, stack.a, eps)
 
-    monkeypatch.setattr(optimizer, "_family_stack", colliding)
+    monkeypatch.setattr(optimizer, "family_stack", colliding)
     if shifts:
         for point, shift in shifts.items():
-            monkeypatch.setitem(_SHIFTS, point, shift)
-        search_value = optimizer._search_value
-        monkeypatch.setattr(
-            optimizer, "_search_value",
-            lambda point, factors: search_value(point, factors) + _SHIFTS.get(point, 0.0),
-        )
+            monkeypatch.setitem(_SHIFTS, _key(point), shift)
+        walk = optimizer._walk
+
+        def shifted(*args):
+            w = walk(*args)
+            probes = [
+                (c, base + _SHIFTS.get((c, (0.0,) * 4), 0.0), value + _SHIFTS.get((c, w.phases), 0.0))
+                for c, base, value in w.probes
+            ]
+            return w._replace(probes=probes)
+
+        monkeypatch.setattr(optimizer, "_walk", shifted)
 
 
 def _evaluated(restarts, seed, **kwargs):
@@ -607,10 +715,14 @@ def _search_points(log, restart):
         (lambda log: ([_search_points(log, 1)[0]], {_probes(log, 1)[3]: 1e-6}),
          attack.ConsistencyError),
         (lambda log: ([_probes(log, 1)[3]], {_probes(log, 1)[1]: 1e-6}), attack.ConsistencyError),
+        # a rotated probe that neither escapes nor keeps its value fails on
+        # the escape check, which comes before the phase-invariance check
+        (lambda log: ([_probes(log, 1)[1]], {_probes(log, 1)[1]: 1e-6}), attack.SpecError),
     ],
     ids=["restart-1-search", "restart-0-probe", "restart-0-late-restart-1-early",
          "restart-1-phase-variant", "restart-0-search-before-restart-1-probe",
-         "restart-1-probe-before-its-search", "restart-1-probe-pair-before-the-next"],
+         "restart-1-probe-before-its-search", "restart-1-probe-pair-before-the-next",
+         "restart-1-probe-escape-before-its-phase-check"],
 )
 def test_lockstep_raises_the_error_the_sequential_loop_meets_first(monkeypatch, pick, error):
     _inject(monkeypatch, *pick(_evaluated(3, 9)))
@@ -810,7 +922,10 @@ def test_result_json_is_what_json_dumps_writes(restarts):
         0.25, AttackFamilyPoint(0.3, (1.0, 2.0, 3.0, 4.0)),
         [(1, 0.0), (2, 5e-324), (3, 1e-300), (10**6, 0.123456789012345), (10**7, 1.0)],
     )
-    results = [odd, dataclasses.replace(odd, trace=[])]
+    # one float object repeated, then equal floats of other objects and signs
+    shared = 0.123456789012345
+    runs = [(1, shared), (2, shared), (3, float("0.123456789012345")), (4, -0.0), (5, 0.0), (6, 0.0)]
+    results = [odd, dataclasses.replace(odd, trace=[]), dataclasses.replace(odd, trace=runs)]
     for seed in (0, 7, 42, 101, 1492956812):
         result = maximize(restarts=restarts, rng=np.random.default_rng(seed))
         results += [result, dataclasses.replace(result, trace=[])]

@@ -260,21 +260,6 @@ def test_cross_overlaps_stack_matches_each_member_by_vdot(rng):
 
 
 # ---------------------------------------------------------------------------
-# orthonormal_completion
-
-
-def test_orthonormal_completion(rng):
-    v = rng.normal(size=6) + 1j * rng.normal(size=6)
-    v /= np.linalg.norm(v)
-    basis = qmath.orthonormal_completion([v])
-    assert np.abs(basis @ basis.conj().T - np.eye(6)).max() <= 1e-10
-    assert np.allclose(basis[:, 0], v)
-    for seeds in ([], [v, v[:4]]):
-        with pytest.raises(ValueError):
-            qmath.orthonormal_completion(seeds)
-
-
-# ---------------------------------------------------------------------------
 # orthonormal_span
 
 

@@ -588,11 +588,12 @@ def mutual_information(pe: float) -> float:
     with error probability pe: 1 + pe log2 pe + (1-pe) log2 (1-pe)."""
     if not 0.0 <= pe <= 1.0:
         raise ValueError(f"error probability must lie in [0, 1], got {pe}")
+    return min(1.0, max(0.0, 1.0 + _xlog(pe) + _xlog(1.0 - pe)))
 
-    def xlog(x: float) -> float:
-        return x * math.log2(x) if x > 0.0 else 0.0
 
-    return min(1.0, max(0.0, 1.0 + xlog(pe) + xlog(1.0 - pe)))
+def _xlog(x: float) -> float:
+    """x log2 x, 0 at x = 0."""
+    return x * math.log2(x) if x > 0.0 else 0.0
 
 
 def nas_check(spec: AttackSpec | SpecRow) -> tuple[bool, dict]:

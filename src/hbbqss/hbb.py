@@ -10,12 +10,12 @@ queried again after the bases are public.
 
 A session takes one of two routes, which make the same generator draws and
 write the same records (see :func:`run_session`). With a PCG64 generator
-and no strategy or a built-in attacker of :mod:`hbbqss.exploit` (exactly
-its class, hooks neither patched on the class nor set on the instance), the
-session builds once a table of everything a round can reach and scans the
-rounds over it, reading the draws from the generator's raw words; no hook
-is called. Every other session runs round by round through the hooks, and
-that route is the reference the scan is tested against.
+and no strategy or a :class:`_TableAttack` (each built-in attacker of
+:mod:`hbbqss.exploit`) whose hooks are the base's, none set on the instance,
+the session builds once a table of everything a round can reach and scans
+the rounds over it, reading the draws from the generator's raw words; no
+hook is called. Every other session runs round by round through the hooks,
+and that route is the reference the scan is tested against.
 
 The per-round table lookups, sifting among them, read tables built once
 at import. Transcripts are written from per-row templates: each distinct
@@ -50,6 +50,7 @@ from .qstate import (
     StateVector,
     _frozen,
     _measure_stack,
+    _sample,
     _two_way,
     ghz_state,
     measure_qubit,  # noqa: F401 - kept in this namespace for code that looks it up here
@@ -162,10 +163,10 @@ class AttackStrategy(Protocol):
     ``np.random.default_rng(rng)`` raises ``TypeError``), whose ``random()``
     and ``integers(0, 2)`` are served from the session's block of raw words,
     bit for bit, until the first other use hands every draw to the
-    generator. The built-in attackers of :mod:`hbbqss.exploit` are not
-    called once per round when the session takes the scan (see
-    :func:`run_session`): the session reads their answers from tables built
-    from the same decision rules.
+    generator. The built-in attackers of :mod:`hbbqss.exploit`, and their
+    subclasses that keep the hooks, are not called once per round when the
+    session takes the scan (see :func:`run_session`): the session reads
+    their answers from the tables their hooks draw from.
     ``announce_basis`` commits the forged basis before any other
     announcement is revealed. ``respond`` is called only on sifted rounds,
     after all bases are public: on check rounds it must return an Outcome
@@ -340,14 +341,14 @@ def run_session(
     A session takes one of two routes, with the same draws, records and
     generator state at the end:
 
-    * The scan serves a PCG64 generator with no strategy or with one of
-      the three attackers of :mod:`hbbqss.exploit`, of exactly its class,
-      with the hooks the class defines (none patched on the class or set on
-      the instance). It builds, once per session, a table of everything a
-      round can reach: the intercepted states, every measurement's branches
-      and the laws of the attacker's answers. The rounds then read their
-      draws straight from the stream's words and walk the table; no hook is
-      called.
+    * The scan serves a PCG64 generator with no strategy or with a
+      :class:`_TableAttack` (the three attackers of :mod:`hbbqss.exploit`
+      and their subclasses) whose class keeps the base's hooks and whose
+      instance sets none. It builds, once per session, a table of
+      everything a round can reach: the intercepted states, every
+      measurement's branches and the laws of the attacker's answers. The
+      rounds then read their draws straight from the stream's words and
+      walk the table; no hook is called.
     * Every other session runs round by round and calls every strategy
       hook: the rounds draw through the stream (the hooks get it in place of
       the generator, see :class:`AttackStrategy`) or, with any other bit
@@ -478,36 +479,64 @@ def _per_round(n_rounds, check_fraction, strategy, prepared, rng) -> tuple:
 
 #: The names of the :class:`AttackStrategy` hooks.
 _HOOKS = ("intercept", "announce_basis", "respond")
-#: Strategy classes the scan runs, each with the hooks it defines; see :func:`_scanned`.
-_SCANNED: dict[type, tuple] = {}
 
 
-def _scanned(cls: type) -> type:
-    """Class decorator: sessions with an instance of ``cls`` may take the scan.
+class _TableAttack:
+    """An attacker given as its data: ``_roots(prepared)``, the laws of its
+    interaction and of its answers, which the session scan walks and from
+    which the hooks below draw.
 
-    The class draws its forged basis as :func:`_random_basis` does, and its
-    ``_roots(prepared)`` states its ``intercept`` and ``respond`` as tables:
-    a tuple, one entry per bit of a probe-basis ``integers(0, 2)`` draw (a
-    single entry when ``intercept`` draws nothing), each a law (see
-    :func:`~hbbqss.qstate._sample`) over pairs (intercepted state, answers).
-    ``answers(states, bases)`` gives, for the rows of ``states`` (the C, E
-    states once A and B are measured) and each row's (Alice, Bob, own) bases
-    of a sifted round, the pair of laws of its check announcement and of its
-    key guess. The hooks are recorded as the class defines them now.
+    ``_roots(prepared)`` is a tuple, one entry per bit of a probe-basis
+    ``integers(0, 2)`` draw (a single entry when ``intercept`` draws
+    nothing), each a law (see :func:`~hbbqss.qstate._sample`) over pairs
+    (intercepted state, answers). ``answers(states, bases)`` gives, for the
+    rows of ``states`` (the C, E states once A and B are measured) and each
+    row's (Alice, Bob, own) bases of a sifted round, the pair of laws of its
+    check announcement and of its key guess. The forged basis is drawn as
+    :func:`_random_basis` draws it.
     """
-    _SCANNED[cls] = tuple(vars(cls)[name] for name in _HOOKS)
-    return cls
+
+    def __init__(self, roots):
+        # the memo's keys hold ``roots``, which holds no reference to the
+        # attacker, so attacker and memo form no reference cycle
+        self._roots = roots
+        self._memo = StateMemo()
+        self._answers = None  # the answers of the root last drawn
+
+    def intercept(self, state: StateVector, rng: np.random.Generator) -> StateVector:
+        roots = self._memo.apply(_frozen_roots, state, self._roots)
+        law = roots[rng.integers(0, 2)] if len(roots) == 2 else roots[0]
+        state, self._answers = _sample(law, rng)
+        return state
+
+    def announce_basis(self, round_id: int, rng: np.random.Generator) -> Basis:
+        return _random_basis(rng)
+
+    def respond(self, ctx: RespondContext, rng: np.random.Generator) -> Outcome | int:
+        laws = self._memo.apply(_answer_laws, ctx.state, self._answers, ctx.alice_basis, ctx.bob_basis, ctx.own_basis)
+        return _sample(laws[ctx.role is Role.KEY], rng)
+
+
+def _frozen_roots(state: StateVector, roots) -> tuple:
+    """``roots(state)`` with every root state read-only."""
+    return tuple((cuts, tuple((read_only(root), answers) for root, answers in outcomes)) for cuts, outcomes in roots(state))
+
+
+def _answer_laws(state: StateVector, answers, alice_basis: Basis, bob_basis: Basis, own_basis: Basis) -> tuple:
+    """The (check, key) answer laws of one C, E state: ``answers(states,
+    bases)``, which gives them for each row of a stack, on a stack of one."""
+    return answers(state.vec[None], [(alice_basis, bob_basis, own_basis)])[0]
 
 
 def _scannable(strategy: AttackStrategy | None) -> bool:
-    """Whether the scan may stand in for the strategy's hooks."""
+    """Whether the scan may stand in for the strategy's hooks: no strategy, or
+    a :class:`_TableAttack` whose hooks are the base's, none on the instance."""
     if strategy is None:
         return True
     cls = type(strategy)
-    hooks = _SCANNED.get(cls)
     return (
-        hooks is not None
-        and all(getattr(cls, name) is hook for name, hook in zip(_HOOKS, hooks))
+        isinstance(strategy, _TableAttack)
+        and all(getattr(cls, name) is getattr(_TableAttack, name) for name in _HOOKS)
         and vars(strategy).keys().isdisjoint(_HOOKS)
     )
 

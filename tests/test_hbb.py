@@ -446,9 +446,15 @@ def test_writing_into_a_shared_state_raises_and_changes_nothing():
     assert transcript_to_json(run_session(300, 0.5, strategy=exploit.CircuitAttack(), seed=31)) == reference
 
 
+class PlainCircuit(exploit.CircuitAttack):
+    """The circuit attacker, subclassed with no hook overridden: its
+    sessions take the scan."""
+
+
 BUILT_IN_ATTACKERS = {
     "none": lambda: None,
     "hbb-circuit": exploit.CircuitAttack,
+    "circuit-subclass": PlainCircuit,
     "intercept-resend": exploit.InterceptResend,
     "spec-kki": lambda: exploit.HelstromAttack(attack.kki_spec()),
     "spec-family": lambda: exploit.HelstromAttack(
@@ -694,7 +700,7 @@ def test_stream_draws_match_the_generator():
         _stream_and_twin_agree(seed)
 
 
-@pytest.mark.parametrize("attacker", sorted(BUILT_IN_ATTACKERS))
+@pytest.mark.parametrize("attacker", sorted(SESSION_NEXT_DRAWS))
 def test_session_ends_at_the_frozen_draws(attacker):
     rng = np.random.default_rng(21)
     run_session(300, 0.5, strategy=BUILT_IN_ATTACKERS[attacker](), rng=rng)

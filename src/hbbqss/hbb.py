@@ -18,18 +18,22 @@ hook is called. Every other session runs round by round through the hooks,
 and that route is the reference the scan is tested against.
 
 The per-round table lookups, sifting among them, read tables built once
-at import. Transcripts are written from per-row templates: each distinct
-row (all fields but ``round_id``) is encoded once per export, and the bytes
-are those of ``json.dumps(..., sort_keys=True, indent=2)`` or of a
-``csv.writer`` loop.
+at import. One of them is the transcript's vocabulary: a round's row less
+its ``round_id`` takes one of 64 values (16 discarded, 32 check and 16 key
+rows), and a transcript holds each round as the index of its row. The
+writers render a round from its row's template, encoded once per process
+and format, and the bytes are those of ``json.dumps(..., sort_keys=True,
+indent=2)`` or of a ``csv.writer`` loop.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -130,6 +134,22 @@ _SIFTS: dict[tuple[Basis, Basis, Basis], bool] = {
 _SIFTED: dict[tuple[Basis, Basis], tuple[Basis, Basis, Basis]] = {
     bases[:2]: bases for bases, sifts in _SIFTS.items() if sifts
 }
+#: Every row a round can take, as the fields of its :class:`RoundRecord`
+#: after ``round_id``. Per triple of bases and pair of Alice's and Bob's
+#: outcomes: a discarded row where the triple does not sift, else a check row
+#: per announcement in Charlie's basis, consistent iff :func:`infer_alice`
+#: gives Alice's outcome, and a key row. 16 discarded, 32 check and 16 key.
+_ROWS: tuple[tuple, ...] = tuple(
+    (bases, out_a, out_b, announced, sifts, role, None if announced is None else infer_alice(out_b, announced) == out_a)
+    for bases, sifts in _SIFTS.items()
+    for out_a, out_b in product(_OUTCOMES[bases[0]], _OUTCOMES[bases[1]])
+    for announced, role in (
+        [(c, Role.CHECK) for c in _OUTCOMES[bases[2]]] + [(None, Role.KEY)] if sifts else [(None, Role.DISCARDED)]
+    )
+)
+#: A row's index in ``_ROWS`` by its bases, outcomes, announcement and role,
+#: the fields that fix the other two.
+_ROW_INDEX: dict[tuple, int] = {(*row[:4], row[5]): k for k, row in enumerate(_ROWS)}
 
 
 class RespondContext(NamedTuple):
@@ -196,9 +216,53 @@ class RoundRecord(NamedTuple):
     consistent: bool | None
 
 
+_record = functools.partial(tuple.__new__, RoundRecord)
+
+
+class _Rounds(Sequence):
+    """A transcript's rounds as a read-only sequence of :class:`RoundRecord`
+    over ``rows``, the index in ``_ROWS`` of each round's row: round ``r`` is
+    ``RoundRecord(r, *_ROWS[rows[r]])``, built when read. Indexing (negative
+    indices too), slices (lists of records), iteration and ``==`` behave as
+    on the list of those records."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list[int]):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        ids = range(len(self.rows))[index]
+        if isinstance(ids, range):
+            return [_record((r, *_ROWS[self.rows[r]])) for r in ids]
+        return _record((ids, *_ROWS[self.rows[ids]]))
+
+    def __iter__(self):
+        return (_record((r, *_ROWS[k])) for r, k in enumerate(self.rows))
+
+    def __eq__(self, other):
+        if isinstance(other, _Rounds):
+            return self.rows == other.rows
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class SessionTranscript:
-    rounds: list[RoundRecord]
+    """A session's transcript. ``rounds`` is a read-only sequence of the
+    rounds' records, built when read from each round's row index; it holds
+    no record object per round, and compares equal to the list of its
+    records. The writers read the row indices, so ``rounds`` is the view
+    :func:`run_session` builds."""
+
+    rounds: Sequence[RoundRecord]
     check_error_rate: float | None
     key_alice: list[int]
     key_reconstructed: list[int]
@@ -378,7 +442,7 @@ def run_session(
         rng = _DrawStream(generator)
     route = _scan if rng is not generator and _scannable(strategy) else _per_round
     try:
-        rounds, key_alice, key_reconstructed, checks, failures = route(
+        rows, key_alice, key_reconstructed, checks, failures = route(
             n_rounds, check_fraction, strategy, prepared, rng
         )
     finally:
@@ -386,7 +450,7 @@ def run_session(
             rng._release()
 
     return SessionTranscript(
-        rounds=rounds,
+        rounds=_Rounds(rows),
         check_error_rate=(failures / checks) if checks else None,
         key_alice=key_alice,
         key_reconstructed=key_reconstructed,
@@ -400,9 +464,9 @@ def run_session(
 
 
 def _per_round(n_rounds, check_fraction, strategy, prepared, rng) -> tuple:
-    """The rounds one by one, through the strategy's hooks: (records,
-    Alice's key, reconstructed key, check rounds, failed checks)."""
-    rounds: list[RoundRecord] = []
+    """The rounds one by one, through the strategy's hooks: (the rounds' row
+    indices, Alice's key, reconstructed key, check rounds, failed checks)."""
+    rows: list[int] = []
     key_alice: list[int] = []
     key_reconstructed: list[int] = []
     checks = failures = 0
@@ -435,10 +499,8 @@ def _per_round(n_rounds, check_fraction, strategy, prepared, rng) -> tuple:
             out_c, state = memo.measure(state, "C", charlie_b, rng)
 
         bases = (alice_b, bob_b, charlie_b)
-        sifted = _SIFTS[bases]
         announced: Outcome | None = None
-        consistent: bool | None = None
-        if not sifted:
+        if not _SIFTS[bases]:
             role = Role.DISCARDED
         else:
             role = Role.CHECK if rng.random() < check_fraction else Role.KEY
@@ -455,8 +517,7 @@ def _per_round(n_rounds, check_fraction, strategy, prepared, rng) -> tuple:
                             f"in the announced basis {charlie_b.value}"
                         )
                 checks += 1
-                consistent = infer_alice(out_b, announced) == out_a
-                if not consistent:
+                if infer_alice(out_b, announced) != out_a:
                     failures += 1
             else:
                 key_alice.append(out_a.bit)
@@ -471,10 +532,8 @@ def _per_round(n_rounds, check_fraction, strategy, prepared, rng) -> tuple:
                     # his guess.
                     key_reconstructed.append(int(guess))
 
-        rounds.append(
-            RoundRecord(r, bases, out_a, out_b, announced, sifted, role, consistent)
-        )
-    return rounds, key_alice, key_reconstructed, checks, failures
+        rows.append(_ROW_INDEX[bases, out_a, out_b, announced, role])
+    return rows, key_alice, key_reconstructed, checks, failures
 
 
 #: The names of the :class:`AttackStrategy` hooks.
@@ -554,11 +613,11 @@ def _scan(n_rounds, check_fraction, strategy, prepared, stream: _DrawStream) -> 
     with :func:`_per_round`'s draws read from the stream's words."""
     intercepts = _scan_table(strategy, prepared, check_fraction)
     probing = len(intercepts) == 2
-    rounds: list[RoundRecord] = []
+    rows: list[int] = []
     key_alice: list[int] = []
     key_reconstructed: list[int] = []
     checks = failures = 0
-    append, new, bisect = rounds.append, tuple.__new__, bisect_right
+    append, bisect = rows.append, bisect_right
     doubles, lows, uppers = stream._doubles, stream._lows, stream._uppers
     i, buffered, upper = stream._used, stream._buffered, stream._upper
     last = len(doubles) - _ROUND_WORDS
@@ -602,8 +661,8 @@ def _scan(n_rounds, check_fraction, strategy, prepared, stream: _DrawStream) -> 
                 cuts, node, words = node[bit]
                 node = node[bisect(cuts, doubles[i])]
                 i += words
-            tail, key, check, failed = node
-            append(new(RoundRecord, (r, *tail)))
+            row, key, check, failed = node
+            append(row)
             if key is not None:
                 key_alice.append(key[0])
                 key_reconstructed.append(key[1])
@@ -611,7 +670,7 @@ def _scan(n_rounds, check_fraction, strategy, prepared, stream: _DrawStream) -> 
             failures += failed
     finally:
         stream._used, stream._buffered, stream._upper = i, buffered, upper
-    return rounds, key_alice, key_reconstructed, checks, failures
+    return rows, key_alice, key_reconstructed, checks, failures
 
 
 def _scan_table(strategy, prepared, check_fraction) -> tuple:
@@ -623,13 +682,15 @@ def _scan_table(strategy, prepared, check_fraction) -> tuple:
     there are cuts. The returned node is indexed by the probe-basis bit and
     leads to the intercepted state's node; from there the nodes are indexed
     by Alice's, Bob's and Charlie's basis bits, then by 0 for the role and 0
-    for the answer, and the walk ends at ``(the record's fields but the round
-    id, (Alice's key bit, the reconstructed one) or None, 1 on a check round,
-    1 on a failed check)``.
+    for the answer, and the walk ends at ``(the round's row index in _ROWS,
+    (Alice's key bit, the reconstructed one) or None, 1 on a check round, 1
+    on a failed check)``.
 
     The registers are measured level by level, each level in one stacked
     contraction, every branch bit for bit as the round-by-round route
-    computes it.
+    computes it. A state that does not occur gets no node: its place holds
+    None, which no law reaches, since :func:`~hbbqss.qstate._two_way` drops
+    every branch at or below ``ZERO_BRANCH_TOL``.
     """
     if strategy is None:
         intercepts = (((), ((prepared, None),)),)
@@ -650,9 +711,13 @@ def _scan_table(strategy, prepared, check_fraction) -> tuple:
 
     # the rounds' ends below each state once A and B are measured
     paths = list(product(range(len(roots)), _BRANCHES, _BRANCHES))
+    occurring = occurs.tolist()
     nodes = []
     if strategy is None:
-        for (_, (a, sa), (b, sb)), (c, sc) in product(paths, _BRANCHES):
+        for n, ((_, (a, sa), (b, sb)), (c, sc)) in enumerate(product(paths, _BRANCHES)):
+            if not occurring[n]:
+                nodes.append(None)
+                continue
             bases = (PROTOCOL_BASES[a], PROTOCOL_BASES[b], PROTOCOL_BASES[c])
             out_a, out_b, out_c = (_OUTCOMES[basis][sign] for basis, sign in zip(bases, (sa, sb, sc)))
             laws = (((), (out_c,)), ((), (infer_alice(out_b, out_c).bit,))) if _SIFTS[bases] else None
@@ -661,17 +726,19 @@ def _scan_table(strategy, prepared, check_fraction) -> tuple:
     else:
         # the attacker's answers to the states that occur, root by root
         outcomes = [(_OUTCOMES[PROTOCOL_BASES[a]][sa], _OUTCOMES[PROTOCOL_BASES[b]][sb]) for _, (a, sa), (b, sb) in paths]
-        occurring = occurs.tolist()
         answers: dict[int, tuple] = {}
         for index, (_, answer_laws) in enumerate(roots):
             live = [m for m, (root, _, _) in enumerate(paths) if root == index and occurring[m]]
             sifted = [_SIFTED[outcomes[m][0].basis, outcomes[m][1].basis] for m in live]
             answers.update(zip(live, answer_laws(states[live], sifted)))
         for m, (out_a, out_b) in enumerate(outcomes):
+            if not occurring[m]:
+                nodes.append(None)
+                continue
             ends = []
             for charlie_b in PROTOCOL_BASES:
                 bases = (out_a.basis, out_b.basis, charlie_b)
-                laws = answers.get(m) if _SIFTS[bases] else None
+                laws = answers[m] if _SIFTS[bases] else None
                 ends.append(_law((), (_round_end(bases, out_a, out_b, laws, check_fraction),)))
             nodes.append(tuple(ends))
     while levels:
@@ -706,14 +773,15 @@ def _round_end(bases, out_a: Outcome, out_b: Outcome, laws, check_fraction: floa
     Charlie's announcement and of the reconstructed key bit; None marks a
     discarded round."""
     if laws is None:
-        end = ((bases, out_a, out_b, None, False, Role.DISCARDED, None), None, 0, 0)
+        end = (_ROW_INDEX[bases, out_a, out_b, None, Role.DISCARDED], None, 0, 0)
         return (_law((), ((_law((), (end,)),),)),)
     (check_cuts, announcements), (key_cuts, guesses) = laws
     checks = []
     for announced in announcements:
-        consistent = infer_alice(out_b, announced) == out_a
-        checks.append(((bases, out_a, out_b, announced, True, Role.CHECK, consistent), None, 1, int(not consistent)))
-    keys = [((bases, out_a, out_b, None, True, Role.KEY, None), (out_a.bit, guess), 0, 0) for guess in guesses]
+        row = _ROW_INDEX[bases, out_a, out_b, announced, Role.CHECK]
+        checks.append((row, None, 1, int(not _ROWS[row][6])))
+    key_row = _ROW_INDEX[bases, out_a, out_b, None, Role.KEY]
+    keys = [(key_row, (out_a.bit, guess), 0, 0) for guess in guesses]
     check, key = _law(check_cuts, tuple(checks)), _law(key_cuts, tuple(keys))
     # a check round iff the role's double lies below check_fraction
     return (_law((check_fraction,), ((check,), (key,))),)
@@ -784,23 +852,19 @@ _ID_SLOT = -7_340_033_019
 
 
 def _row_texts(t: SessionTranscript, write_row) -> list[str]:
-    """Each round's row as ``write_row`` writes its ``_round_row`` dict.
+    """Each round's row as ``write_row`` writes its ``_round_row`` dict: the
+    template of its row index (see :func:`_templates`) around its id."""
+    heads, tails = _templates(write_row)
+    return [f"{heads[k]}{r}{tails[k]}" for r, k in enumerate(t.rounds.rows)]
 
-    Rounds that differ only in ``round_id`` share one text: it is written
-    once per call with ``_ID_SLOT`` in place of the id, and each round's id
-    is put in its place.
-    """
-    templates: dict[tuple, list[str]] = {}
-    texts = []
-    for r in t.rounds:
-        key = r[1:]  # every field but round_id; each hashes in C
-        template = templates.get(key)
-        if template is None:
-            row = write_row({**_round_row(r), "round_id": _ID_SLOT})
-            template = templates[key] = row.split(str(_ID_SLOT))
-        head, tail = template
-        texts.append(f"{head}{r[0]}{tail}")
-    return texts
+
+@functools.cache
+def _templates(write_row) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The text of each row of ``_ROWS`` as ``write_row`` writes it, split
+    around the id: written once per process and writer, with ``_ID_SLOT`` as
+    the id."""
+    texts = [write_row(_round_row(RoundRecord(_ID_SLOT, *row))).split(str(_ID_SLOT)) for row in _ROWS]
+    return tuple(head for head, _ in texts), tuple(tail for _, tail in texts)
 
 
 #: A round's row, a flat dict of str, int, bool and None, with one field a

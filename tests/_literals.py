@@ -106,7 +106,10 @@ GENERATED_SPECS = {
 # SHA-256 of the report ``hbbqss analyze`` writes for each bundled and
 # generated spec, of the files written by ``sweep --grid 41``, ``sweep --grid
 # 5000`` (79 stacked passes of ``attack.STACK_BOUND`` points) and ``optimize
-# --restarts 4 --seed 42``, and of ``verify``'s stdout.
+# --restarts 4 --seed 42``, of the transcript of ``simulate --rounds 100000
+# --attacker intercept-resend --seed 42 --format json`` (ids of five and six
+# digits, and every one of the 64 rows a round can take), and of ``verify``'s
+# stdout.
 OUTPUT_DIGESTS = {
     "analyze honest": "0c197b7e970d257ee9a53da46f3ac772eb92f4d3ab463b5afcf7bb923d35a646",
     "analyze hbb_section4": "48bb9a00c690f4c644000a546440ce74e8993abcefa1c315789833d7f6d32fb0",
@@ -123,6 +126,9 @@ OUTPUT_DIGESTS = {
     "sweep --grid 41": "592427f03e1f57fa70bc1cbbb2875e0b7afce12ee3cb83e1fd50926ccaa61225",
     "sweep --grid 5000": "27689d13de89a75bc50e8ce00e6b6f81b382710c1313a5607e0bcc4b529f074d",
     "optimize --restarts 4 --seed 42": "19b7f97de0e88631cbf089f53b258e3ddd325efb18269b4defa365233527137c",
+    "simulate --rounds 100000 --attacker intercept-resend --seed 42 --format json": (
+        "4f74a1eb7fef4bc79aa9d475f1449acfaffaa014e00ba213ee5cb3f0b6372eb6"
+    ),
     "verify": "d7a31622dc0e844afb28164383fcaa7768ba89f5fa17c5b990dffc64fcdb5f4d",
 }
 

@@ -171,6 +171,34 @@ def test_outputs_match_the_frozen_digests(tmp_path, capsys, name):
     assert digest == OUTPUT_DIGESTS[name]
 
 
+class _SessionReached(Exception):
+    pass
+
+
+def _reached(n_rounds, *args, **kwargs):
+    raise _SessionReached(n_rounds)
+
+
+@pytest.mark.parametrize("rounds", ["0", "-3", str(cli.MAX_ROUNDS + 1), "100000000000"])
+def test_simulate_rejects_rounds_out_of_range_with_one_line(tmp_path, capsys, monkeypatch, rounds):
+    # the bound is checked before any session work: no strategy is built
+    monkeypatch.setattr(hbb, "run_session", _reached)
+    monkeypatch.setattr(cli, "_build_strategy", lambda args: pytest.fail("strategy built"))
+    out = tmp_path / "t.json"
+    assert main(["simulate", "--rounds", rounds, "--attacker", "hbb-circuit", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --rounds must be between 1 and {cli.MAX_ROUNDS}, got {rounds}\n"
+    assert not out.exists()
+
+
+def test_simulate_accepts_rounds_up_to_the_bound(tmp_path, monkeypatch):
+    # the session itself is not run
+    monkeypatch.setattr(hbb, "run_session", _reached)
+    with pytest.raises(_SessionReached) as reached:
+        main(["simulate", "--rounds", str(cli.MAX_ROUNDS), "--out", str(tmp_path / "t.json")])
+    assert reached.value.args == (cli.MAX_ROUNDS,)
+
+
 def test_simulate_with_bundled_spec(tmp_path, capsys):
     out = tmp_path / "t.json"
     rc = main(

@@ -990,3 +990,82 @@ def test_template_export_matches_the_reference_encoders(attacker, n_rounds, chec
         assert t.check_error_rate is None
     assert transcript_to_json(t) == _reference_json(t)
     assert transcript_to_csv(t) == _reference_csv(t)
+
+
+# ---------------------------------------------------------------------------
+# the row table
+
+
+def test_row_table_holds_the_64_protocol_rows():
+    rows = hbb._ROWS
+    assert len(rows) == len(set(rows)) == 64
+    assert Counter(row[5] for row in rows) == {Role.DISCARDED: 16, Role.CHECK: 32, Role.KEY: 16}
+    for k, (bases, out_a, out_b, announced, sifted, role, consistent) in enumerate(rows):
+        assert (out_a.basis, out_b.basis) == bases[:2] and sifted is sift(bases)
+        assert (role is Role.DISCARDED) is not sifted
+        if role is Role.CHECK:
+            assert announced.basis is bases[2]
+            assert consistent is (infer_alice(out_b, announced) == out_a)
+        else:
+            assert announced is None and consistent is None
+        assert hbb._ROW_INDEX[bases, out_a, out_b, announced, role] == k
+
+
+def test_row_table_templates_render_as_the_reference_encoders():
+    for write_row in (hbb._json_row, hbb._csv_row):
+        heads, tails = hbb._templates(write_row)
+        for k, row in enumerate(hbb._ROWS):
+            for round_id in (0, 9, 10**7):
+                want = write_row(hbb._round_row(hbb.RoundRecord(round_id, *row)))
+                assert f"{heads[k]}{round_id}{tails[k]}" == want
+
+
+def _session_rows(t) -> set:
+    """The rows of ``t``'s records, each checked against the protocol rules."""
+    rows = set()
+    for r, record in enumerate(t.rounds):
+        assert record.round_id == r
+        if record.role is Role.CHECK:
+            assert record.consistent is (infer_alice(record.outcome_b, record.announced_c) == record.outcome_a)
+        rows.add(record[1:])
+    return rows
+
+
+@pytest.mark.parametrize("attacker", sorted(BUILT_IN_ATTACKERS))
+def test_row_table_holds_every_row_a_session_writes(attacker):
+    table = set(hbb._ROWS)
+    scanned = _session_rows(run_session(3000, 0.5, BUILT_IN_ATTACKERS[attacker](), seed=3))
+    assert scanned <= table
+    strategy = BUILT_IN_ATTACKERS[attacker]()
+    if strategy is None:  # no strategy to wrap: the generator's type decides
+        per_round = _session_rows(run_session(600, 0.5, None, rng=PlainGenerator(np.random.PCG64(3))))
+    else:
+        per_round = _session_rows(run_session(600, 0.5, Delegate(strategy), seed=3))
+    mt19937 = np.random.Generator(np.random.MT19937(3))
+    other_generator = _session_rows(run_session(600, 0.5, BUILT_IN_ATTACKERS[attacker](), rng=mt19937))
+    assert per_round <= table and other_generator <= table
+    if attacker == "intercept-resend":  # it reaches every row
+        assert scanned == table
+
+
+def test_row_table_rounds_view_behaves_as_the_list_of_records():
+    t = run_session(40, 0.5, exploit.InterceptResend(), seed=2)
+    view = t.rounds
+    records = [hbb.RoundRecord(r, *hbb._ROWS[k]) for r, k in enumerate(view.rows)]
+    assert len(view) == 40 and list(view) == records
+    assert view == records and records == view and not view != records
+    assert view != records[:-1] and view != tuple(records)
+    for index in (0, 7, 39, -1, -40):
+        assert view[index] == records[index] and type(view[index]) is hbb.RoundRecord
+    for index in (40, -41):
+        with pytest.raises(IndexError):
+            view[index]
+    for cut in (slice(None), slice(3, 11), slice(None, None, -3), slice(-5, None), slice(50, 60)):
+        assert view[cut] == records[cut] and type(view[cut]) is list
+    assert records[5] in view and view.index(records[5]) == 5
+    assert list(reversed(view)) == records[::-1]
+    assert view == run_session(40, 0.5, exploit.InterceptResend(), seed=2).rounds
+    with pytest.raises(TypeError):
+        view[0] = records[0]
+    with pytest.raises(TypeError):
+        hash(view)

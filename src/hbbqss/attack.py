@@ -16,7 +16,9 @@ ancilla states stacked and validated in one reduction per check; every
 stage reads the stacked arrays, and the one-spec functions run on a stack
 of one. Only this module composes the stages: a stack enters a pass through
 :func:`report_outcomes` (the full analysis) or :func:`escape_outcomes` (the
-escape flags alone, from the bilinear residuals).
+escape flags alone), both taking each flag from the bilinear residuals;
+:func:`cross_check`, run by ``verify`` and the property tests, holds reports
+against the redundant routes.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class InfeasibleError(ValueError):
 
 
 class ConsistencyError(RuntimeError):
-    """Two redundant computation routes disagreed beyond tolerance."""
+    """A numerical check failed, or two redundant routes disagreed beyond tolerance."""
 
 
 class Case(Enum):
@@ -454,13 +456,8 @@ def _residuals(spec: AttackSpec | SpecRow, case_vals: np.ndarray) -> DetectionRe
 
 
 def escape_check(spec: AttackSpec) -> bool:
-    """Whether the attacker escapes the eavesdropping check.
-
-    Two routes must agree: the bilinear residuals and a direct
-    orthogonality test on explicitly constructed conditional states. A
-    disagreement is surfaced as ConsistencyError, never silently resolved.
-    """
-    return _escape_stage(SpecStack.of([spec]))[-1][0]
+    """Whether the attacker escapes the eavesdropping check: :func:`escape_outcomes` of it alone."""
+    return escape_outcomes(SpecStack.of([spec]))[0]
 
 
 def rho_pair(spec: AttackSpec, case: Case) -> tuple[np.ndarray, np.ndarray]:
@@ -646,25 +643,23 @@ class AttackReport:
 
 
 def analyze(spec: AttackSpec) -> AttackReport:
-    """Run every check and measure on a spec and cross-validate the routes:
-    :func:`analyze_stack` of the spec alone."""
+    """Run every check and measure on a spec: :func:`analyze_stack` of it alone."""
     return analyze_stack(SpecStack.of([spec]))[0]
 
 
 def analyze_stack(stack: SpecStack) -> list[AttackReport]:
-    """Run every check and measure on each spec and cross-validate the routes:
-    :func:`report_outcomes` with its first error raised.
+    """Run every check and measure on each spec: :func:`report_outcomes`
+    with its first error raised.
 
-    The global state is projected once into the four conditional state
-    tables; the escape routes, both Helstrom errors of every case and the
-    per-case spread all read them. Every conditional state lies in
-    span(eps), of dimension at most 4, so when the C+E register is larger
-    the Helstrom problems are solved on an orthonormal basis of that span;
-    the escape routes keep the full states. The eight Helstrom problems
-    (per case, Alice's outcomes and the two announcement sets) are stacked
-    and solved in one trace-norm sweep. Each report is bit for bit the
-    spec's report alone, and the error raised is the one the first failing
-    spec raises alone, as analysing the specs in turn would raise it.
+    Each escape flag is :func:`escape_outcomes`'s, from the residuals read
+    once. The global state is projected once into the four conditional
+    state tables, and the eight Helstrom problems (per case, Alice's
+    outcomes and the two announcement sets) are solved in one trace-norm
+    sweep, on an orthonormal basis of span(eps), of dimension at most 4,
+    where the C+E register is larger. Each report is bit for bit the spec's
+    report alone, and the error raised is the one the first failing spec
+    raises alone. :func:`cross_check` holds the reports against the
+    redundant routes.
     """
     reports = report_outcomes(stack)
     for report in reports:
@@ -680,11 +675,16 @@ def report_outcomes(stack: SpecStack) -> list:
 
 
 def escape_outcomes(stack: SpecStack) -> list[bool]:
-    """Each spec's escape flag, :func:`_escape_stage`'s: its largest detection
-    residual (:func:`_residual_stack`) is at most DEFAULT_TOL. No state is
-    built and nothing can raise; the constructed-state route that cross-checks
-    the flag runs in :func:`report_outcomes` passes and the property tests."""
-    return (_residual_stack(stack).max(axis=(1, 2)) <= DEFAULT_TOL).tolist()
+    """Each spec's escape flag: its largest detection residual
+    (:func:`_residual_stack`) is at most DEFAULT_TOL. No state is built and
+    nothing can raise; the constructed-state route that cross-checks the
+    flag runs in :func:`cross_check`."""
+    return _escapes(_residual_stack(stack)).tolist()
+
+
+def _escapes(case_vals: np.ndarray) -> np.ndarray:
+    """The escape flag of each spec of per-case residuals (spec, case, 4)."""
+    return case_vals.max(axis=(1, 2)) <= DEFAULT_TOL
 
 
 #: Most specs a caller stacks into one pass: the grid points of each ``sweep``
@@ -725,52 +725,20 @@ def _outcomes(stack: SpecStack, spans: list) -> list:
     return [outcomes[i] for i in range(len(stack))]
 
 
-def _escape_stage(stack: SpecStack):
-    """The per-case detection residuals (spec, case, 4), global state
-    vectors, conditional state tables and escape flags of the stack's specs,
-    all as array code over the pass: the stage of an analysis pass before
-    the Helstrom problems.
-
-    Each flag is the bilinear route's, asserted against the cross overlaps
-    of the constructed states the attacker must tell apart on check rounds,
-    the same-sign branches against the different-sign ones, in one product
-    over every case of every spec; a pair with a branch that does not occur
-    is masked out. Flags that differ only because the two magnitudes
-    straddle DEFAULT_TOL by round-off (within :func:`_route_tie` of each other)
-    are not a disagreement.
-    """
-    case_vals = _residual_stack(stack)
-    vecs = _global_vectors(stack)
-    tables = _case_tables(vecs)
-    worst_a = case_vals.max(axis=(1, 2))
-    states, occurs = tables.states, tables.occurs
-    overlaps = qmath.cross_overlaps(states[:, :, _SAME_ROWS], states[:, :, _DIFF_ROWS])
-    pairs = occurs[:, :, _SAME_ROWS, None] & occurs[:, :, None, _DIFF_ROWS]
-    worst_b = np.where(pairs, overlaps, 0.0).max(axis=(1, 2, 3))
-    route_a = worst_a <= DEFAULT_TOL
-    bad = (route_a != (worst_b <= DEFAULT_TOL)) & (
-        np.abs(worst_a - worst_b) > _route_tie(states.shape[-1])
-    )
-    if bad.any():
-        s = np.argmax(bad)
-        raise ConsistencyError(
-            f"escape routes disagree: bilinear max {worst_a[s]:.3e}, "
-            f"state-construction max {worst_b[s]:.3e}, tol {DEFAULT_TOL:.1e}"
-        )
-    return case_vals, vecs, tables, route_a.tolist()
-
-
 def _analysis_pass(stack: SpecStack, spans) -> list[AttackReport]:
     """:func:`analyze_stack` of a stack whose specs, where their Helstrom
     problems move to span(eps), share one span dimension."""
-    case_vals, vecs, tables, escapes = _escape_stage(stack)
+    case_vals = _residual_stack(stack)
+    vecs = _global_vectors(stack)
+    tables = _case_tables(vecs)
     if spans[0] is not None:
         tables = _in_basis(tables, np.stack(spans))
     errors = _helstrom_errors(*_helstrom_operators(tables))
     n = 2 * len(CASES)
+    rows = zip(stack, case_vals, _escapes(case_vals).tolist(), vecs)
     return [
         _report(row, _residuals(row, vals), escape, errors[n * s:n * (s + 1)], vec)
-        for s, (row, vals, escape, vec) in enumerate(zip(stack, case_vals, escapes, vecs))
+        for s, (row, vals, escape, vec) in enumerate(rows)
     ]
 
 
@@ -778,29 +746,11 @@ def _report(
     spec: SpecRow, residuals: DetectionResiduals, escape: bool, errors, vec: np.ndarray,
 ) -> AttackReport:
     """A spec's report from its row of the stack, residuals, escape flag,
-    eight Helstrom errors and global state vector, once the checks that read
-    them pass."""
+    eight Helstrom errors and global state vector."""
     pe_numeric = {case: errors[2 * i] for i, case in enumerate(CASES)}
     pe_announce = {case: errors[2 * i + 1] for i, case in enumerate(CASES)}
-
-    # The announcement error scales as the residual squared, so a spec just
-    # off the escape set may still announce with an error below DEFAULT_TOL;
-    # only escape => perfect announcements holds at one tolerance.
-    if escape and max(pe_announce.values()) > DEFAULT_TOL:
-        raise ConsistencyError(
-            f"announcement-set discrimination ({max(pe_announce.values()):.3e}) "
-            f"disagrees with the escape residuals "
-            f"({residuals.max_case_residual:.3e}) at tol {DEFAULT_TOL:.1e}"
-        )
-
     pes = np.array([pe_numeric[c] for c in CASES])
     if escape:
-        spread = float(pes.max() - pes.min())
-        if spread > _CASE_SPREAD_TOL:
-            raise ConsistencyError(
-                f"per-case error probabilities spread {spread:.3e} on a "
-                f"detection-passing spec"
-            )
         pe_cf = _closed_form(abs(spec.a[0, 0]), abs(spec.a[1, 0]))
         info = mutual_information(float(pes.mean()))
     else:
@@ -813,6 +763,45 @@ def _report(
         residuals=residuals, escape_ok=escape, pe_numeric=pe_numeric, pe_announce=pe_announce,
         pe_closed_form=pe_cf, info=info, nas_ok=nas_check(spec)[0], realizable=_realizable(vec)[0],
     )
+
+
+def cross_check(stack: SpecStack, reports) -> None:
+    """Hold the stack's reports from :func:`analyze_stack` against the routes
+    the analysis leaves out, spec by spec in stack order, and raise the first
+    failure as ConsistencyError: each bilinear escape flag against the cross
+    overlaps of the constructed same-sign and different-sign conditional
+    states (a pair with a branch that does not occur masked out; magnitudes
+    within :func:`_route_tie` of each other tie), then, on an escaping spec,
+    announcement errors at most DEFAULT_TOL and a per-case spread at most
+    _CASE_SPREAD_TOL. ``verify`` and the property tests run it."""
+    _, _, states, occurs = _case_tables(_global_vectors(stack))
+    overlaps = qmath.cross_overlaps(states[:, :, _SAME_ROWS], states[:, :, _DIFF_ROWS])
+    pairs = occurs[:, :, _SAME_ROWS, None] & occurs[:, :, None, _DIFF_ROWS]
+    worst_states = np.where(pairs, overlaps, 0.0).max(axis=(1, 2, 3)).tolist()
+    tie = _route_tie(stack.joint_dim)
+    for report, worst_b in zip(reports, worst_states):
+        worst_a = report.residuals.max_case_residual
+        if report.escape_ok != (worst_b <= DEFAULT_TOL) and abs(worst_a - worst_b) > tie:
+            raise ConsistencyError(
+                f"escape routes disagree: bilinear max {worst_a:.3e}, "
+                f"state-construction max {worst_b:.3e}, tol {DEFAULT_TOL:.1e}"
+            )
+        if not report.escape_ok:
+            continue
+        # A spec just off the escape set may announce below DEFAULT_TOL (the
+        # error scales as the residual squared): only escape => perfect holds.
+        announce = max(report.pe_announce.values())
+        if announce > DEFAULT_TOL:
+            raise ConsistencyError(
+                f"announcement-set discrimination ({announce:.3e}) "
+                f"disagrees with the escape residuals ({worst_a:.3e}) at tol {DEFAULT_TOL:.1e}"
+            )
+        pes = report.pe_numeric.values()
+        spread = max(pes) - min(pes)
+        if spread > _CASE_SPREAD_TOL:
+            raise ConsistencyError(
+                f"per-case error probabilities spread {spread:.3e} on a detection-passing spec"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,11 @@ Attack spec JSON schema: ``{"ancilla_dim": d, "a": [[re, im] x4 row-major],
 
 Exit codes: 0 success; 1 a ``verify`` check failed; 2 invalid input (spec,
 option or argument, or a spec or output path that cannot be read or
-written); 3 the attacker broke the session contract; 4 a
-numerical check failed (redundant routes disagreed, or the eigensolver did
-not converge). Codes 2 and 4 print one ``error:`` line on stderr, code 3
-one ``session aborted:`` line.
+written); 3 the attacker broke the session contract; 4 a numerical check
+failed (a Helstrom error out of range, a state off span(eps), weights not
+summing to 1, an ``optimize`` value that depends on the phases, or no
+convergence), while disagreeing routes fail ``verify``. Codes 2 and 4 print
+one ``error:`` line on stderr, code 3 one ``session aborted:`` line.
 """
 
 from __future__ import annotations
@@ -116,10 +117,17 @@ def _stack_of(points) -> attack.SpecStack:
     return optimizer.family_stack(*zip(*((p.c, p.phases, p.eps) for p in points)))
 
 
+def _analyzed(stack: attack.SpecStack) -> list[attack.AttackReport]:
+    """The stack's reports, held by ``attack.cross_check`` to the other routes."""
+    reports = attack.analyze_stack(stack)
+    attack.cross_check(stack, reports)
+    return reports
+
+
 def _check_closed_form_agreement() -> tuple[float, str]:
     rng = np.random.default_rng(7)
     points = [optimizer.random_family_point(rng) for _ in range(40)]
-    reports = attack.analyze_stack(_stack_of(points))
+    reports = _analyzed(_stack_of(points))
     worst = _worst(
         math.inf if r.pe_closed_form is None else abs(r.pe_numeric[c] - r.pe_closed_form)
         for r in reports
@@ -173,8 +181,9 @@ def _check_decoder_soundness() -> tuple[float, str]:
 def _check_nas_sufficiency() -> tuple[float, str]:
     rng = np.random.default_rng(11)
     points = [optimizer.random_family_point(rng, c=0.5) for _ in range(10)]
-    reports = [attack.analyze(exploit.example_spec()), attack.analyze(attack.kki_spec())]
-    reports += attack.analyze_stack(_stack_of(points))
+    specs = (exploit.example_spec(), attack.kki_spec())
+    stacks = [attack.SpecStack.of([spec]) for spec in specs] + [_stack_of(points)]
+    reports = [r for stack in stacks for r in _analyzed(stack)]
     worst = _worst(1.0 - r.info if r.nas_ok and r.escape_ok else math.inf for r in reports)
     return worst, f"max information deficit {worst:.3e} over {len(reports)} specs"
 
@@ -187,7 +196,7 @@ def _check_nas_necessity() -> tuple[float, str]:
         for kind in ("magnitude", "rotation")
         for _ in range(2)
     ]
-    reports = attack.analyze_stack(attack.SpecStack.of(specs))
+    reports = _analyzed(attack.SpecStack.of(specs))
     violations = sum(r.escape_ok and r.info > 1.0 - _PERFECT_INFO_GAP for r in reports)
     if violations:
         return float(violations), f"{violations} of {len(specs)} perturbed specs attack perfectly"

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import pickle
@@ -629,27 +630,28 @@ def _counting(monkeypatch, name):
 
 
 @pytest.mark.parametrize(
-    "run",
+    "run,builds",
     [
-        lambda: analyze(kki_spec()),
-        lambda: optimizer.objective(optimizer.AttackFamilyPoint(0.3)),
-        lambda: escape_check(kki_spec()),
-        lambda: attack.analyze_stack(
+        (lambda: analyze(kki_spec()), 1),
+        (lambda: optimizer.objective(optimizer.AttackFamilyPoint(0.3)), 1),
+        (lambda: escape_check(kki_spec()), 0),
+        (lambda: attack.analyze_stack(
             attack.SpecStack.of([family_spec(c) for c in (0.1, 0.3, 0.5)])
-        ),
+        ), 1),
     ],
     ids=["analyze", "objective", "escape_check", "analyze_stack"],
 )
-def test_one_pass_builds_each_case_once(monkeypatch, run):
+def test_one_pass_builds_each_case_once(monkeypatch, run, builds):
     tables = _counting(monkeypatch, "_case_tables")
     states = _counting(monkeypatch, "_global_vectors")
     projections = _counting(monkeypatch, "_project_stack")
     residuals = _counting(monkeypatch, "_residual_stack")
     run()
     # one stack of global states, projected for all four cases in two stacked
-    # contractions: Alice's four kets, then Bob's two in all eight branches
-    assert len(tables) == 1 and len(states) == 1
-    assert len(projections) == 2
+    # contractions: Alice's four kets, then Bob's two in all eight branches;
+    # the escape flag reads the residuals alone and builds no state
+    assert len(tables) == builds and len(states) == builds
+    assert len(projections) == 2 * builds
     assert len(residuals) == 1
 
 
@@ -676,29 +678,43 @@ def _blind_announcements(tables):
     return deltas, priors
 
 
+_ROUTES_DISAGREE = "escape routes disagree"
+
+
 @pytest.mark.parametrize(
-    "owner,name,fake,run",
+    "owner,name,fake,run,message",
     [
         # state-construction route sees overlaps the bilinear route does not
-        (qmath, "cross_overlaps", lambda s, d: 1.0, escape_check),
-        (qmath, "cross_overlaps", lambda s, d: 1.0, analyze),
+        (qmath, "cross_overlaps", lambda s, d: 1.0, escape_check, _ROUTES_DISAGREE),
+        (qmath, "cross_overlaps", lambda s, d: 1.0, analyze, _ROUTES_DISAGREE),
         # bilinear route sees overlaps the constructed states do not
-        (attack, "_residual_stack", _inflated_residuals, analyze),
+        (attack, "_residual_stack", _inflated_residuals, analyze, _ROUTES_DISAGREE),
         # announcement sets indistinguishable on an escaping spec
-        (attack, "_helstrom_operators", _blind_announcements, analyze),
+        (attack, "_helstrom_operators", _blind_announcements, analyze,
+         "announcement-set discrimination"),
         # one case read with other priors than the rest
-        (attack, "_mixtures", _yy_priors, analyze),
+        (attack, "_mixtures", _yy_priors, analyze, "per-case error probabilities spread"),
         # closed form off the Helstrom errors it is checked against
         (attack, "_closed_form", lambda c, s: 0.25,
-         lambda spec: optimizer.objective(optimizer.AttackFamilyPoint(0.3))),
+         lambda spec: optimizer.objective(optimizer.AttackFamilyPoint(0.3)),
+         "deviates from Helstrom"),
     ],
     ids=["escape_check-routes", "analyze-routes", "analyze-residuals",
          "analyze-announcement", "analyze-spread", "objective-closed-form"],
 )
-def test_injected_route_disagreement_raises(monkeypatch, owner, name, fake, run):
+def test_injected_route_disagreement_raises(monkeypatch, capsys, owner, name, fake, run, message):
     monkeypatch.setattr(owner, name, fake)
-    with pytest.raises(attack.ConsistencyError):
-        run(honest_spec(2))
+    if name == "_closed_form":  # objective holds the closed form itself
+        with pytest.raises(attack.ConsistencyError, match=message):
+            run(honest_spec(2))
+        return
+    # the analysis reports the bilinear flag; verify holds its reports against
+    # the other routes, and its row fails with the error cross_check raises
+    result = run(honest_spec(2))
+    flag = result if isinstance(result, bool) else result.escape_ok
+    assert flag == (detection_residuals(honest_spec(2)).max_case_residual <= attack.DEFAULT_TOL)
+    assert cli.main(["verify"]) == 1
+    assert f"[FAIL] attack/closed-form-agreement: {message}" in capsys.readouterr().out
 
 
 def test_info_is_the_mean_over_cases_off_the_escape_set():
@@ -714,13 +730,18 @@ def test_info_is_the_mean_over_cases_off_the_escape_set():
     assert report.info > mutual_information(float(np.mean(pes))) + 0.04
 
 
+def _turned_circuit_spec(angle):
+    """The NAS example spec with eps[0] turned toward eps[1] by ``angle`` rad."""
+    spec = exploit.example_spec()
+    eps = spec.eps.copy()
+    eps[0] = math.cos(angle) * eps[0] + math.sin(angle) * eps[1]
+    return AttackSpec(2, spec.a, eps)
+
+
 def test_near_perfect_spec_gets_a_report():
     # NAS point with eps[0] turned toward eps[1]: residual 1e-6, announcement
     # error ~1e-12, below the residual's tolerance
-    spec = exploit.example_spec()
-    eps = spec.eps.copy()
-    eps[0] = math.cos(1e-6) * eps[0] + math.sin(1e-6) * eps[1]
-    report = analyze(AttackSpec(2, spec.a, eps))
+    report = analyze(_turned_circuit_spec(1e-6))
     assert not report.escape_ok and not report.nas_ok
     assert report.pe_closed_form is None
     assert max(report.pe_announce.values()) <= 1e-9
@@ -730,15 +751,13 @@ def test_near_perfect_spec_gets_a_report():
 def test_escape_routes_tied_by_round_off_give_the_bilinear_flag():
     # NAS point turned by 2e-9 rad: both routes read 1.000e-9, the bilinear
     # one just above tol and the constructed-state one at or below it
-    spec = exploit.example_spec()
-    eps = spec.eps.copy()
-    eps[0] = math.cos(2e-9) * eps[0] + math.sin(2e-9) * eps[1]
-    spec = AttackSpec(2, spec.a, eps)
+    spec = _turned_circuit_spec(2e-9)
     report = analyze(spec)
     assert report.escape_ok == (report.residuals.max_case_residual <= attack.DEFAULT_TOL)
     assert escape_check(spec) == report.escape_ok
 
 
+@functools.cache
 def _boundary_spec(ancilla_dim):
     """The NAS example spec carried onto a C+E register of dimension
     2 * ancilla_dim by a seeded random unitary, so that every overlap sums
@@ -779,7 +798,10 @@ def test_route_tie_covers_any_summation_order_at_large_dimension(monkeypatch):
     assert bound > 1e-14
     worst = detection_residuals(spec).max_case_residual
     assert attack.DEFAULT_TOL < worst <= attack.DEFAULT_TOL + bound / 4
-    assert escape_check(spec) is False and analyze(spec).escape_ok is False
+    report = analyze(spec)
+    assert escape_check(spec) is False and report.escape_ok is False
+    stack = attack.SpecStack.of([spec])
+    attack.cross_check(stack, [report])
     # the state route read lower, as another summation order may round it:
     # within the bound the flag is the bilinear route's, beyond it the
     # routes disagree
@@ -788,11 +810,12 @@ def test_route_tie_covers_any_summation_order_at_large_dimension(monkeypatch):
         monkeypatch.setattr(
             qmath, "cross_overlaps", lambda s, d: np.maximum(overlaps(s, d) - shift, 0.0)
         )
+        assert escape_check(spec) is False and analyze(spec).escape_ok is False
         if shift < bound:
-            assert escape_check(spec) is False and analyze(spec).escape_ok is False
+            attack.cross_check(stack, [analyze(spec)])
         else:
             with pytest.raises(attack.ConsistencyError, match="escape routes disagree"):
-                escape_check(spec)
+                attack.cross_check(stack, [analyze(spec)])
 
 
 # ---------------------------------------------------------------------------
@@ -884,15 +907,22 @@ def _drawn_spec(kind, dim, seed, log_angle):
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(
+@given(st.builds(
+    _drawn_spec,
     st.sampled_from(SPEC_KINDS),
     st.integers(1, 4),
     st.integers(0, 2**32 - 1),
     st.floats(-10.0, -2.0),
-)
-def test_report_invariants_on_drawn_specs(kind, dim, seed, log_angle):
-    spec = _drawn_spec(kind, dim, seed, log_angle)
+))
+# the specs whose escape routes tie by round-off, and the near-perfect spec
+@example(_boundary_spec(2))
+@example(_boundary_spec(48))
+@example(_turned_circuit_spec(1e-6))
+def test_report_invariants_on_drawn_specs(spec):
     report = analyze(spec)
+    # the routes the analysis leaves out agree with its report
+    attack.cross_check(attack.SpecStack.of([spec]), [report])
+    assert escape_check(spec) == report.escape_ok
     pes = [report.pe_numeric[c] for c in CASES]
     if spec.ancilla_dim >= 3:
         # solved on span(eps); the full-dimension states are the oracle
@@ -1107,12 +1137,15 @@ def test_stacked_passes_give_each_spec_its_flag_and_report_alone(members):
     specs = [_pass_member(*member) for member in members]
     for dim in {spec.joint_dim for spec in specs}:
         group = [spec for spec in specs if spec.joint_dim == dim]
-        stacked = attack.analyze_stack(attack.SpecStack.of(group))
+        stack = attack.SpecStack.of(group)
+        stacked = attack.analyze_stack(stack)
         assert [_report_bits(r) for r in stacked] == [_report_bits(analyze(s)) for s in group]
-        case_vals, _, _, flags = attack._escape_stage(attack.SpecStack.of(group))
-        alone = [attack._escape_stage(attack.SpecStack.of([spec])) for spec in group]
-        assert flags == [stage[-1][0] for stage in alone]
-        assert case_vals.tobytes() == np.concatenate([stage[0] for stage in alone]).tobytes()
+        attack.cross_check(stack, stacked)
+        flags = [escape_check(spec) for spec in group]
+        assert attack.escape_outcomes(stack) == flags == [r.escape_ok for r in stacked]
+        case_vals = attack._residual_stack(stack)
+        alone = [attack._residual_stack(attack.SpecStack.of([spec])) for spec in group]
+        assert case_vals.tobytes() == np.concatenate(alone).tobytes()
 
 
 def _alice_plus_spec(dim=2):
@@ -1258,10 +1291,10 @@ def test_the_two_outcome_routes_give_each_spec_what_it_gets_alone(monkeypatch):
     assert sizes == [3, 1, 1, 1, 2, 1, 1]
 
     # the escape route is the residual route alone: each spec gets the flag
-    # escape_check gives it alone, which both routes agree on; a fault in
-    # the constructed-state stage never reaches the route
+    # escape_check gives it alone; a fault in the constructed states never
+    # reaches the route
     alone = [_alone(escape_check, spec) for spec in specs]
-    _inject_escape_stage_fault(monkeypatch, honest)
+    _inject_case_table_fault(monkeypatch, honest)
     sizes.clear()
     _recording_residuals(monkeypatch, sizes)
     got = attack.escape_outcomes(stack)
@@ -1270,17 +1303,18 @@ def test_the_two_outcome_routes_give_each_spec_what_it_gets_alone(monkeypatch):
     assert sizes == [5]
 
 
-def _inject_escape_stage_fault(monkeypatch, spec):
-    """Make the escape stage, with its constructed-state route, raise on
-    every stack that holds ``spec``'s ancilla states."""
-    stage = attack._escape_stage
+def _inject_case_table_fault(monkeypatch, spec):
+    """Make the constructed conditional states raise on every stack of
+    global states that holds ``spec``'s."""
+    tables = attack._case_tables
+    vec = global_state(spec).vec
 
-    def escape_fails(sub):
-        if any(np.array_equal(row.eps, spec.eps) for row in sub):
-            raise attack.ConsistencyError("injected in the escape stage")
-        return stage(sub)
+    def tables_fail(vecs, *args):
+        if any(np.array_equal(row, vec) for row in vecs):
+            raise attack.ConsistencyError("injected in the conditional states")
+        return tables(vecs, *args)
 
-    monkeypatch.setattr(attack, "_escape_stage", escape_fails)
+    monkeypatch.setattr(attack, "_case_tables", tables_fail)
 
 
 def _recording_residuals(monkeypatch, sizes):
@@ -1298,7 +1332,7 @@ def test_the_escape_route_runs_a_stack_as_one_group_and_computes_no_span(monkeyp
     specs[17:17] = [honest, _alice_plus_spec(3)]
     stack = attack.SpecStack.of(specs)
     alone = [_alone(escape_check, spec) for spec in specs]
-    _inject_escape_stage_fault(monkeypatch, honest)
+    _inject_case_table_fault(monkeypatch, honest)
     spans, sizes = [], []
     original = qmath.orthonormal_span
     monkeypatch.setattr(qmath, "orthonormal_span", lambda vectors: spans.append(1) or original(vectors))

@@ -10,6 +10,7 @@ from hbbqss import attack, cli, exploit, hbb, optimizer, qmath, qstate
 from hbbqss.attack import Case
 from hbbqss.cli import main
 from _literals import GENERATED_SPECS, OUTPUT_DIGESTS, SIMULATE_DIGESTS
+from test_attack import _boundary_spec
 
 
 # ---------------------------------------------------------------------------
@@ -333,17 +334,65 @@ def test_analyze_near_perfect_spec(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "name,value",
-    [("cross_overlaps", lambda s, d: 1.0), ("_JACOBI_MAX_SWEEPS", 1)],
+    "name,value,message",
+    [
+        # every trace norm 2: each Helstrom error reads -1/2
+        ("trace_norm_stack", lambda deltas: np.full(len(deltas), 2.0), "Helstrom probability"),
+        ("_JACOBI_MAX_SWEEPS", 1, "numerical check failed"),
+    ],
     ids=["ConsistencyError", "ConvergenceError"],
 )
-def test_numerical_failures_exit_4_with_one_line(tmp_path, monkeypatch, capsys, name, value):
+def test_numerical_failures_exit_4_with_one_line(
+    tmp_path, monkeypatch, capsys, name, value, message
+):
     spec = tmp_path / "family.json"
     attack.save_spec(optimizer.random_family_point(np.random.default_rng(3)).to_spec(), spec)
     monkeypatch.setattr(qmath, name, value)
     assert main(["analyze", "--spec", str(spec), "--out", str(tmp_path / "r.json")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_analyze_reports_the_bilinear_flag_where_the_routes_disagree(tmp_path, monkeypatch, capsys):
+    # the bilinear residual lies just above DEFAULT_TOL; the constructed-state
+    # route, read lower by 1.5 times the tie bound, would flag an escape
+    spec = _boundary_spec(48)
+    path = tmp_path / "boundary.json"
+    attack.save_spec(spec, path)
+    nu = spec.joint_dim * 2.0**-53
+    shift = 1.5 * 2.0 * nu / (1.0 - nu)
+    overlaps = qmath.cross_overlaps
+    monkeypatch.setattr(
+        qmath, "cross_overlaps", lambda s, d: np.maximum(overlaps(s, d) - shift, 0.0)
+    )
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--spec", str(path), "--out", str(out)]) == 0
+    assert "escape_ok=False" in capsys.readouterr().out
+    report = attack.analyze(spec)
+    assert json.loads(out.read_text())["escape_ok"] is report.escape_ok is False
+    assert report.residuals.max_case_residual > attack.DEFAULT_TOL
+    with pytest.raises(attack.ConsistencyError, match="escape routes disagree"):
+        attack.cross_check(attack.SpecStack.of([spec]), [report])
+
+
+def test_analysis_routes_run_no_cross_check_and_verify_runs_them(tmp_path, monkeypatch, capsys):
+    checks = _counting_stacks(monkeypatch, attack, "cross_check")
+    overlaps = _counting_stacks(monkeypatch, qmath, "cross_overlaps")
+    specs = [attack.kki_spec(), attack.honest_spec(3), exploit.example_spec()]
+    for spec in specs:
+        attack.analyze(spec)
+        attack.escape_check(spec)
+    attack.analyze_stack(optimizer.family_stack([0.1, 0.3, 0.5], (0.0,) * 4))
+    assert main(["analyze", "--spec", "kki", "--out", str(tmp_path / "r.json")]) == 0
+    assert main(["sweep", "--grid", "200", "--out", str(tmp_path / "s.csv")]) == 0
+    assert checks == [] and overlaps == []
+    # verify's three analysing rows cross-check each stack they analyse: 40
+    # family points; the two perfect specs alone and 10 family points; 12
+    # perturbed specs
+    assert main(["verify"]) == 0
+    capsys.readouterr()
+    assert checks == overlaps == [40, 1, 1, 10, 12]
 
 
 @pytest.mark.parametrize(

@@ -177,8 +177,9 @@ class SpecStack:
         if len(a) != len(eps):
             raise SpecError(f"{len(a)} amplitude arrays for {len(eps)} ancilla state sets")
         finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(eps).all(axis=(1, 2))
-        totals = (np.abs(a) ** 2).reshape(-1, 4).sum(axis=1)
-        norms = np.sqrt((np.abs(eps) ** 2).sum(axis=2))
+        with np.errstate(over="ignore"):  # a huge finite entry squares to inf, which fails below
+            totals = (np.abs(a) ** 2).reshape(-1, 4).sum(axis=1)
+            norms = np.sqrt((np.abs(eps) ** 2).sum(axis=2))
         bad_total = np.abs(totals - 1.0) > qmath.STRUCT_TOL
         bad_norms = np.abs(norms - 1.0) > qmath.STRUCT_TOL
         bad = ~finite | bad_total | bad_norms.any(axis=1)
@@ -837,7 +838,7 @@ def spec_from_dict(data: dict) -> AttackSpec:
     try:
         a_pairs = [[_number(re), _number(im)] for re, im in data["a"]]
         eps_pairs = [[[_number(re), _number(im)] for re, im in row] for row in data["eps"]]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"malformed spec document: {exc}") from exc
     if len(a_pairs) != 4:
         raise SpecError(f"'a' must list 4 row-major amplitudes, got {len(a_pairs)}")
@@ -864,6 +865,8 @@ def load_spec(path) -> AttackSpec:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise SpecError(f"spec file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SpecError(f"spec file {path} nests too deep to read") from exc
     return spec_from_dict(data)
 
 

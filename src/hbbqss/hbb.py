@@ -14,8 +14,10 @@ and no strategy or a :class:`_TableAttack` (each built-in attacker of
 :mod:`hbbqss.exploit`) whose hooks are the base's, none set on the instance,
 the session builds once a table of everything a round can reach and scans
 the rounds over it, reading the draws from the generator's raw words; no
-hook is called. Every other session runs round by round through the hooks,
-and that route is the reference the scan is tested against.
+hook is called, and only the scan reads raw words. Every other session runs
+round by round through the hooks, which are handed the caller's generator
+and draw from it as the session does; that route is the reference the scan
+is tested against.
 
 The per-round table lookups, sifting among them, read tables built once
 at import. One of them is the transcript's vocabulary: a round's row less
@@ -175,15 +177,8 @@ class AttackStrategy(Protocol):
     The outcomes a hook is handed are the interned ones of
     :class:`~hbbqss.qstate.Outcome`, and the :class:`RespondContext` and the
     session's :class:`RoundRecord` rows are immutable.
-    The ``rng`` handed to the hooks draws in one sequence with the session;
-    hooks draw through it, not through another reference to the session's
-    generator. It is the generator itself unless that runs on PCG64; then it
-    is a stream object with the ``numpy.random.Generator`` methods, not a
-    Generator (``isinstance(rng, np.random.Generator)`` is False, and
-    ``np.random.default_rng(rng)`` raises ``TypeError``), whose ``random()``
-    and ``integers(0, 2)`` are served from the session's block of raw words,
-    bit for bit, until the first other use hands every draw to the
-    generator. The built-in attackers of :mod:`hbbqss.exploit`, and their
+    The ``rng`` handed to the hooks is the session's generator, whatever its
+    bit generator. The built-in attackers of :mod:`hbbqss.exploit`, and their
     subclasses that keep the hooks, are not called once per round when the
     session takes the scan (see :func:`run_session`): the session reads
     their answers from the tables their hooks draw from.
@@ -277,110 +272,6 @@ def _random_basis(rng: np.random.Generator) -> Basis:
     return PROTOCOL_BASES[rng.integers(0, 2)]
 
 
-#: Raw 64-bit words a :class:`_DrawStream` reads from its generator at a time.
-_BLOCK = 1024
-#: ``Generator.integers(0, 2)``'s two results.
-_BITS = (np.int64(0), np.int64(1))
-_ZERO, _TWO, _INT64, _FLOAT64 = 0, 2, np.int64, np.float64
-
-
-class _DrawStream:
-    """A PCG64 Generator's ``random()`` and ``integers(0, 2)``, bit for bit,
-    served from blocks of the bit generator's raw words.
-
-    PCG64 makes a double of one 64-bit word w as ``(w >> 11) * 2**-53``, and
-    ``integers(0, 2)`` is the top bit of its buffered 32-bit draw: the low
-    half of a fresh word, whose high half is kept for the next 32-bit draw
-    (the ``has_uint32`` and ``uinteger`` fields of the bit generator's
-    state). :meth:`_release` puts the generator in the state those draws
-    would have left it in, and from then on the generator serves every draw.
-    Any other use of the Generator API (another method, other arguments, the
-    ``bit_generator``) releases first. A generator drawn from directly while
-    the stream holds it cannot be reproduced: the release raises
-    :class:`SessionAbort` instead.
-
-    The session scan of :func:`run_session` reads the word lists itself and
-    hands back the index of the next word, the buffered flag and the high
-    half it has reached.
-    """
-
-    def __init__(self, generator: np.random.Generator):
-        self._released = False
-        self._generator = generator
-        self._bit_generator = generator.bit_generator
-        state = self._bit_generator.state
-        self._buffered = bool(state["has_uint32"])
-        self._upper = state["uinteger"]  # the high half last read, as the state keeps it
-        self._start, self._end = state, state["state"]
-        self._dropped = 0  # words read since ``_start`` and no longer in the lists
-        self._doubles: list[float] = []
-        self._lows: list[int] = []
-        self._uppers: list[int] = []
-        self._used = self._extend(0)
-
-    def _extend(self, keep: int) -> int:
-        """Drop the words before index ``keep``, append the next block after
-        the rest, and return the new index of the first word kept: 0."""
-        bit_generator = self._bit_generator
-        if bit_generator.state["state"] != self._end:
-            self._release()  # raises: the generator moved behind the stream's back
-        words = bit_generator.random_raw(_BLOCK)
-        self._end = bit_generator.state["state"]
-        self._dropped += keep
-        self._doubles = self._doubles[keep:] + ((words >> 11) * (1.0 / 9007199254740992.0)).tolist()
-        self._lows = self._lows[keep:] + ((words >> 31) & 1).tolist()
-        self._uppers = self._uppers[keep:] + (words >> 32).tolist()
-        return 0
-
-    # The draws keep the Generator's signatures. A call is served from the
-    # block only with the arguments below, compared by identity (0 and 2 are
-    # the interpreter's shared small ints); any other call, equal or not,
-    # takes the Generator's own route.
-    def random(self, size=None, dtype=np.float64, out=None) -> float:
-        if not (size is None and dtype is _FLOAT64 and out is None):
-            return self._release().random(size, dtype, out)
-        i = self._used
-        if i == _BLOCK:
-            i = self._extend(i)
-        self._used = i + 1
-        return self._doubles[i]
-
-    def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
-        if not (low is _ZERO and high is _TWO and size is None and dtype is _INT64 and endpoint is False):
-            return self._release().integers(low, high, size, dtype, endpoint)
-        if self._buffered:
-            self._buffered = False
-            return _BITS[self._upper >> 31]
-        i = self._used
-        if i == _BLOCK:
-            i = self._extend(i)
-        self._used = i + 1
-        self._buffered = True
-        self._upper = self._uppers[i]
-        return _BITS[self._lows[i]]
-
-    def __getattr__(self, name: str):
-        # reached only for names the stream does not define
-        if name.startswith("__"):
-            raise AttributeError(name)
-        return getattr(self._release(), name)
-
-    def _release(self) -> np.random.Generator:
-        """The generator, in the state the draws served so far leave it in."""
-        if not self._released:
-            self._released = True
-            generator, bit_generator = self._generator, self._bit_generator
-            self.random, self.integers = generator.random, generator.integers
-            if bit_generator.state["state"] != self._end:
-                raise SessionAbort("the session's generator was drawn from other than through the hooks' rng")
-            bit_generator.state = self._start
-            bit_generator.advance(self._dropped + self._used)
-            state = bit_generator.state
-            state["has_uint32"], state["uinteger"] = int(self._buffered), self._upper
-            bit_generator.state = state
-        return self._generator
-
-
 def run_session(
     n_rounds: int,
     check_fraction: float,
@@ -396,30 +287,23 @@ def run_session(
     sifted rounds become checks with probability ``check_fraction`` and key
     rounds otherwise. Identical seeds produce identical transcripts.
 
-    With a PCG64 generator, the one ``default_rng`` builds, the draws come
-    from a :class:`_DrawStream` over it: the same values in the same order,
-    made from blocks of the generator's raw words. When the session ends,
-    by return or by an exception, ``rng`` is left in the state per-call
-    draws leave it in.
-
     A session takes one of two routes, with the same draws, records and
-    generator state at the end:
+    generator state at the end, also when it ends by an exception:
 
-    * The scan serves a PCG64 generator with no strategy or with a
-      :class:`_TableAttack` (the three attackers of :mod:`hbbqss.exploit`
-      and their subclasses) whose class keeps the base's hooks and whose
-      instance sets none. It builds, once per session, a table of
-      everything a round can reach: the intercepted states, every
-      measurement's branches and the laws of the attacker's answers. The
-      rounds then read their draws straight from the stream's words and
-      walk the table; no hook is called.
-    * Every other session runs round by round and calls every strategy
-      hook: the rounds draw through the stream (the hooks get it in place of
-      the generator, see :class:`AttackStrategy`) or, with any other bit
-      generator, through ``rng`` itself. The prepared state is built once,
-      and each distinct measurement's branches are computed once per
-      session, looked up by the state's identity when it is read-only and by
-      its bytes otherwise (see :class:`~hbbqss.qstate.StateMemo`).
+    * The scan serves a PCG64 generator, the one ``default_rng`` builds,
+      with no strategy or with a :class:`_TableAttack` (the three attackers
+      of :mod:`hbbqss.exploit` and their subclasses) whose class keeps the
+      base's hooks and whose instance sets none. It builds, once per
+      session, a table of everything a round can reach: the intercepted
+      states, every measurement's branches and the laws of the attacker's
+      answers. The rounds then walk the table, reading their draws from
+      blocks of the generator's raw words (see :class:`_RawWords`); no hook
+      is called.
+    * Every other session runs round by round, draws from ``rng`` and calls
+      every strategy hook with it. The prepared state is built once, and
+      each distinct measurement's branches are computed once per session,
+      looked up by the state's identity when it is read-only and by its
+      bytes otherwise (see :class:`~hbbqss.qstate.StateMemo`).
 
     The intercepted state is validated once per distinct read-only state (on
     the scan, before the first round; round by round, the first round it
@@ -437,17 +321,9 @@ def run_session(
         prepared = tensor_with_ancilla(prepared, "E", strategy.ancilla_dim)
     prepared = read_only(prepared)
 
-    generator = rng
-    if type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64:
-        rng = _DrawStream(generator)
-    route = _scan if rng is not generator and _scannable(strategy) else _per_round
-    try:
-        rows, key_alice, key_reconstructed, checks, failures = route(
-            n_rounds, check_fraction, strategy, prepared, rng
-        )
-    finally:
-        if rng is not generator:
-            rng._release()
+    pcg64 = type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64
+    route = _scan if pcg64 and _scannable(strategy) else _per_round
+    rows, key_alice, key_reconstructed, checks, failures = route(n_rounds, check_fraction, strategy, prepared, rng)
 
     return SessionTranscript(
         rounds=_Rounds(rows),
@@ -487,7 +363,8 @@ def _per_round(n_rounds, check_fraction, strategy, prepared, rng) -> tuple:
             # Commitment point: the forged basis is fixed before the
             # strategy can see anything about Alice's or Bob's choices.
             charlie_b = strategy.announce_basis(r, rng)
-            if charlie_b not in PROTOCOL_BASES:
+            # by identity: Basis is a str Enum, so "x" == Basis.X
+            if charlie_b is not Basis.X and charlie_b is not Basis.Y:
                 raise SessionAbort(f"round {r}: forged basis {charlie_b!r} is not announceable")
         else:
             charlie_b = _random_basis(rng)
@@ -608,9 +485,60 @@ _ROUND_WORDS = 8
 _BRANCHES = tuple(product((0, 1), repeat=2))
 
 
-def _scan(n_rounds, check_fraction, strategy, prepared, stream: _DrawStream) -> tuple:
+#: Raw 64-bit words the scan reads from the generator at a time.
+_BLOCK = 1024
+
+
+class _RawWords:
+    """A PCG64 generator's raw 64-bit words, read a block at a time, as its
+    ``random()`` and ``integers(0, 2)`` use them.
+
+    PCG64 makes a double of one word w as ``(w >> 11) * 2**-53``, and
+    ``integers(0, 2)`` is the top bit of its buffered 32-bit draw: the low
+    half of a fresh word, whose high half is kept for the next 32-bit draw
+    (the ``has_uint32`` and ``uinteger`` fields of the bit generator's
+    state). ``doubles``, ``lows`` and ``uppers`` hold each word's double,
+    the top bit of its low half and its high half; ``buffered`` and
+    ``upper`` are the buffer when reading starts. The scan keeps its own
+    place in the lists and hands it to :meth:`settle` at the end.
+    """
+
+    def __init__(self, generator: np.random.Generator):
+        self._bit_generator = generator.bit_generator
+        self._start = state = self._bit_generator.state
+        self.buffered = bool(state["has_uint32"])
+        self.upper = state["uinteger"]  # the high half last read, as the state keeps it
+        self._dropped = 0  # words read since ``_start`` and no longer in the lists
+        self.doubles: list[float] = []
+        self.lows: list[int] = []
+        self.uppers: list[int] = []
+        self.extend(0)
+
+    def extend(self, keep: int) -> int:
+        """Drop the words before index ``keep``, append the next block after
+        the rest, and return the new index of the first word kept: 0."""
+        words = self._bit_generator.random_raw(_BLOCK)
+        self._dropped += keep
+        self.doubles = self.doubles[keep:] + ((words >> 11) * (1.0 / 9007199254740992.0)).tolist()
+        self.lows = self.lows[keep:] + ((words >> 31) & 1).tolist()
+        self.uppers = self.uppers[keep:] + (words >> 32).tolist()
+        return 0
+
+    def settle(self, used: int, buffered: bool, upper: int) -> None:
+        """Put the generator in the state per-call draws leave it in once
+        they have read the words before index ``used`` and left the buffer
+        at ``buffered`` and ``upper``."""
+        bit_generator = self._bit_generator
+        bit_generator.state = self._start
+        bit_generator.advance(self._dropped + used)
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = int(buffered), upper
+        bit_generator.state = state
+
+
+def _scan(n_rounds, check_fraction, strategy, prepared, rng: np.random.Generator) -> tuple:
     """The rounds as a walk over the session's table (see :func:`_scan_table`),
-    with :func:`_per_round`'s draws read from the stream's words."""
+    with :func:`_per_round`'s draws read from the generator's raw words."""
     intercepts = _scan_table(strategy, prepared, check_fraction)
     probing = len(intercepts) == 2
     rows: list[int] = []
@@ -618,14 +546,15 @@ def _scan(n_rounds, check_fraction, strategy, prepared, stream: _DrawStream) -> 
     key_reconstructed: list[int] = []
     checks = failures = 0
     append, bisect = rows.append, bisect_right
-    doubles, lows, uppers = stream._doubles, stream._lows, stream._uppers
-    i, buffered, upper = stream._used, stream._buffered, stream._upper
+    raw = _RawWords(rng)
+    doubles, lows, uppers = raw.doubles, raw.lows, raw.uppers
+    i, buffered, upper = 0, raw.buffered, raw.upper
     last = len(doubles) - _ROUND_WORDS
     try:
         for r in range(n_rounds):
             if i > last:
-                i = stream._extend(i)
-                doubles, lows, uppers = stream._doubles, stream._lows, stream._uppers
+                i = raw.extend(i)
+                doubles, lows, uppers = raw.doubles, raw.lows, raw.uppers
                 last = len(doubles) - _ROUND_WORDS
             # Alice's and Bob's bases: two integers(0, 2) draws, which read
             # one fresh word between them and leave the buffer as it was
@@ -669,7 +598,7 @@ def _scan(n_rounds, check_fraction, strategy, prepared, stream: _DrawStream) -> 
             checks += check
             failures += failed
     finally:
-        stream._used, stream._buffered, stream._upper = i, buffered, upper
+        raw.settle(i, buffered, upper)
     return rows, key_alice, key_reconstructed, checks, failures
 
 

@@ -266,6 +266,56 @@ def test_spec_json_schema_diagnostics(tmp_path):
         load_spec(bad)
     with pytest.raises(SpecError, match="4 row-major"):
         spec_from_dict({"ancilla_dim": 1, "a": [[1, 0]], "eps": [[[1, 0], [0, 0]]] * 4})
+    bad.write_text("[" * 200_000 + "]" * 200_000)
+    with pytest.raises(SpecError, match="nests too deep"):
+        load_spec(bad)
+
+
+#: JSON values as ``json.loads`` returns them: unbounded ints, and floats
+#: with inf and nan, which Python's json reads and writes.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=5) | st.dictionaries(st.text(max_size=4), kids, max_size=5),
+    max_leaves=30,
+)
+
+
+def _paths(node, path=()):
+    """The path of every entry below ``node``, a JSON value."""
+    kids = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, kid in kids:
+        yield (*path, key)
+        yield from _paths(kid, (*path, key))
+
+
+def _honest_with(path, value) -> dict:
+    """The honest spec's document with the entry at ``path`` replaced."""
+    doc = spec_to_dict(honest_spec())
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        _JSON_VALUES,
+        st.fixed_dictionaries({"ancilla_dim": _JSON_VALUES, "a": _JSON_VALUES, "eps": _JSON_VALUES}),
+        st.builds(_honest_with, st.sampled_from(list(_paths(spec_to_dict(honest_spec())))), _JSON_VALUES),
+    )
+)
+@example(_honest_with(("a", 0, 0), 10**400))
+@example(_honest_with(("eps", 2, 1, 1), -(10**400)))
+@example(_honest_with(("a", 3, 1), 1e300))
+def test_spec_from_dict_of_any_json_document_gives_a_spec_or_a_spec_error(doc):
+    try:
+        spec = spec_from_dict(doc)
+    except SpecError:
+        return
+    assert isinstance(spec, AttackSpec)
 
 
 def test_spec_to_dict_shape():

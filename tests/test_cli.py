@@ -284,8 +284,9 @@ def _honest_doc_with(path, value):
         (("ancilla_dim",), True),
         (("a", 0, 0), "0.7071067811865476"),
         (("a", 3, 1), False),
+        (("a", 0, 0), 10**400),
     ],
-    ids=["dim-float", "dim-string", "dim-bool", "re-string", "im-bool"],
+    ids=["dim-float", "dim-string", "dim-bool", "re-string", "im-bool", "re-too-large-for-a-float"],
 )
 def test_analyze_rejects_spec_fields_that_are_not_json_numbers(tmp_path, capsys, path, value):
     spec = tmp_path / "spec.json"

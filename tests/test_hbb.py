@@ -312,16 +312,17 @@ class HookRecorder(ProbeStrategy):
         return super().respond(ctx, rng)
 
 
-def test_every_hook_call_gets_the_session_stream_and_an_immutable_context():
-    probe = HookRecorder()
-    t = run_session(300, check_fraction=0.5, strategy=probe, seed=11)
-    assert len(probe.rngs) == len(probe.events)
-    assert type(probe.rngs[0]) is hbb._DrawStream
-    assert all(rng is probe.rngs[0] for rng in probe.rngs)
-    sifted = [r for r in t.rounds if r.sifted]
-    assert [(c.round_id, c.role, c.alice_basis, c.bob_basis, c.own_basis) for c in probe.contexts] == [
-        (r.round_id, r.role, *r.bases) for r in sifted
-    ]
+def test_every_hook_call_gets_the_callers_generator_and_an_immutable_context():
+    for rng in (np.random.default_rng(11), np.random.Generator(np.random.MT19937(11))):
+        probe = HookRecorder()
+        t = run_session(300, check_fraction=0.5, strategy=probe, rng=rng)
+        assert len(probe.rngs) == len(probe.events)
+        assert all(hook_rng is rng for hook_rng in probe.rngs)
+        assert np.random.default_rng(probe.rngs[0]) is rng
+        sifted = [r for r in t.rounds if r.sifted]
+        assert [(c.round_id, c.role, c.alice_basis, c.bob_basis, c.own_basis) for c in probe.contexts] == [
+            (r.round_id, r.role, *r.bases) for r in sifted
+        ]
     assert hbb.RespondContext._fields == ("round_id", "role", "alice_basis", "bob_basis", "own_basis", "state")
     ctx = probe.contexts[0]
     assert type(ctx) is hbb.RespondContext and hbb.RespondContext(*ctx) == ctx
@@ -659,45 +660,42 @@ def _next_draws(rng):
     return rng.random(), int(rng.integers(0, 2**32))
 
 
-def _off_stream_call(rng, kind):
-    if kind == "normal":
-        return rng.normal()
-    if kind == "integers":
-        return rng.integers(5)
-    if kind == "random-size":
-        return tuple(rng.random(2))
-    return rng.bit_generator.random_raw()
-
-
-def _stream_and_twin_agree(seed):
-    """Draw a seeded random interleaving of ``random()`` and ``integers(0,
-    2)``, now and then starting from a buffered high half or with one other
-    call in it, from a stream and from a twin Generator; compare each draw
-    and the generator states at the end."""
+def _raw_words_and_twin_agree(seed):
+    """Read a seeded random interleaving of ``random()`` and ``integers(0,
+    2)`` from the scan's raw words as the scan reads them, now and then
+    starting from a buffered high half and topping up the words at a random
+    margin, and draw the same from a twin Generator; compare each draw, then
+    settle and compare the generator states."""
     chooser = np.random.default_rng([seed, 1])
-    stream_gen, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    generator, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     if chooser.random() < 0.5:  # start with a high half buffered
-        assert stream_gen.integers(0, 2**32) == twin.integers(0, 2**32)
-    stream = hbb._DrawStream(stream_gen)
-    p_bit = chooser.random()
-    off_at = int(chooser.integers(0, 3000)) if chooser.random() < 0.3 else None
-    kind = ("normal", "integers", "random-size", "raw")[int(chooser.integers(0, 4))]
-    for i in range(int(chooser.integers(1, 3000))):  # up to about two blocks
-        if i == off_at:
-            assert _off_stream_call(stream, kind) == _off_stream_call(twin, kind)
+        assert generator.integers(0, 2**32) == twin.integers(0, 2**32)
+    raw = hbb._RawWords(generator)
+    i, buffered, upper = 0, raw.buffered, raw.upper
+    p_bit, margin = chooser.random(), int(chooser.integers(0, hbb._ROUND_WORDS))
+    for n in range(int(chooser.integers(0, 3000))):  # up to about three blocks
+        if i >= len(raw.doubles) - margin:
+            i = raw.extend(i)
         if chooser.random() < p_bit:
-            got, want = stream.integers(0, 2), twin.integers(0, 2)
+            if buffered:
+                got = upper >> 31
+            else:
+                got, upper = raw.lows[i], raw.uppers[i]
+                i += 1
+            buffered = not buffered
+            want = twin.integers(0, 2)
         else:
-            got, want = stream.random(), twin.random()
-        assert type(got) is type(want) and got == want, f"seed {seed}, draw {i}"
-    assert stream._release() is stream_gen
-    assert stream_gen.bit_generator.state == twin.bit_generator.state, f"seed {seed}"
-    assert _next_draws(stream_gen) == _next_draws(twin)
+            got, want = raw.doubles[i], twin.random()
+            i += 1
+        assert got == want, f"seed {seed}, draw {n}"
+    raw.settle(i, buffered, upper)
+    assert generator.bit_generator.state == twin.bit_generator.state, f"seed {seed}"
+    assert _next_draws(generator) == _next_draws(twin)
 
 
-def test_stream_draws_match_the_generator():
-    for seed in range(300):
-        _stream_and_twin_agree(seed)
+def test_raw_words_match_the_generator():
+    for seed in range(100):
+        _raw_words_and_twin_agree(seed)
 
 
 @pytest.mark.parametrize("attacker", sorted(SESSION_NEXT_DRAWS))
@@ -721,6 +719,21 @@ def test_aborted_session_ends_at_the_frozen_draws():
     with pytest.raises(SessionAbort, match="round 37"):
         run_session(300, 0.5, strategy=AbortingCircuit(), rng=rng)
     assert _next_draws(rng) == ABORTED_SESSION_NEXT_DRAWS
+
+
+class StringForger(exploit.CircuitAttack):
+    """The circuit attacker, forging its basis as the string "x" at round 37:
+    equal to ``Basis.X``, since Basis is a str Enum, but not announceable."""
+
+    def announce_basis(self, round_id, rng):
+        if round_id == 37:
+            return "x"
+        return super().announce_basis(round_id, rng)
+
+
+def test_a_forged_basis_given_as_its_string_aborts():
+    with pytest.raises(SessionAbort, match="round 37: forged basis 'x' is not announceable"):
+        run_session(300, 0.5, strategy=StringForger(), seed=21)
 
 
 class OffStreamProbe:
@@ -769,27 +782,30 @@ def test_mt19937_session_matches_the_frozen_draws():
     digest, draws = MT19937_SESSION
     assert hashlib.sha256(transcript_to_json(t).encode()).hexdigest() == digest
     assert _next_draws(rng) == draws
-    # any bit generator but PCG64 hands the hooks the generator itself
+    # the hooks get the generator itself
     assert strategy.rngs == {id(rng)}
 
 
 class SideDrawer(exploit.CircuitAttack):
-    """The circuit attacker, drawing from the session's generator directly
-    rather than through the rng its hooks are handed."""
+    """The circuit attacker, drawing a double at each intercept from
+    ``generator`` when one is given, else through the rng its hooks are
+    handed."""
 
-    def __init__(self, generator):
+    def __init__(self, generator=None):
         super().__init__()
         self.generator = generator
 
     def intercept(self, state, rng):
-        self.generator.random()
+        (rng if self.generator is None else self.generator).random()
         return super().intercept(state, rng)
 
 
-def test_drawing_from_the_generator_behind_the_hooks_rng_aborts():
-    rng = np.random.default_rng(4)
-    with pytest.raises(SessionAbort, match="other than through the hooks' rng"):
-        run_session(30, 0.5, strategy=SideDrawer(rng), rng=rng)
+def test_drawing_from_the_generator_behind_the_hooks_rng_draws_as_through_it():
+    side, through = np.random.default_rng(4), np.random.default_rng(4)
+    t_side = run_session(30, 0.5, strategy=SideDrawer(side), rng=side)
+    t_through = run_session(30, 0.5, strategy=SideDrawer(), rng=through)
+    assert transcript_to_json(t_side) == transcript_to_json(t_through)
+    assert _next_draws(side) == _next_draws(through)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,12 @@ A session takes one of two routes, which make the same generator draws and
 write the same records (see :func:`run_session`). With a PCG64 generator
 and no strategy or a :class:`_TableAttack` (each built-in attacker of
 :mod:`hbbqss.exploit`) whose hooks are the base's, none set on the instance,
-the session builds once a table of everything a round can reach and scans
-the rounds over it, reading the draws from the generator's raw words; no
-hook is called, and only the scan reads raw words. Every other session runs
-round by round through the hooks, which are handed the caller's generator
-and draw from it as the session does; that route is the reference the scan
-is tested against.
+the session scans the rounds over a table of everything a round can reach,
+built once per attacker data and kept while that data lives, reading the
+draws from the generator's raw words; no hook is called, and only the scan
+reads raw words. Every other session runs round by round through the hooks,
+which are handed the caller's generator and draw from it as the session
+does; that route is the reference the scan is tested against.
 
 The per-round table lookups, sifting among them, read tables built once
 at import. One of them is the transcript's vocabulary: a round's row less
@@ -34,6 +34,7 @@ import csv
 import functools
 import io
 import json
+import weakref
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -293,12 +294,15 @@ def run_session(
     * The scan serves a PCG64 generator, the one ``default_rng`` builds,
       with no strategy or with a :class:`_TableAttack` (the three attackers
       of :mod:`hbbqss.exploit` and their subclasses) whose class keeps the
-      base's hooks and whose instance sets none. It builds, once per
-      session, a table of everything a round can reach: the intercepted
-      states, every measurement's branches and the laws of the attacker's
-      answers. The rounds then walk the table, reading their draws from
-      blocks of the generator's raw words (see :class:`_RawWords`); no hook
-      is called.
+      base's hooks and whose instance sets none. It walks a table of
+      everything a round can reach: the intercepted states, every
+      measurement's branches and the laws of the attacker's answers. The
+      table is built once per attacker data (the attacker's ``_roots``
+      object) and ancilla dimension, and kept while that object lives;
+      with no strategy, once per process (see :func:`_table`). The rounds
+      walk it, reading their draws from blocks of the generator's raw
+      words (see :class:`_RawWords`) and drawing each sifted round's role
+      against ``check_fraction`` as they go; no hook is called.
     * Every other session runs round by round, draws from ``rng`` and calls
       every strategy hook with it. The prepared state is built once, and
       each distinct measurement's branches are computed once per session,
@@ -313,6 +317,10 @@ def run_session(
         raise ValueError("n_rounds must be >= 1")
     if not 0.0 <= check_fraction <= 1.0:
         raise ValueError("check_fraction must lie in [0, 1]")
+    if strategy is not None:
+        dim = strategy.ancilla_dim
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise SessionAbort(f"ancilla_dim {dim!r} is not an int >= 1")
     if rng is None:
         rng = np.random.default_rng(seed)
 
@@ -429,7 +437,9 @@ class _TableAttack:
     rows of ``states`` (the C, E states once A and B are measured) and each
     row's (Alice, Bob, own) bases of a sifted round, the pair of laws of its
     check announcement and of its key guess. The forged basis is drawn as
-    :func:`_random_basis` draws it.
+    :func:`_random_basis` draws it. The session scan keeps the table it
+    builds from ``_roots`` for as long as that object lives (see
+    :func:`_table`), so ``_roots`` must give the same laws on every call.
     """
 
     def __init__(self, roots):
@@ -536,10 +546,43 @@ class _RawWords:
         bit_generator.state = state
 
 
+#: The scan tables of the attackers' data (see :func:`_table`): by the
+#: attacker's ``_roots`` object, held weakly, then by its ``ancilla_dim``.
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+#: The scan table of a session with no attacker, once built.
+_PLAIN_TABLE: tuple | None = None
+
+
+def _table(strategy, prepared) -> tuple:
+    """The scan table of the strategy's data (see :func:`_scan_table`).
+
+    A table is a function of the attacker's ``_roots`` and ``ancilla_dim``
+    alone (``prepared`` follows from the latter), so it is built once per
+    such pair and kept for as long as the ``_roots`` object lives; the
+    table holds no reference to it. With no strategy it is built once per
+    process. Roots that cannot be weakly referenced get a table per session.
+    Two sessions that start together may both build a table; the tables are
+    equal immutable tuples, and the last one built is kept.
+    """
+    global _PLAIN_TABLE
+    if strategy is None:
+        if _PLAIN_TABLE is None:
+            _PLAIN_TABLE = _scan_table(None, prepared)
+        return _PLAIN_TABLE
+    try:
+        tables = _TABLES.setdefault(strategy._roots, {})
+    except TypeError:  # not hashable, or no weak reference to it
+        return _scan_table(strategy, prepared)
+    table = tables.get(strategy.ancilla_dim)
+    if table is None:
+        table = tables[strategy.ancilla_dim] = _scan_table(strategy, prepared)
+    return table
+
+
 def _scan(n_rounds, check_fraction, strategy, prepared, rng: np.random.Generator) -> tuple:
-    """The rounds as a walk over the session's table (see :func:`_scan_table`),
+    """The rounds as a walk over the strategy's table (see :func:`_table`),
     with :func:`_per_round`'s draws read from the generator's raw words."""
-    intercepts = _scan_table(strategy, prepared, check_fraction)
+    intercepts = _table(strategy, prepared)
     probing = len(intercepts) == 2
     rows: list[int] = []
     key_alice: list[int] = []
@@ -584,12 +627,15 @@ def _scan(n_rounds, check_fraction, strategy, prepared, rng: np.random.Generator
                 upper = uppers[i]
                 i += 1
             buffered = not buffered
-            # A, B and C measured, the role drawn, the answer drawn; a law
-            # without cuts reads no word
-            for bit in (a, b, c, 0, 0):
+            # A, B and C measured; a law without cuts reads no word
+            for bit in (a, b, c):
                 cuts, node, words = node[bit]
                 node = node[bisect(cuts, doubles[i])]
                 i += words
+            if len(node) == 2:  # sifted: the role drawn as _per_round draws it, then the answer
+                cuts, node, words = node[0 if doubles[i] < check_fraction else 1]
+                node = node[bisect(cuts, doubles[i + 1])]
+                i += 1 + words
             row, key, check, failed = node
             append(row)
             if key is not None:
@@ -602,18 +648,21 @@ def _scan(n_rounds, check_fraction, strategy, prepared, rng: np.random.Generator
     return rows, key_alice, key_reconstructed, checks, failures
 
 
-def _scan_table(strategy, prepared, check_fraction) -> tuple:
-    """Everything a round of the session can reach, as nested laws.
+def _scan_table(strategy, prepared) -> tuple:
+    """Everything a round of a session with the strategy can reach, as nested
+    laws.
 
     A node is a tuple indexed by a drawn bit, whose entries are laws
     ``(cuts, outcomes, words)``: the outcome is ``outcomes[bisect_right(cuts,
     u)]`` for the next double ``u``, which is read (``words`` is 1) only when
     there are cuts. The returned node is indexed by the probe-basis bit and
     leads to the intercepted state's node; from there the nodes are indexed
-    by Alice's, Bob's and Charlie's basis bits, then by 0 for the role and 0
-    for the answer, and the walk ends at ``(the round's row index in _ROWS,
+    by Alice's, Bob's and Charlie's basis bits and lead to the round's end
+    (see :func:`_round_end`): a leaf ``(the round's row index in _ROWS,
     (Alice's key bit, the reconstructed one) or None, 1 on a check round, 1
-    on a failed check)``.
+    on a failed check)``, or for a sifted round the pair of laws over the
+    leaves of a check and of a key round, between which the walk chooses by
+    the role's draw.
 
     The registers are measured level by level, each level in one stacked
     contraction, every branch bit for bit as the round-by-round route
@@ -650,7 +699,7 @@ def _scan_table(strategy, prepared, check_fraction) -> tuple:
             bases = (PROTOCOL_BASES[a], PROTOCOL_BASES[b], PROTOCOL_BASES[c])
             out_a, out_b, out_c = (_OUTCOMES[basis][sign] for basis, sign in zip(bases, (sa, sb, sc)))
             laws = (((), (out_c,)), ((), (infer_alice(out_b, out_c).bit,))) if _SIFTS[bases] else None
-            nodes.append(_round_end(bases, out_a, out_b, laws, check_fraction))
+            nodes.append(_round_end(bases, out_a, out_b, laws))
         nodes = _branch_nodes(levels.pop(), nodes)
     else:
         # the attacker's answers to the states that occur, root by root
@@ -668,7 +717,7 @@ def _scan_table(strategy, prepared, check_fraction) -> tuple:
             for charlie_b in PROTOCOL_BASES:
                 bases = (out_a.basis, out_b.basis, charlie_b)
                 laws = answers[m] if _SIFTS[bases] else None
-                ends.append(_law((), (_round_end(bases, out_a, out_b, laws, check_fraction),)))
+                ends.append(_law((), (_round_end(bases, out_a, out_b, laws),)))
             nodes.append(tuple(ends))
     while levels:
         nodes = _branch_nodes(levels.pop(), nodes)
@@ -695,15 +744,14 @@ def _branch_nodes(probs: list, kids: list) -> list:
     ]
 
 
-def _round_end(bases, out_a: Outcome, out_b: Outcome, laws, check_fraction: float) -> tuple:
-    """The node of a round whose bases and whose Alice and Bob outcomes are
-    drawn: indexed by 0, the law of the role, whose outcomes are indexed by
-    0, the law of the answer. ``laws`` holds a sifted round's laws of
-    Charlie's announcement and of the reconstructed key bit; None marks a
-    discarded round."""
+def _round_end(bases, out_a: Outcome, out_b: Outcome, laws) -> tuple:
+    """The end of a round whose bases and whose Alice and Bob outcomes are
+    drawn: a discarded round's leaf, or a sifted round's pair (the law of a
+    check round's leaf, the law of a key round's leaf). ``laws`` holds a
+    sifted round's laws of Charlie's announcement and of the reconstructed
+    key bit; None marks a discarded round."""
     if laws is None:
-        end = (_ROW_INDEX[bases, out_a, out_b, None, Role.DISCARDED], None, 0, 0)
-        return (_law((), ((_law((), (end,)),),)),)
+        return (_ROW_INDEX[bases, out_a, out_b, None, Role.DISCARDED], None, 0, 0)
     (check_cuts, announcements), (key_cuts, guesses) = laws
     checks = []
     for announced in announcements:
@@ -711,9 +759,7 @@ def _round_end(bases, out_a: Outcome, out_b: Outcome, laws, check_fraction: floa
         checks.append((row, None, 1, int(not _ROWS[row][6])))
     key_row = _ROW_INDEX[bases, out_a, out_b, None, Role.KEY]
     keys = [(key_row, (out_a.bit, guess), 0, 0) for guess in guesses]
-    check, key = _law(check_cuts, tuple(checks)), _law(key_cuts, tuple(keys))
-    # a check round iff the role's double lies below check_fraction
-    return (_law((check_fraction,), ((check,), (key,))),)
+    return _law(check_cuts, tuple(checks)), _law(key_cuts, tuple(keys))
 
 
 def _validate_intercepted(state: StateVector, strategy: AttackStrategy) -> None:

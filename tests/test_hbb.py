@@ -4,8 +4,11 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
+import weakref
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -477,10 +480,24 @@ def test_a_session_leaves_no_reference_cycles(attacker):
         gc.enable()
 
 
-@pytest.mark.parametrize("attacker", sorted(BUILT_IN_ATTACKERS))
-def test_state_work_per_session_does_not_grow_with_rounds(monkeypatch, attacker):
+def _cold_memo(monkeypatch):
+    """Empty the scan tables' memo, as in a fresh process; the warm one is
+    put back when the test ends."""
+    monkeypatch.setattr(hbb, "_TABLES", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(hbb, "_PLAIN_TABLE", None)
+
+
+def _table_work(monkeypatch) -> Counter:
+    """Calls, by name, from now on, of the functions that build a scan table
+    and the states it holds."""
     counts = Counter()
-    for module, name in ((qstate, "_project_stack"), (qstate, "apply_operator"), (exploit, "apply_operator")):
+    for module, name in (
+        (hbb, "_scan_table"),
+        (hbb, "_validate_intercepted"),
+        (qstate, "_project_stack"),
+        (qstate, "apply_operator"),
+        (exploit, "apply_operator"),
+    ):
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -488,8 +505,15 @@ def test_state_work_per_session_does_not_grow_with_rounds(monkeypatch, attacker)
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("attacker", sorted(BUILT_IN_ATTACKERS))
+def test_state_work_per_session_does_not_grow_with_rounds(monkeypatch, attacker):
+    counts = _table_work(monkeypatch)
     per_session = []
     for n_rounds in (300, 3000):
+        _cold_memo(monkeypatch)  # each session builds its table
         counts.clear()
         run_session(n_rounds, 0.5, strategy=BUILT_IN_ATTACKERS[attacker](), seed=17)
         per_session.append(dict(counts))
@@ -519,11 +543,128 @@ def test_intercepted_norm_reads_per_session_do_not_grow_with_rounds(monkeypatch,
     monkeypatch.setattr(hbb, "_validate_intercepted", counted_validate)
     per_session = []
     for n_rounds in (300, 3000):
+        _cold_memo(monkeypatch)  # each session validates its table's states
         reads.clear()
         run_session(n_rounds, 0.5, strategy=BUILT_IN_ATTACKERS[attacker](), seed=17)
         per_session.append(reads["norm"])
     assert per_session[0] == per_session[1]
     assert (per_session[0] > 0) == (attacker != "none")
+
+
+@pytest.mark.parametrize("attacker", sorted(BUILT_IN_ATTACKERS))
+def test_a_warm_session_builds_no_table(monkeypatch, attacker):
+    _cold_memo(monkeypatch)
+    counts = _table_work(monkeypatch)
+    first = run_session(300, 0.5, BUILT_IN_ATTACKERS[attacker](), seed=9)
+    assert counts["_scan_table"] == 1
+    counts.clear()
+    second = run_session(300, 0.5, BUILT_IN_ATTACKERS[attacker](), seed=9)
+    if attacker.startswith("spec-"):  # each spec attacker's roots are its own
+        assert counts["_scan_table"] == 1
+    else:
+        assert counts == Counter()
+    assert transcript_to_json(second) == transcript_to_json(first)
+    assert transcript_to_csv(second) == transcript_to_csv(first)
+
+
+def test_the_table_memo_holds_no_freed_spec_attacker(monkeypatch):
+    _cold_memo(monkeypatch)
+    for strategy in (exploit.CircuitAttack(), exploit.InterceptResend()):
+        run_session(10, 0.5, strategy, seed=1)
+    built_in = {exploit._circuit_roots(), exploit._probe_roots}
+    assert set(hbb._TABLES) == built_in
+    rng = np.random.default_rng(12)
+    gc.collect()
+    gc.disable()  # the attackers are freed by their reference counts alone
+    try:
+        for _ in range(20):
+            strategy = exploit.HelstromAttack(optimizer.random_family_point(rng, c=0.3).to_spec())
+            run_session(10, 0.5, strategy, seed=1)
+            assert strategy._roots in hbb._TABLES
+            del strategy
+            assert set(hbb._TABLES) == built_in
+    finally:
+        gc.enable()
+
+
+class WideCircuit(exploit.CircuitAttack):
+    """The circuit attacker given a three-level ancilla, which its
+    interaction does not take."""
+
+    ancilla_dim = 3
+
+
+def test_the_table_memo_gives_another_ancilla_dim_no_warm_table():
+    warm = transcript_to_json(run_session(300, 0.5, exploit.CircuitAttack(), seed=6))
+    for rng in (np.random.default_rng(6), np.random.Generator(np.random.MT19937(6))):
+        with pytest.raises(ValueError, match=r"^expected qubit registers .* with dims \(2, 2, 2, 3\)$"):
+            run_session(300, 0.5, WideCircuit(), rng=rng)
+    assert transcript_to_json(run_session(300, 0.5, exploit.CircuitAttack(), seed=6)) == warm
+
+
+class OwnRootsCircuit(exploit.CircuitAttack):
+    """A circuit-attacker subclass with roots of its own: it leaves the
+    state alone and answers as intercept-resend does after probing x+."""
+
+    ancilla_dim = 1
+
+    def __init__(self):
+        probe = Outcome(Sign.PLUS, X)
+        hbb._TableAttack.__init__(
+            self, partial(exploit._one_root, lambda state: state, partial(exploit._probe_answers, probe))
+        )
+
+
+def test_the_table_memo_gives_own_roots_their_own_table(monkeypatch):
+    circuit = transcript_to_json(run_session(300, 0.5, exploit.CircuitAttack(), seed=6))
+    counts = _table_work(monkeypatch)
+    strategy = OwnRootsCircuit()
+    t = run_session(300, 0.5, strategy, seed=6)
+    assert counts["_scan_table"] == 1
+    assert strategy._roots in hbb._TABLES
+    reference = run_session(300, 0.5, Delegate(OwnRootsCircuit()), seed=6)
+    assert transcript_to_json(t) == transcript_to_json(reference) != circuit
+
+
+class SlottedRoots:
+    """Intercept-resend's roots behind an object that cannot be weakly referenced."""
+
+    __slots__ = ()
+
+    def __call__(self, prepared):
+        return exploit._probe_roots(prepared)
+
+
+class SlottedResend(exploit.InterceptResend):
+    def __init__(self):
+        hbb._TableAttack.__init__(self, SlottedRoots())
+
+
+def test_the_table_memo_builds_a_table_per_session_for_roots_it_cannot_hold(monkeypatch):
+    reference = transcript_to_json(run_session(300, 0.5, exploit.InterceptResend(), seed=6))
+    counts = _table_work(monkeypatch)
+    strategy = SlottedResend()
+    for _ in range(2):
+        assert transcript_to_json(run_session(300, 0.5, strategy, seed=6)) == reference
+    assert counts["_scan_table"] == 2
+
+
+@pytest.mark.parametrize("route", ["scan", "per-round"])
+@pytest.mark.parametrize("dim", [0, -1, 2.0, "2", True], ids=repr)
+def test_ancilla_dim_is_checked_at_the_session_boundary(route, dim):
+    strategy = exploit.CircuitAttack()
+    strategy.ancilla_dim = dim
+    rng = np.random.default_rng(3) if route == "scan" else np.random.Generator(np.random.MT19937(3))
+    with pytest.raises(SessionAbort, match=f"^ancilla_dim {re.escape(repr(dim))} is not an int >= 1$"):
+        run_session(10, 0.5, strategy, rng=rng)
+
+
+def test_a_numpy_int_ancilla_dim_is_an_int():
+    for rng in (lambda: np.random.default_rng(3), lambda: np.random.Generator(np.random.MT19937(3))):
+        strategy = exploit.CircuitAttack()
+        strategy.ancilla_dim = np.int64(2)
+        t = run_session(300, 0.5, strategy, rng=rng())
+        assert transcript_to_json(t) == transcript_to_json(run_session(300, 0.5, exploit.CircuitAttack(), rng=rng()))
 
 
 class AmplitudeRewriter(ProbeStrategy):

@@ -13,12 +13,15 @@ execution lives in :mod:`hbbqss.exploit`.
 
 The unit of analysis is a :class:`SpecStack`, many specs' amplitudes and
 ancilla states stacked and validated in one reduction per check; every
-stage reads the stacked arrays, and the one-spec functions run on a stack
-of one. Only this module composes the stages: a stack enters a pass through
-:func:`report_outcomes` (the full analysis) or :func:`escape_outcomes` (the
-escape flags alone), both taking each flag from the bilinear residuals;
-:func:`cross_check`, run by ``verify`` and the property tests, holds reports
-against the redundant routes.
+stage reads the stacked arrays, and each row of a stack is an
+:class:`AttackSpec` whose arrays are views of the stack's, not checked
+again. The one-spec functions name the paper's quantities and run on a
+stack of one; :func:`conditional_states` gives a dict, (weight, state or
+None) by outcome pair. Only this module composes the stages: a stack
+enters a pass through :func:`report_outcomes` (the full analysis) or
+:func:`escape_outcomes` (the escape flags alone), both taking each flag
+from the bilinear residuals; :func:`cross_check`, run by ``verify`` and the
+property tests, holds reports against the redundant routes.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -153,7 +156,8 @@ class AttackSpec:
 class SpecStack:
     """The unit of analysis: n specs of one ancilla_dim, their amplitudes
     stacked (n, 2, 2) in ``a`` and their ancilla states (n, 4, 2 * ancilla_dim)
-    in ``eps``. Iterating yields each spec's :class:`SpecRow`.
+    in ``eps``. Iterating yields each spec as an :class:`AttackSpec` whose
+    ``a`` and ``eps`` are views of its rows, checked with the stack.
 
     Each check runs once over the stack, as one reduction, and raises the
     SpecError that the first failing spec raises alone.
@@ -200,7 +204,7 @@ class SpecStack:
         """AttackSpecs of one ancilla_dim stacked; each was checked when built."""
         if len({spec.ancilla_dim for spec in specs}) != 1:
             raise SpecError("a stack needs specs of one ancilla_dim")
-        return _stack(np.array([spec.a for spec in specs]), np.array([spec.eps for spec in specs]))
+        return _unchecked(cls, np.array([spec.a for spec in specs]), np.array([spec.eps for spec in specs]))
 
     @property
     def joint_dim(self) -> int:
@@ -210,26 +214,20 @@ class SpecStack:
         return len(self.a)
 
     def __iter__(self):
-        return map(SpecRow, self.a, self.eps)
+        return map(partial(_unchecked, AttackSpec), self.a, self.eps)
 
     def take(self, rows) -> "SpecStack":
         """The specs at ``rows``, a slice or a list of indices."""
-        return _stack(self.a[rows], self.eps[rows])
+        return _unchecked(SpecStack, self.a[rows], self.eps[rows])
 
 
-class SpecRow(NamedTuple):
-    """A spec's row of a SpecStack, read where an AttackSpec is."""
-
-    a: np.ndarray
-    eps: np.ndarray
-
-
-def _stack(a: np.ndarray, eps: np.ndarray) -> SpecStack:
-    """A SpecStack of rows that were checked before: no check runs again."""
-    stack = object.__new__(SpecStack)
+def _unchecked(cls, a: np.ndarray, eps: np.ndarray):
+    """An AttackSpec or a SpecStack of arrays that were checked before: no
+    check runs again, and its ``a`` and ``eps`` are the arrays given."""
+    spec = object.__new__(cls)
     for name, value in (("ancilla_dim", eps.shape[-1] // 2), ("a", a), ("eps", eps)):
-        object.__setattr__(stack, name, value)
-    return stack
+        object.__setattr__(spec, name, value)
+    return spec
 
 
 def _ancilla_dim(d) -> int:
@@ -307,34 +305,19 @@ _ALICE_KETS = np.array([_KETS[basis] for basis in PROTOCOL_BASES])
 _BOB_KETS = np.array([_KETS[case.bob_basis] for case in CASES])[:, None]
 
 
-@dataclass
-class ConditionalStateTable:
-    """Normalised attacker states conditioned on Alice's and Bob's outcomes.
-
-    Row k of ``weights`` (4,), ``states`` (4, d) and ``occurs`` (4,) belongs
-    to the outcome pair BRANCHES[k]; a branch of probability at most
-    ZERO_BRANCH_TOL does not occur and holds the zero state.
-    """
-
-    case: Case
-    weights: np.ndarray
-    states: np.ndarray
-    occurs: np.ndarray
-
-    def phi(self, alice: Sign, bob: Sign) -> np.ndarray | None:
-        k = BRANCHES.index((alice, bob))
-        return self.states[k] if self.occurs[k] else None
-
-
-def conditional_states(spec: AttackSpec, case: Case) -> ConditionalStateTable:
-    """Project the global state onto each (Alice, Bob) outcome pair."""
+def conditional_states(spec: AttackSpec, case: Case) -> dict:
+    """Project the global state onto each (Alice, Bob) outcome pair: {(alice,
+    bob): (weight, normalised attacker state)} in BRANCHES order. A branch of
+    probability at most ZERO_BRANCH_TOL does not occur, and its state is None."""
     t = _case_tables(_global_vectors(SpecStack.of([spec])), (case,))
-    return ConditionalStateTable(case, t.weights[0, 0], t.states[0, 0], t.occurs[0, 0])
+    rows = zip(BRANCHES, t.weights[0, 0].tolist(), t.occurs[0, 0].tolist(), t.states[0, 0])
+    return {branch: (weight, phi if occurs else None) for branch, weight, occurs, phi in rows}
 
 
-#: The conditional state tables of a stack of global states in each of
-#: ``cases``, laid out as ConditionalStateTable's rows behind two leading axes:
-#: ``weights`` and ``occurs`` (spec, case, branch), ``states`` (spec, case, branch, d).
+#: The conditional states of a stack of global states in each of ``cases``,
+#: row k of each case belonging to the outcome pair BRANCHES[k]: ``weights``
+#: and ``occurs`` (spec, case, branch), ``states`` (spec, case, branch, d),
+#: the zero state where a branch does not occur.
 _CaseTables = namedtuple("_CaseTables", "cases weights states occurs")
 
 
@@ -444,7 +427,7 @@ def _residual_stack(stack: SpecStack) -> np.ndarray:
     )
 
 
-def _residuals(spec: AttackSpec | SpecRow, case_vals: np.ndarray) -> DetectionResiduals:
+def _residuals(spec: AttackSpec, case_vals: np.ndarray) -> DetectionResiduals:
     """The spec's DetectionResiduals from its per-case values (case, 4) of
     :func:`_residual_stack`, with the aggregate products and gaps."""
     avec = spec.a.reshape(4)
@@ -594,7 +577,7 @@ def _xlog(x: float) -> float:
     return x * math.log2(x) if x > 0.0 else 0.0
 
 
-def nas_check(spec: AttackSpec | SpecRow) -> tuple[bool, dict]:
+def nas_check(spec: AttackSpec) -> tuple[bool, dict]:
     """Conditions for a perfect attack: mutually orthogonal ancilla states
     and every amplitude of magnitude 1/2. Returns (flag, residuals)."""
     gram = spec.eps.conj() @ spec.eps.T
@@ -670,9 +653,34 @@ def analyze_stack(stack: SpecStack) -> list[AttackReport]:
 
 
 def report_outcomes(stack: SpecStack) -> list:
-    """Each spec's AttackReport, or the error the spec raises alone."""
+    """Each spec's AttackReport, from :func:`_analysis_pass`, or the error the
+    spec raises alone. Where the C+E register is larger than 4, each spec's
+    Helstrom problems move to an orthonormal basis of its span(eps), and specs
+    whose spans share their dimension go through the pass together; else the
+    whole stack does. Only a pass of several specs that raises runs them
+    again, each once alone, as a slice of one; if all pass alone, stacking
+    them failed and each gets the pass's error.
+    """
     spans = [qmath.orthonormal_span(eps) if stack.joint_dim > 4 else None for eps in stack.eps]
-    return _outcomes(stack, spans)
+    groups: dict[int | None, list[int]] = {}
+    for i, span in enumerate(spans):
+        groups.setdefault(None if span is None else span.shape[1], []).append(i)
+
+    def run(sub, members):
+        try:
+            return _analysis_pass(sub, [spans[i] for i in members])
+        except (ValueError, RuntimeError) as exc:  # every check raises one of these
+            return [exc] * len(members)
+
+    outcomes = {}
+    for members in groups.values():
+        results = run(stack if len(members) == len(stack) else stack.take(members), members)
+        if len(members) > 1 and isinstance(results[0], Exception):
+            alone = [run(stack.take(slice(i, i + 1)), [i])[0] for i in members]
+            if any(isinstance(result, Exception) for result in alone):
+                results = alone
+        outcomes.update(zip(members, results))
+    return [outcomes[i] for i in range(len(stack))]
 
 
 def escape_outcomes(stack: SpecStack) -> list[bool]:
@@ -696,36 +704,6 @@ def _escapes(case_vals: np.ndarray) -> np.ndarray:
 STACK_BOUND = 64
 
 
-def _outcomes(stack: SpecStack, spans: list) -> list:
-    """:func:`_analysis_pass`'s report for each spec of the stack, or the
-    exception the spec raises alone. ``spans`` holds each spec's span(eps)
-    basis, or None where the pass keeps the full C+E register; specs whose
-    spans share their dimension, or are all None, go through the pass
-    together. Only a pass of several specs that raises runs them again, each
-    once alone, as a slice of one; if all pass alone, stacking them failed
-    and each gets the pass's error.
-    """
-    groups: dict[int | None, list[int]] = {}
-    for i, span in enumerate(spans):
-        groups.setdefault(None if span is None else span.shape[1], []).append(i)
-
-    def run(sub, members):
-        try:
-            return _analysis_pass(sub, [spans[i] for i in members])
-        except (ValueError, RuntimeError) as exc:  # every check raises one of these
-            return [exc] * len(members)
-
-    outcomes = {}
-    for members in groups.values():
-        results = run(stack if len(members) == len(stack) else stack.take(members), members)
-        if len(members) > 1 and isinstance(results[0], Exception):
-            alone = [run(stack.take(slice(i, i + 1)), [i])[0] for i in members]
-            if any(isinstance(result, Exception) for result in alone):
-                results = alone
-        outcomes.update(zip(members, results))
-    return [outcomes[i] for i in range(len(stack))]
-
-
 def _analysis_pass(stack: SpecStack, spans) -> list[AttackReport]:
     """:func:`analyze_stack` of a stack whose specs, where their Helstrom
     problems move to span(eps), share one span dimension."""
@@ -738,13 +716,13 @@ def _analysis_pass(stack: SpecStack, spans) -> list[AttackReport]:
     n = 2 * len(CASES)
     rows = zip(stack, case_vals, _escapes(case_vals).tolist(), vecs)
     return [
-        _report(row, _residuals(row, vals), escape, errors[n * s:n * (s + 1)], vec)
-        for s, (row, vals, escape, vec) in enumerate(rows)
+        _report(spec, _residuals(spec, vals), escape, errors[n * s:n * (s + 1)], vec)
+        for s, (spec, vals, escape, vec) in enumerate(rows)
     ]
 
 
 def _report(
-    spec: SpecRow, residuals: DetectionResiduals, escape: bool, errors, vec: np.ndarray,
+    spec: AttackSpec, residuals: DetectionResiduals, escape: bool, errors, vec: np.ndarray,
 ) -> AttackReport:
     """A spec's report from its row of the stack, residuals, escape flag,
     eight Helstrom errors and global state vector."""

@@ -148,7 +148,7 @@ def _check_decoder_transforms() -> tuple[float, str]:
     case = attack.Case.XX
     table = attack.conditional_states(exploit.example_spec(), case)
     worst = _worst(
-        qstate.phase_aligned_distance(exploit._decoder(role, case)[0] @ table.phi(m, n), t)
+        qstate.phase_aligned_distance(exploit._decoder(role, case)[0] @ table[m, n][1], t)
         for role, targets in _DECODED_XX.items()
         for (m, n), t in zip(attack.BRANCHES, targets)
     )
@@ -161,8 +161,7 @@ def _check_decoder_soundness() -> tuple[float, str]:
     defects = []
     for case in attack.CASES:
         table = attack.conditional_states(spec, case)
-        for m, n in attack.BRANCHES:
-            phi = table.phi(m, n)
+        for (m, n), (_, phi) in table.items():
             alice = qstate.Outcome(m, case.alice_basis)
             bob = qstate.Outcome(n, case.bob_basis)
             required = hbb.required_announcement(alice, bob).bit

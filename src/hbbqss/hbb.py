@@ -44,7 +44,6 @@ from typing import NamedTuple, Protocol
 
 import numpy as np
 
-from . import qmath
 from .attack import _sig12, mutual_information
 from .qstate import (
     _OUTCOMES,
@@ -59,6 +58,7 @@ from .qstate import (
     _measure_stack,
     _sample,
     _two_way,
+    _unmeasurable,
     ghz_state,
     measure_qubit,  # noqa: F401 - kept in this namespace for code that looks it up here
     read_only,
@@ -769,8 +769,8 @@ def _validate_intercepted(state: StateVector, strategy: AttackStrategy) -> None:
         raise SessionAbort(f"intercept returned registers {state.labels}")
     if state.dims != (2, 2, 2, strategy.ancilla_dim):
         raise SessionAbort(f"intercept returned register dims {state.dims}")
-    # the tolerance measurement requires, so a state passing here is measurable
-    if abs(state.norm - 1.0) > qmath.STRUCT_TOL:
+    # the rule measurement applies, so a state passing here is measurable
+    if _unmeasurable(state.norm):
         raise SessionAbort(f"intercept broke normalisation (norm {state.norm})")
 
 
@@ -842,15 +842,9 @@ def _templates(write_row) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(head for head, _ in texts), tuple(tail for _, tail in texts)
 
 
-#: A round's row, a flat dict of str, int, bool and None, with one field a
-#: line as ``json.dumps(..., indent=2)`` lays them out inside the rounds
-#: list; without an indent the encoder runs in C.
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
-
-
 def _json_row(row: dict) -> str:
     """``row`` as ``json.dumps(..., sort_keys=True, indent=2)`` lays it out inside the rounds list."""
-    return "{\n      " + _ROW_ENCODER.encode(row)[1:-1] + "\n    }"
+    return json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    ")
 
 
 def _json_list(items: list) -> str:

@@ -279,11 +279,11 @@ def _walk(lo: float, hi: float, iters: int, phases) -> _Walk:
 
 def _number(rows: dict, cs, phases) -> int:
     """Number the points (c, phases) of ``cs`` that have no row in ``rows``
-    yet, in order: rows[phases][c] is a point's row. Returns the row count."""
-    n = sum(map(len, rows.values()))
-    seen = rows.setdefault(phases, {})
-    seen.update(zip([c for c in dict.fromkeys(cs) if c not in seen], count(n)))
-    return sum(map(len, rows.values()))
+    yet, in order: rows[phases, c] is a point's row, the order in which it
+    was added. Returns the row count."""
+    for c in cs:
+        rows.setdefault((phases, c), len(rows))
+    return len(rows)
 
 
 def _replay(batch: list[_Walk], rows: dict) -> None:
@@ -297,16 +297,11 @@ def _replay(batch: list[_Walk], rows: dict) -> None:
     for walk in batch:
         for c, _, _ in walk.probes:
             _number(rows, (c,), _NO_PHASES)
-            n = _number(rows, (c,), walk.phases)
-    cs, which = np.empty(n), np.empty(n, dtype=int)
-    for k, seen in enumerate(rows.values()):  # the rows at each phases
-        at = list(seen.values())
-        cs[at], which[at] = list(seen), k
-    escapes = escape_outcomes(family_stack(cs, np.array(list(rows))[which]))
+            _number(rows, (c,), walk.phases)
+    escapes = escape_outcomes(family_stack([c for _, c in rows], [phases for phases, _ in rows]))
 
     def check(cs, phases) -> None:
-        seen = rows[phases]
-        if not all([escapes[seen[c]] for c in cs]):
+        if not all([escapes[rows[phases, c]] for c in cs]):
             raise SpecError("family point does not satisfy the detection constraints")
 
     for walk in batch:

@@ -218,17 +218,6 @@ def cross_overlaps(set1, set2) -> np.ndarray:
     return np.abs(v1.conj() @ np.swapaxes(v2, -1, -2))
 
 
-def _check_orthonormal(rows: np.ndarray) -> None:
-    """Reject seed rows that are not unit vectors or not mutually
-    orthogonal, each within STRUCT_TOL."""
-    for i, u in enumerate(rows):
-        if abs(norm(u) - 1.0) > STRUCT_TOL:
-            raise ValueError(f"seed vector {i} is not normalised")
-        for w in rows[:i]:
-            if abs(np.vdot(w, u)) > STRUCT_TOL:
-                raise ValueError("seed vectors must be mutually orthogonal")
-
-
 def orthonormal_span(vectors) -> np.ndarray:
     """Orthonormal columns spanning the given vectors (the rows of a 2-D
     array), by two-pass Gram-Schmidt over the rows in order: each row's

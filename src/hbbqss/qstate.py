@@ -11,6 +11,13 @@ GHZ correlation table is reproduced exactly:
 Global phase is ignored everywhere; use :func:`phase_aligned_distance` for
 phase-invariant state comparison. All stochastic operations take an
 explicit numpy random generator, so identical seeds give identical runs.
+
+Every projection runs through one stacked contraction: a single ket
+(:func:`project_qubit`) and a measured register's two branches
+(:func:`measure_qubit`) share one register projection, and the session's
+stacked measurements use the same contraction. One rule says which states
+can be measured: a norm within ``qmath.STRUCT_TOL`` of 1, which a NaN norm
+never is; the session's intercept check applies the same rule.
 """
 
 from __future__ import annotations
@@ -238,16 +245,25 @@ def project_qubit(state: StateVector, label: str, onto) -> tuple[float, StateVec
         )
     if abs(np.sqrt((np.abs(ket) ** 2).sum()) - 1.0) > qmath.STRUCT_TOL:
         raise ValueError("projection ket must be normalised")
+    (prob,), (cond,) = _project(state, ax, ket[None])
+    return prob, cond
+
+
+def _project(state: StateVector, ax: int, kets: np.ndarray) -> tuple[list[float], list]:
+    """Project the register on axis ``ax`` onto each of ``kets`` (rows of its
+    dimension) in one contraction (see :func:`_project_stack`): the
+    probabilities, and the conditional states on the other registers, None
+    where a branch does not occur or no register is left."""
     tensor = state.vec.reshape(state.dims)
     if ax:
         tensor = np.moveaxis(tensor, ax, 0)
-    prob, cond = _project_stack(tensor.reshape(state.dims[ax], -1), ket)
-    prob = float(prob)
-    if prob <= ZERO_BRANCH_TOL or len(state.labels) == 1:
-        return prob, None
-    rest_labels = state.labels[:ax] + state.labels[ax + 1:]
-    rest_dims = state.dims[:ax] + state.dims[ax + 1:]
-    return prob, StateVector(rest_labels, rest_dims, cond)
+    probs, conds = _project_stack(tensor.reshape(state.dims[ax], -1), kets)
+    probs = probs.tolist()
+    labels, dims = state.labels[:ax] + state.labels[ax + 1:], state.dims[:ax] + state.dims[ax + 1:]
+    return probs, [
+        StateVector(labels, dims, cond) if prob > ZERO_BRANCH_TOL and labels else None
+        for prob, cond in zip(probs, conds)
+    ]
 
 
 def _project_stack(tensors: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -270,6 +286,12 @@ def _project_stack(tensors: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, n
     return prob, np.divide(amp, scale, out=np.zeros_like(amp), where=occurs)
 
 
+def _unmeasurable(norms):
+    """Whether each norm (a float or an array of them) leaves 1 by more than
+    ``qmath.STRUCT_TOL``, or is NaN: the states that cannot be measured."""
+    return np.logical_not(np.abs(norms - 1.0) <= qmath.STRUCT_TOL)
+
+
 def _branches(state: StateVector, label: str, basis: Basis) -> tuple:
     """Both Born-rule branches of measuring one register: (p_plus, (+
     outcome, its state), (- outcome, its state)), a state None where
@@ -278,24 +300,14 @@ def _branches(state: StateVector, label: str, basis: Basis) -> tuple:
     The two kets are projected in one contraction, each branch bit for bit
     as :func:`project_qubit` projects it alone.
     """
-    if abs(state.norm - 1.0) > qmath.STRUCT_TOL:
+    if _unmeasurable(state.norm):
         raise ValueError(f"state norm {state.norm} deviates from 1 beyond {qmath.STRUCT_TOL}")
     kets = np.array(basis_kets(basis))
     ax = state.axis(label)
     if state.dims[ax] != 2:
         raise ValueError(f"ket of dim 2 cannot project a register of dim {state.dims[ax]}")
-    tensor = state.vec.reshape(state.dims)
-    if ax:
-        tensor = np.moveaxis(tensor, ax, 0)
-    probs, conds = _project_stack(tensor.reshape(2, -1), kets)
-    rest_labels = state.labels[:ax] + state.labels[ax + 1:]
-    rest_dims = state.dims[:ax] + state.dims[ax + 1:]
-    plus, minus = (
-        (outcome,
-         StateVector(rest_labels, rest_dims, cond) if prob > ZERO_BRANCH_TOL and rest_labels else None)
-        for outcome, prob, cond in zip(_OUTCOMES[basis], probs, conds)
-    )
-    return float(probs[0]), plus, minus
+    probs, conds = _project(state, ax, kets)
+    return probs[0], *zip(_OUTCOMES[basis], conds)
 
 
 def _measure_stack(tensors: np.ndarray, occurs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -308,11 +320,11 @@ def _measure_stack(tensors: np.ndarray, occurs: np.ndarray) -> tuple[np.ndarray,
     the probabilities (s, 2, 2) and the conditional states (s, 2, 2, n),
     indexed by state, basis bit (x, y) and sign bit (+, -), each bit for bit
     as :func:`_branches` computes it for that state alone. Like
-    :func:`_branches`, raises ValueError for a state whose norm deviates
-    from 1 beyond ``qmath.STRUCT_TOL``.
+    :func:`_branches`, raises ValueError for a state whose norm
+    :func:`_unmeasurable` rejects.
     """
     norms = np.sqrt((np.abs(tensors) ** 2).sum(axis=(1, 2)))
-    off = occurs & (np.abs(norms - 1.0) > qmath.STRUCT_TOL)
+    off = occurs & _unmeasurable(norms)
     if off.any():
         raise ValueError(f"state norm {float(norms[off][0])} deviates from 1 beyond {qmath.STRUCT_TOL}")
     return _project_stack(tensors[:, None, None], _PROTOCOL_KETS)

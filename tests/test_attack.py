@@ -50,7 +50,8 @@ MAG_GAP = 0.14214113720780752  # |sqrt(.6) - sqrt(.4)|
 
 def entries(table):
     """(weight, state or None) of each outcome pair of a conditional state table."""
-    return {b: (float(table.weights[k]), table.phi(*b)) for k, b in enumerate(attack.BRANCHES)}
+    assert list(table) == list(attack.BRANCHES)
+    return table
 
 
 def circuit_spec():
@@ -213,6 +214,32 @@ def test_a_spec_stack_reads_row_by_row_as_its_specs():
     ]
 
 
+def test_stack_rows_are_attack_specs(monkeypatch):
+    stacks = [
+        attack.SpecStack.of([honest_spec(2), exploit.example_spec(), family_spec(0.3)]),
+        attack.SpecStack.of([kki_spec(), honest_spec(4)]),
+    ]
+    original = attack.SpecStack.__post_init__
+    checks = []
+
+    def counted(self):
+        checks.append(self)
+        original(self)
+
+    monkeypatch.setattr(attack.SpecStack, "__post_init__", counted)
+    for stack in stacks:
+        rows = list(stack)
+        # the rows were checked with the stack and are not checked again
+        assert checks == []
+        for k, row in enumerate(rows):
+            assert type(row) is AttackSpec
+            assert np.shares_memory(row.a, stack.a) and np.shares_memory(row.eps, stack.eps)
+            assert row.a.tobytes() == stack.a[k].tobytes() and row.eps.tobytes() == stack.eps[k].tobytes()
+            assert row.ancilla_dim == stack.ancilla_dim and row.joint_dim == stack.joint_dim
+    AttackSpec(rows[0].ancilla_dim, rows[0].a, rows[0].eps)
+    assert len(checks) == 1  # an AttackSpec built from its arrays is checked
+
+
 def test_spec_json_roundtrip(tmp_path):
     spec = kki_spec()
     path = tmp_path / "spec.json"
@@ -363,7 +390,7 @@ def test_conditional_states_circuit_spec_xx_case():
     for (m, n) in ((a, b) for a in "+-" for b in "+-"):
         weight = entries(table)[Sign(m), Sign(n)][0]
         assert weight == pytest.approx(0.25, abs=1e-12)
-        phi = table.phi(Sign(m), Sign(n))
+        phi = table[Sign(m), Sign(n)][1]
         expected = CASE_CONDITIONALS[(Case.XX, m, n)]
         assert phase_aligned_distance(phi, expected) <= 1e-12
 
@@ -371,7 +398,7 @@ def test_conditional_states_circuit_spec_xx_case():
 def test_conditional_states_circuit_spec_yy_case():
     table = conditional_states(circuit_spec(), Case.YY)
     for (m, n) in ((a, b) for a in "+-" for b in "+-"):
-        phi = table.phi(Sign(m), Sign(n))
+        phi = table[Sign(m), Sign(n)][1]
         expected = CASE_CONDITIONALS[(Case.YY, m, n)]
         assert phase_aligned_distance(phi, expected) <= 1e-12
 
@@ -385,7 +412,7 @@ def test_conditional_states_honest_follow_the_table():
             # Charlie's qubit holds exactly the table outcome for (m, n):
             # same signs give x+, different signs x- (E is trivial here)
             expected = kets[0] if m == n else kets[1]
-            assert phase_aligned_distance(table.phi(m, n), expected) <= 1e-12
+            assert phase_aligned_distance(table[m, n][1], expected) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +460,7 @@ def test_residual_routes_agree_on_random_specs(rng):
             direct = []
             for same in attack.SAME_BRANCHES:
                 for diff in attack.DIFF_BRANCHES:
-                    u, v = table.phi(*same), table.phi(*diff)
+                    u, v = table[same][1], table[diff][1]
                     direct.append(abs(np.vdot(u, v)) if u is not None and v is not None else 0.0)
             assert np.abs(np.array(direct) - np.array(res.per_case[case])).max() <= 1e-10
 
@@ -462,7 +489,7 @@ def test_rho_pair_handles_vanishing_branches():
     )
     table = conditional_states(spec, Case.XX)
     assert entries(table)[Sign.PLUS, Sign.MINUS][0] <= 1e-12
-    assert table.phi(Sign.PLUS, Sign.MINUS) is None
+    assert table[Sign.PLUS, Sign.MINUS][1] is None
     rho_plus, rho_minus = rho_pair(spec, Case.XX)
     assert abs(np.trace(rho_plus) - 1.0) <= 1e-10
     assert np.abs(rho_plus - rho_minus).max() <= 1e-12
@@ -883,7 +910,7 @@ def _full_route_announce(spec, case):
 
     def mix(branches):
         weights = [entries(table)[b][0] for b in branches]
-        rho = sum(w * np.outer(table.phi(*b), table.phi(*b).conj()) for w, b in zip(weights, branches))
+        rho = sum(w * np.outer(table[b][1], table[b][1].conj()) for w, b in zip(weights, branches))
         return rho / sum(weights), sum(weights)
 
     (rho_s, p_s), (rho_d, p_d) = mix(attack.SAME_BRANCHES), mix(attack.DIFF_BRANCHES)

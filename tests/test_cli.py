@@ -253,6 +253,32 @@ def test_simulate_refuses_unrealizable_spec(tmp_path, capsys):
     assert "not realizable" in capsys.readouterr().err
 
 
+def _turned_spec(theta):
+    """The circuit attack's spec with eps_10 turned toward eps_00 by ``theta``
+    radians: its branch overlap is sin(theta) / 4."""
+    doc = attack.spec_to_dict(exploit.example_spec())
+    doc["eps"][2] = [[math.sin(theta), 0.0], [0.0, 0.0], [math.cos(theta), 0.0], [0.0, 0.0]]
+    return doc
+
+
+@pytest.mark.parametrize("theta,realizable", [(2e-9, True), (8e-9, False)])
+def test_simulate_runs_every_spec_that_analyze_finds_realizable(tmp_path, capsys, theta, realizable):
+    # overlaps 5e-10 and 2e-9, either side of attack.DEFAULT_TOL: the spec
+    # attacker decides realizability once, at the tolerance analyze reports
+    spec = tmp_path / "turned.json"
+    spec.write_text(json.dumps(_turned_spec(theta)))
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--spec", str(spec), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["realizable"] is realizable
+    capsys.readouterr()
+    rc = main(["simulate", "--attacker", "spec", "--spec", str(spec), "--rounds", "300",
+               "--out", str(tmp_path / "t.json")])
+    if realizable:
+        assert rc == 0 and "error=0.0000" in capsys.readouterr().out
+    else:
+        assert rc == 2 and "spec is not realizable" in capsys.readouterr().err
+
+
 def test_simulate_reports_schema_problems(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"ancilla_dim": 2}')

@@ -404,6 +404,48 @@ def test_intercept_norm_is_checked_at_the_measurement_tolerance():
     run_session(50, check_fraction=0.5, strategy=NormBreaker(3, 1.0 + 5e-11), seed=4)
 
 
+def _poisoned(value, state):
+    """``state`` with its first nonzero amplitude replaced by ``value``."""
+    vec = state.vec.copy()
+    vec[np.flatnonzero(vec)[0]] = value
+    return StateVector(state.labels, state.dims, vec)
+
+
+class PoisonedCircuit(exploit.CircuitAttack):
+    """A circuit attacker whose own intercept hook writes ``value`` into one
+    amplitude: its sessions run round by round."""
+
+    def __init__(self, value):
+        super().__init__()
+        self.value = value
+
+    def intercept(self, state, rng):
+        return _poisoned(self.value, super().intercept(state, rng))
+
+
+class PoisonedRoots(hbb._TableAttack):
+    """A table attacker whose own roots hold the circuit's state with
+    ``value`` in one amplitude: its sessions take the scan with PCG64."""
+
+    name = "poisoned-roots"
+    ancilla_dim = 2
+
+    def __init__(self, value):
+        interact = lambda state: _poisoned(value, exploit.entangle_circuit(state))  # noqa: E731
+        super().__init__(partial(exploit._one_root, interact, None))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937], ids=["pcg64", "mt19937"])
+@pytest.mark.parametrize("attacker", [PoisonedCircuit, PoisonedRoots], ids=["own-hook", "own-roots"])
+def test_an_intercepted_state_with_a_non_finite_amplitude_aborts(attacker, bit_generator, value):
+    # a NaN norm compares False with the tolerance either way round, so the
+    # check must fail what it cannot show to be within it
+    rng = np.random.Generator(bit_generator(5))
+    with pytest.raises(SessionAbort, match=rf"^intercept broke normalisation \(norm {value}\)$"):
+        run_session(300, 0.5, attacker(value), rng=rng)
+
+
 class NoStateInterceptor(ProbeStrategy):
     """Hands back None for the intercepted state."""
 
